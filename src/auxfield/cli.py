@@ -49,7 +49,17 @@ EXIT_NUMERICAL = 3
 # spec file parsing and solution serialization
 
 
-def _parse_term(raw: dict, scope: Scope) -> PotentialTerm:
+def _integer(value: Any) -> int:
+    """Integer value of a JSON number; fractions are rejected, not truncated."""
+    whole = int(value)
+    if whole != float(value):
+        raise ValidationError(f"expected an integer, got {value!r}")
+    return whole
+
+
+def _parse_term(raw: Any, scope: Scope) -> PotentialTerm:
+    if not isinstance(raw, dict):
+        raise ValidationError(f"potential term must be an object, got {raw!r}")
     kind = raw.get("type")
     if kind == "power":
         form = PowerLaw(
@@ -65,7 +75,7 @@ def _parse_term(raw: dict, scope: Scope) -> PotentialTerm:
 def parse_system(raw: dict) -> tuple[SystemSpec, QuantumNumbers]:
     """Build and validate a system plus quantum numbers from a JSON document."""
     try:
-        n = int(raw["N"])
+        n = _integer(raw["N"])
         kin = Kinematics(raw["kinematics"])
         if "masses" in raw:
             masses: Any = PerParticle(tuple(float(x) for x in raw["masses"]))
@@ -77,8 +87,8 @@ def parse_system(raw: dict) -> tuple[SystemSpec, QuantumNumbers]:
         pairwise = tuple(
             _parse_term(t, Scope.PAIRWISE) for t in raw.get("pairwise", [])
         )
-        modes = tuple((int(nl[0]), int(nl[1])) for nl in raw["modes"])
-    except (KeyError, TypeError, ValueError) as exc:
+        modes = tuple((_integer(nl[0]), _integer(nl[1])) for nl in raw["modes"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed system spec: {exc}") from exc
     spec = SystemSpec(
         n=n, masses=masses, kinematics=kin, one_body=one_body, pairwise=pairwise
@@ -286,6 +296,8 @@ def _duality_rows(n: int) -> list[dict]:
 
 
 def _cmd_duality_check(args, out) -> int:
+    if args.n is not None and args.n < 2:
+        raise ValidationError(f"need --n >= 2, got {args.n}")
     ns = [args.n] if args.n is not None else [2, 3, 4, 6]
     payload = []
     for n in ns:

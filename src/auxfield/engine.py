@@ -12,13 +12,11 @@ other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import (
     NonPositiveSlope,
     NoPositiveRoot,
-    NotClosedForm,
     UnsupportedCombination,
     UnsupportedForm,
 )
@@ -32,90 +30,35 @@ from .model import (
     QuantumNumbers,
     Scope,
     SystemSpec,
+    _tangency_radii,
     validate,
 )
 from .special import cubic_root, quartic_root
 
-#: Equal one-body/pairwise exponents with an algebraic solution of the scale
-#: equation (the last six only with nonrelativistic kinematics, where the
-#: whole family is closed anyway).
-ANALYTIC_EQUAL_POWERS = (
-    -1.0,
-    -2.0 / 3.0,
-    -0.5,
-    1.0,
-    2.0,
-    -7.0 / 4.0,
-    -5.0 / 3.0,
-    -1.5,
-    -4.0 / 3.0,
-    -1.25,
-)
 
+def auxiliary_k(term: PotentialTerm) -> Callable[[float], float]:
+    """Tangency map K(x) = V'(x) / (x^2)' of a potential term.
 
-@dataclass(frozen=True)
-class FieldProfile:
-    """Tangency map K and its inverse I for one potential term.
-
-    Quadratic terms (exponent exactly 2) are degenerate: K is the constant
-    spring coefficient and I is undefined, so the field is pinned rather than
-    varied.
-    """
-
-    k: Callable[[float], float]
-    i: Optional[Callable[[float], float]]
-    quadratic: bool
-    spring: float = 0.0
-
-
-@dataclass(frozen=True)
-class AuxiliaryProfile:
-    """Per-scope field profiles for a full system."""
-
-    one: Optional[FieldProfile]
-    pair: Optional[FieldProfile]
-
-
-def auxiliary_k(term: PotentialTerm) -> FieldProfile:
-    """Build the K/I pair of a potential term against the quadratic surrogate.
-
-    Power law: K(x) = coefficient |lam| / 2 * x^(lam-2); gaussian well:
-    K(x) = depth range^2 exp(-(range x)^2), inverted by
-    I(nu) = sqrt(-ln(nu / (depth range^2))) / range.
+    Power law: K(x) = coefficient |lam| / 2 * x^(lam-2), a constant spring
+    coefficient for lam = 2; gaussian well:
+    K(x) = depth range^2 exp(-(range x)^2).
     """
     form = term.form
     if isinstance(form, PowerLaw):
-        coef, lam = form.coefficient, form.exponent
-        half = coef * abs(lam) / 2.0
+        half = form.coefficient * abs(form.exponent) / 2.0
 
-        def k(x: float, half=half, lam=lam) -> float:
+        def k(x: float, half=half, lam=form.exponent) -> float:
             return half * x ** (lam - 2.0)
 
-        if lam == 2.0:
-            return FieldProfile(k=k, i=None, quadratic=True, spring=coef)
-
-        def i(nu: float, half=half, lam=lam) -> float:
-            return (nu / half) ** (1.0 / (lam - 2.0))
-
-        return FieldProfile(k=k, i=i, quadratic=False)
+        return k
     if isinstance(form, GaussianWell):
-        depth, rng = form.depth, form.range_
-        cap = depth * rng * rng
+        cap = form.depth * form.range_ * form.range_
 
-        def k(x: float, cap=cap, rng=rng) -> float:
+        def k(x: float, cap=cap, rng=form.range_) -> float:
             return cap * math.exp(-((rng * x) ** 2))
 
-        def i(nu: float, cap=cap, rng=rng) -> float:
-            return math.sqrt(-math.log(nu / cap)) / rng
-
-        return FieldProfile(k=k, i=i, quadratic=False)
-    raise UnsupportedForm(f"no auxiliary profile for {form!r}")
-
-
-def auxiliary_profile(spec: SystemSpec) -> AuxiliaryProfile:
-    one = auxiliary_k(spec.one_body[0]) if spec.one_body else None
-    pair = auxiliary_k(spec.pairwise[0]) if spec.pairwise else None
-    return AuxiliaryProfile(one=one, pair=pair)
+        return k
+    raise UnsupportedForm(f"no tangency map for {form!r}")
 
 
 def _convexity_sign(form) -> float:
@@ -149,10 +92,6 @@ def bound_character(spec: SystemSpec) -> BoundCharacter:
     if not signs or (has_neg and has_pos):
         return BoundCharacter.UNKNOWN
     return BoundCharacter.EXACT
-
-
-def _tangency_radii(n: int, q: float, x0: float) -> tuple[float, float]:
-    return math.sqrt(q / (n * x0)), math.sqrt(2.0 * q / ((n - 1) * x0))
 
 
 def _mass_at_x0(spec: SystemSpec, q: float, x0: float) -> float:
@@ -232,21 +171,6 @@ def _solve_x0_roots(
     return roots
 
 
-def _solution_from_x0(spec: SystemSpec, q: QuantumNumbers, x0: float) -> AFMSolution:
-    n = spec.n
-    m = spec.identical_mass
-    qq = q.q
-    r1, r2 = _tangency_radii(n, qq, x0)
-    return AFMSolution(
-        mass=_mass_at_x0(spec, qq, x0),
-        x0=x0,
-        mu0=math.sqrt(m * m + qq * x0 / n),
-        r0_one=r1,
-        r0_pair=r2,
-        bound_character=bound_character(spec),
-    )
-
-
 def afm_mass(
     spec: SystemSpec, q: QuantumNumbers, tolerance: float = 1e-12
 ) -> AFMSolution:
@@ -268,15 +192,16 @@ def afm_mass(
     n = spec.n
     m = spec.identical_mass
     qq = q.q
-    profile = auxiliary_profile(spec)
+    k_one = auxiliary_k(spec.one_body[0]) if spec.one_body else None
+    k_pair = auxiliary_k(spec.pairwise[0]) if spec.pairwise else None
 
     def field_sum(x0: float) -> float:
         r1, r2 = _tangency_radii(n, qq, x0)
         total = 0.0
-        if profile.one is not None:
-            total += profile.one.k(r1)
-        if profile.pair is not None:
-            total += n * profile.pair.k(r2)
+        if k_one is not None:
+            total += k_one(r1)
+        if k_pair is not None:
+            total += n * k_pair(r2)
         return total
 
     semirel = spec.kinematics is Kinematics.SEMIRELATIVISTIC
@@ -287,23 +212,25 @@ def afm_mass(
         kappa = field_sum(1.0)  # constant for quadratic terms
         if kappa <= 0.0:
             raise NoPositiveRoot(f"net spring constant {kappa} <= 0")
-        return _solution_from_x0(spec, q, math.sqrt(2.0 * m * kappa))
-
-    if semirel:
-
-        def h(x0: float) -> float:
-            return 2.0 * math.sqrt(m * m + qq * x0 / n) * field_sum(x0) - x0 * x0
-
+        x0 = math.sqrt(2.0 * m * kappa)
     else:
+        if semirel:
 
-        def h(x0: float) -> float:
-            return 2.0 * m * field_sum(x0) - x0 * x0
+            def h(x0: float) -> float:
+                return 2.0 * math.sqrt(m * m + qq * x0 / n) * field_sum(x0) - x0 * x0
 
-    roots = _solve_x0_roots(h, _scale_candidates(spec, qq), tolerance)
-    if not roots:
-        raise NoPositiveRoot("the auxiliary-scale equation has no positive root")
-    best = min(roots, key=lambda r: (_mass_at_x0(spec, qq, r), r))
-    return _solution_from_x0(spec, q, best)
+        else:
+
+            def h(x0: float) -> float:
+                return 2.0 * m * field_sum(x0) - x0 * x0
+
+        roots = _solve_x0_roots(h, _scale_candidates(spec, qq), tolerance)
+        if not roots:
+            raise NoPositiveRoot("the auxiliary-scale equation has no positive root")
+        x0 = min(roots, key=lambda r: (_mass_at_x0(spec, qq, r), r))
+    return AFMSolution.at_scale(
+        n, m, qq, x0, _mass_at_x0(spec, qq, x0), bound_character(spec)
+    )
 
 
 def _extract_equal_powers(spec: SystemSpec) -> tuple[float, float, float]:
@@ -337,9 +264,7 @@ def _m00_mass(n: int, m: float, qq: float, lam: float, x0: float) -> float:
     )
 
 
-def equal_power_mass(
-    spec: SystemSpec, q: QuantumNumbers, allow_numeric_fallback: bool = True
-) -> AFMSolution:
+def equal_power_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
     """Closed-form mass when the one-body and pairwise exponents coincide.
 
     The scale equation collapses to X0^(lam+2) = C^2 (m^2 + Q X0 / N) with
@@ -347,8 +272,7 @@ def equal_power_mass(
     (N lam m^2 + Q (lam+1) X0) / (lam sqrt(m^2 + Q X0/N)). Nonrelativistic
     kinematics and the massless limit are closed for every exponent; with a
     finite mass the equation is algebraic for lam in {-1, 1, 2}, and other
-    exponents fall back to a scalar root find (or NotClosedForm when the
-    fallback is disabled).
+    exponents fall back to the numeric solve of afm_mass.
     """
     validate(spec, q)
     a, b, lam = _extract_equal_powers(spec)
@@ -391,24 +315,10 @@ def equal_power_mass(
             if frac >= 1.0:
                 raise NoPositiveRoot("attraction beyond the collapse threshold")
             x0 = c * c * m * m / (1.0 - frac)
-        elif allow_numeric_fallback:
-            sol = afm_mass(spec, q)
-            return sol
         else:
-            raise NotClosedForm(
-                f"no algebraic scale equation for exponent {lam} at finite mass"
-            )
+            return afm_mass(spec, q)
         mass = _m00_mass(n, m, qq, lam, x0)
-
-    r1, r2 = _tangency_radii(n, qq, x0)
-    return AFMSolution(
-        mass=mass,
-        x0=x0,
-        mu0=math.sqrt(m * m + qq * x0 / n),
-        r0_one=r1,
-        r0_pair=r2,
-        bound_character=bound_character(spec),
-    )
+    return AFMSolution.at_scale(n, m, qq, x0, mass, bound_character(spec))
 
 
 def linear_mass(n: int, m: float, a: float, b: float, q: float) -> AFMSolution:
@@ -432,12 +342,4 @@ def linear_mass(n: int, m: float, a: float, b: float, q: float) -> AFMSolution:
         froot = cubic_root(y)
         x0 = c * froot / math.sqrt(3.0)
         mass = n * m * math.sqrt(froot / (2.0 * y)) * (froot + 3.0 / froot)
-    r1, r2 = _tangency_radii(n, q, x0)
-    return AFMSolution(
-        mass=mass,
-        x0=x0,
-        mu0=math.sqrt(m * m + q * x0 / n),
-        r0_one=r1,
-        r0_pair=r2,
-        bound_character=BoundCharacter.UPPER_BOUND,
-    )
+    return AFMSolution.at_scale(n, m, q, x0, mass, BoundCharacter.UPPER_BOUND)

@@ -74,10 +74,6 @@ class NoPositiveRoot(NumericalError):
     """The auxiliary-scale equation has no positive solution (collapse)."""
 
 
-class NotClosedForm(AuxFieldError):
-    """No closed-form expression for this exponent; numeric fallback disabled."""
-
-
 class OverCritical(NumericalError):
     """Coupling beyond the critical value: square-root argument non-positive."""
 

@@ -265,11 +265,4 @@ def srho_mass(n: int, m: float, k: float, kbar: float, q: float) -> AFMSolution:
         mu0 = 2.0 * m * g * g / math.sqrt(3.0 * y)
         mass = 2.0 * n * m / math.sqrt(3.0 * y) * (1.0 / g + g * g)
     x0 = math.sqrt(2.0 * mu0 * kappa)
-    return AFMSolution(
-        mass=mass,
-        x0=x0,
-        mu0=mu0,
-        r0_one=math.sqrt(q / (n * x0)),
-        r0_pair=math.sqrt(2.0 * q / ((n - 1) * x0)),
-        bound_character=BoundCharacter.UPPER_BOUND,
-    )
+    return AFMSolution.at_scale(n, m, q, x0, mass, BoundCharacter.UPPER_BOUND)

@@ -169,11 +169,45 @@ class AFMSolution:
     r0_pair: float
     bound_character: BoundCharacter
 
+    @classmethod
+    def at_scale(
+        cls,
+        n: int,
+        m: float,
+        q: float,
+        x0: float,
+        mass: float,
+        bound: BoundCharacter,
+    ) -> "AFMSolution":
+        """Solution record of N particles of mass m at the auxiliary scale X0.
+
+        Everything but the mass follows from X0: mu0 = sqrt(m^2 + Q X0 / N),
+        so mu0^2 - m^2 = Q X0 / N holds by construction, and the tangency
+        radii are r0_one = sqrt(Q / (N X0)) and r0_pair = sqrt(2Q / ((N-1) X0)).
+        """
+        r_one, r_pair = _tangency_radii(n, q, x0)
+        return cls(
+            mass=mass,
+            x0=x0,
+            mu0=math.sqrt(m * m + q * x0 / n),
+            r0_one=r_one,
+            r0_pair=r_pair,
+            bound_character=bound,
+        )
+
+
+def _tangency_radii(n: int, q: float, x0: float) -> tuple[float, float]:
+    return math.sqrt(q / (n * x0)), math.sqrt(2.0 * q / ((n - 1) * x0))
+
 
 def _validate_term(term: PotentialTerm, kinematics: Kinematics) -> None:
     form = term.form
     if isinstance(form, PowerLaw):
         lam = form.exponent
+        if not math.isfinite(form.coefficient):
+            raise InvalidCoefficient(f"coefficient {form.coefficient} is not finite")
+        if not math.isfinite(lam):
+            raise InvalidExponent(f"exponent {lam} is not finite")
         if lam == 0.0:
             raise InvalidExponent("exponent 0 is not a potential (sgn undefined)")
         if kinematics is Kinematics.SEMIRELATIVISTIC and lam < -1.0:
@@ -185,8 +219,10 @@ def _validate_term(term: PotentialTerm, kinematics: Kinematics) -> None:
                 f"exponent {lam} <= -2 not allowed with nonrelativistic kinematics"
             )
     elif isinstance(form, GaussianWell):
-        if form.depth <= 0.0 or form.range_ <= 0.0:
-            raise InvalidCoefficient("gaussian well needs depth > 0 and range > 0")
+        if not (0.0 < form.depth < math.inf and 0.0 < form.range_ < math.inf):
+            raise InvalidCoefficient(
+                "gaussian well needs finite depth > 0 and finite range > 0"
+            )
         if term.scope is not Scope.PAIRWISE:
             raise UnsupportedForm("gaussian well is only supported pairwise")
         if kinematics is not Kinematics.NONRELATIVISTIC:
@@ -209,8 +245,8 @@ def validate(
 
     if isinstance(spec.masses, Identical):
         m = spec.masses.m
-        if m < 0.0:
-            raise SingularMasses(f"negative mass {m}")
+        if not 0.0 <= m < math.inf:
+            raise SingularMasses(f"mass must be finite and non-negative, got {m}")
         if m == 0.0 and spec.kinematics is Kinematics.NONRELATIVISTIC:
             raise ZeroMassNonrelativistic(
                 "massless particles require semirelativistic kinematics"
@@ -220,8 +256,8 @@ def validate(
             raise SingularMasses(
                 f"expected {spec.n} masses, got {len(spec.masses.values)}"
             )
-        if any(mi <= 0.0 for mi in spec.masses.values):
-            raise SingularMasses("per-particle masses must all be positive")
+        if not all(0.0 < mi < math.inf for mi in spec.masses.values):
+            raise SingularMasses("per-particle masses must all be finite and positive")
     else:
         raise ValidationError(f"unknown masses container {spec.masses!r}")
 

@@ -32,6 +32,7 @@ from .model import (
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _LOG_LO = -40.0  # fields confined to roughly [1e-17, 1e17]
 _LOG_HI = 40.0
+_KAPPA_SPAN = 34.5  # trial widths confined to roughly [1e-15, 1e15]
 
 
 class Verdict(Enum):
@@ -86,6 +87,33 @@ def _golden_min(g: Callable[[float], float], a: float, b: float, tol: float) -> 
     return 0.5 * (a + b)
 
 
+def _bracket_min(
+    g: Callable[[float], float], u0: float, f0: float, lo: float, hi: float
+) -> tuple[float, float, float, float, float]:
+    """Grow a bracket around a minimum of g by doubling steps from u0.
+
+    The bracket stays inside [lo, hi]. Returns (ul, fl, f0, uh, fh) where f0
+    is the lowest value found inside; fl < f0 or fh < f0 means g still
+    descends at that edge of the domain.
+    """
+    step = 0.5
+    ul, uh = max(u0 - step, lo), min(u0 + step, hi)
+    fl, fh = g(ul), g(uh)
+    while fl < f0 and ul > lo:
+        uh, fh = u0, f0
+        u0, f0 = ul, fl
+        step *= 2.0
+        ul = max(u0 - step, lo)
+        fl = g(ul)
+    while fh < f0 and uh < hi:
+        ul, fl = u0, f0
+        u0, f0 = uh, fh
+        step *= 2.0
+        uh = min(u0 + step, hi)
+        fh = g(uh)
+    return ul, fl, f0, uh, fh
+
+
 def _extremize_log_line(
     f: Callable[[float], float], x0: float, sense: int, tol: float
 ) -> float:
@@ -118,21 +146,7 @@ def _extremize_log_line(
             break
         if not math.isfinite(f0):
             return x0  # no valid point anywhere along this line
-    step = 0.5
-    ul, uh = max(u0 - step, _LOG_LO), min(u0 + step, _LOG_HI)
-    fl, fh = g(ul), g(uh)
-    while fl < f0 and ul > _LOG_LO:
-        uh, fh = u0, f0
-        u0, f0 = ul, fl
-        step *= 2.0
-        ul = max(u0 - step, _LOG_LO)
-        fl = g(ul)
-    while fh < f0 and uh < _LOG_HI:
-        ul, fl = u0, f0
-        u0, f0 = uh, fh
-        step *= 2.0
-        uh = min(u0 + step, _LOG_HI)
-        fh = g(uh)
+    ul, _, _, uh, _ = _bracket_min(g, u0, f0, _LOG_LO, _LOG_HI)
     return math.exp(_golden_min(g, ul, uh, tol))
 
 
@@ -305,7 +319,7 @@ def pair_moment_gaussian(gamma: float, beta: float) -> float:
     return (gamma / (gamma + beta * beta)) ** 1.5
 
 
-def gaussian_trial_bound(spec: SystemSpec, kappa_span: float = 34.5) -> float:
+def gaussian_trial_bound(spec: SystemSpec) -> float:
     """Variational ground-state bound from exp(-kappa sum r_ij^2) trial states.
 
     For N identical nonrelativistic particles with one pairwise term the
@@ -350,23 +364,7 @@ def gaussian_trial_bound(spec: SystemSpec, kappa_span: float = 34.5) -> float:
         v = energy(math.exp(u))
         return v if math.isfinite(v) else math.inf
 
-    lo, hi = -kappa_span, kappa_span
-    u0, f0 = 0.0, g(0.0)
-    step = 0.5
-    ul, uh = u0 - step, u0 + step
-    fl, fh = g(ul), g(uh)
-    while fl < f0 and ul > lo:
-        uh, fh = u0, f0
-        u0, f0 = ul, fl
-        step *= 2.0
-        ul = max(u0 - step, lo)
-        fl = g(ul)
-    while fh < f0 and uh < hi:
-        ul, fl = u0, f0
-        u0, f0 = uh, fh
-        step *= 2.0
-        uh = min(u0 + step, hi)
-        fh = g(uh)
+    ul, fl, f0, uh, fh = _bracket_min(g, 0.0, g(0.0), -_KAPPA_SPAN, _KAPPA_SPAN)
     if fl < f0 or fh < f0:  # still descending at the domain edge
         edge = fl if fl < f0 else fh
         if edge < -1e-12 * max(1.0, abs(f0)):

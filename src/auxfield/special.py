@@ -9,21 +9,12 @@ arguments while Newton converges in one or two steps from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NotSymmetric
 
 _INV_E = math.exp(-1.0)
-
-
-@dataclass(frozen=True)
-class RootResult:
-    """A root together with the residual of its defining equation."""
-
-    value: float
-    residual: float
 
 
 def lambert_residual(w: float, x: float) -> float:
@@ -71,11 +62,6 @@ def lambert_w0(x: float) -> float:
     return max(w, -1.0)
 
 
-def lambert_w0_checked(x: float) -> RootResult:
-    w = lambert_w0(x)
-    return RootResult(w, lambert_residual(w, x))
-
-
 def cubic_residual(x: float, y: float) -> float:
     return x**3 - 3.0 * x - 2.0 * y
 
@@ -99,11 +85,6 @@ def cubic_root(y: float) -> float:
             break
         x -= f / (3.0 * x * x - 3.0)
     return x
-
-
-def cubic_root_checked(y: float) -> RootResult:
-    x = cubic_root(y)
-    return RootResult(x, cubic_residual(x, y))
 
 
 def quartic_residual(x: float, y: float) -> float:
@@ -131,11 +112,6 @@ def quartic_root(y: float) -> float:
             break
         x -= f / (16.0 * x**3 - 8.0)
     return x
-
-
-def quartic_root_checked(y: float) -> RootResult:
-    x = quartic_root(y)
-    return RootResult(x, quartic_residual(x, y))
 
 
 def symmetric_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

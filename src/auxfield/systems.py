@@ -89,14 +89,7 @@ def baryonic_ur(n: int, a: float, b: float, q: float) -> AFMSolution:
         raise OverCritical(f"Coulomb coupling {b} beyond the critical value")
     mass = 2.0 * math.sqrt(a) * math.sqrt(q * n - pair_pull)
     x0 = a / (1.0 - pair_pull / (q * n))
-    return AFMSolution(
-        mass=mass,
-        x0=x0,
-        mu0=math.sqrt(q * x0 / n),
-        r0_one=math.sqrt(q / (n * x0)),
-        r0_pair=math.sqrt(2.0 * q / ((n - 1.0) * x0)),
-        bound_character=BoundCharacter.UPPER_BOUND,
-    )
+    return AFMSolution.at_scale(n, 0.0, q, x0, mass, BoundCharacter.UPPER_BOUND)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,13 @@ def test_duality_check_passes():
     assert all(row["verdict"] == "match" for row in rows)
 
 
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_duality_check_rejects_fewer_than_two_bodies(n):
+    code, text = run_cli(["duality-check", "--n", n, "--format", "json"])
+    assert code == EXIT_VALIDATION
+    assert json.loads(text)["error"]["type"] == "ValidationError"
+
+
 def test_verify_matches_oracle(tmp_path):
     path = write_spec(tmp_path, LINEAR_SPEC)
     code, text = run_cli(["verify", "--spec", path, "--format", "json"])
@@ -184,12 +191,25 @@ def test_verify_matches_oracle(tmp_path):
 # exit codes and error objects
 
 
-def test_invalid_exponent_exits_2(tmp_path):
-    bad = dict(LINEAR_SPEC, pairwise=[{"type": "power", "coefficient": 1.0, "exponent": -1.5}])
-    path = write_spec(tmp_path, bad)
+@pytest.mark.parametrize(
+    "change,error",
+    [
+        (
+            {"pairwise": [{"type": "power", "coefficient": 1.0, "exponent": -1.5}]},
+            "InvalidExponent",
+        ),
+        ({"N": 3.7}, "ValidationError"),
+        ({"modes": [[0.9, 0], [0, 0]]}, "ValidationError"),
+        ({"pairwise": [5]}, "ValidationError"),
+        ({"mass": float("nan")}, "SingularMasses"),
+    ],
+    ids=["exponent", "fractional-N", "fractional-mode", "non-object-term", "nan-mass"],
+)
+def test_invalid_exponent_exits_2(tmp_path, change, error):
+    path = write_spec(tmp_path, dict(LINEAR_SPEC, **change))
     code, text = run_cli(["solve", "--spec", path, "--format", "json"])
     assert code == EXIT_VALIDATION
-    assert json.loads(text)["error"]["type"] == "InvalidExponent"
+    assert json.loads(text)["error"]["type"] == error
 
 
 def test_missing_file_exits_2(tmp_path):

@@ -13,17 +13,18 @@ from auxfield.engine import (
 from auxfield.errors import (
     NonPositiveSlope,
     NoPositiveRoot,
-    NotClosedForm,
     UnsupportedCombination,
 )
 from auxfield.ho import ho_energy_identical, srho_mass
 from auxfield.model import (
     BoundCharacter,
+    GaussianWell,
     Kinematics,
     PotentialTerm,
     PowerLaw,
     Scope,
 )
+from auxfield.oracles import _field_term
 from auxfield.systems import baryonic_ur
 from conftest import gaussian_system, ground, power_system
 
@@ -32,37 +33,43 @@ SR = Kinematics.SEMIRELATIVISTIC
 
 
 # ---------------------------------------------------------------------------
-# auxiliary profiles
+# tangency maps
 
 
 def test_power_tangency_map():
-    profile = auxiliary_k(PotentialTerm(Scope.ONE_BODY, PowerLaw(2.0, 1.0)))
+    k = auxiliary_k(PotentialTerm(Scope.ONE_BODY, PowerLaw(2.0, 1.0)))
     for x in (0.3, 1.0, 2.5):
-        assert profile.k(x) == pytest.approx(1.0 / x, rel=1e-14)
-    assert not profile.quadratic
+        assert k(x) == pytest.approx(1.0 / x, rel=1e-14)
 
 
 def test_quadratic_term_is_degenerate():
-    profile = auxiliary_k(PotentialTerm(Scope.ONE_BODY, PowerLaw(1.0, 2.0)))
-    assert profile.quadratic
-    assert profile.i is None
-    assert profile.spring == 1.0
-    assert profile.k(0.37) == pytest.approx(1.0)
+    # an exponent of exactly 2 makes K the constant spring coefficient
+    k = auxiliary_k(PotentialTerm(Scope.ONE_BODY, PowerLaw(1.0, 2.0)))
+    for x in (0.37, 1.0, 4.2):
+        assert k(x) == pytest.approx(1.0)
+
+
+def offset_round_trip_gap(term, x):
+    """The oracle's offset V(I(nu)) - nu I(nu)^2 at nu = K(x), against V(x) - K(x) x^2.
+
+    The two agree only if the oracle's inverse I sends K(x) back to x.
+    """
+    nu = auxiliary_k(term)(x)
+    expected = term.evaluate(x) - nu * x * x
+    return abs(_field_term(term).offset(nu) - expected) / abs(expected)
 
 
 @pytest.mark.parametrize("coef,lam", [(2.0, 1.0), (0.5, -1.0), (1.3, 1.5), (0.7, 3.0)])
 def test_power_inverse_round_trip(coef, lam):
-    profile = auxiliary_k(PotentialTerm(Scope.PAIRWISE, PowerLaw(coef, lam)))
+    term = PotentialTerm(Scope.PAIRWISE, PowerLaw(coef, lam))
     for x in np.linspace(0.1, 3.0, 7):
-        assert profile.i(profile.k(x)) == pytest.approx(x, rel=1e-10)
+        assert offset_round_trip_gap(term, x) < 1e-10
 
 
 def test_gaussian_inverse_round_trip():
-    from auxfield.model import GaussianWell
-
-    profile = auxiliary_k(PotentialTerm(Scope.PAIRWISE, GaussianWell(10.0, 1.0)))
+    term = PotentialTerm(Scope.PAIRWISE, GaussianWell(10.0, 1.0))
     for x in np.linspace(0.1, 3.0, 9):
-        assert profile.i(profile.k(x)) == pytest.approx(x, rel=1e-10)
+        assert offset_round_trip_gap(term, x) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +82,9 @@ def x0_residual(spec, q, sol):
     r2 = math.sqrt(2.0 * qq / ((n - 1) * sol.x0))
     total = 0.0
     if spec.one_body:
-        total += auxiliary_k(spec.one_body[0]).k(r1)
+        total += auxiliary_k(spec.one_body[0])(r1)
     if spec.pairwise:
-        total += n * auxiliary_k(spec.pairwise[0]).k(r2)
+        total += n * auxiliary_k(spec.pairwise[0])(r2)
     if spec.kinematics is SR:
         rhs = 2.0 * math.sqrt(m * m + qq * sol.x0 / n) * total
     else:
@@ -111,18 +118,42 @@ def test_sr_pairwise_linear_matches_linear_mass():
 
 
 def test_kinetic_identity_and_tangency_reconstruction():
+    # every producer of a solution record: the generic solve and each closed form
     cases = [
-        power_system(3, 1.0, SR, one=(0.3, 1.0), pair=(0.2, -1.0)),
-        power_system(4, 0.5, SR, pair=(0.7, 1.0)),
-        power_system(3, 2.0, NR, one=(0.4, 1.5), pair=(0.3, 1.5)),
-        gaussian_system(3, 1.0, 2.0, 0.5),
+        (spec, afm_mass(spec, ground(spec.n)))
+        for spec in (
+            power_system(3, 1.0, SR, one=(0.3, 1.0), pair=(0.2, -1.0)),
+            power_system(4, 0.5, SR, pair=(0.7, 1.0)),
+            power_system(3, 2.0, NR, one=(0.4, 1.5), pair=(0.3, 1.5)),
+            gaussian_system(3, 1.0, 2.0, 0.5),
+        )
     ]
-    for spec in cases:
+    cases += [
+        (spec, equal_power_mass(spec, ground(spec.n)))
+        for spec in (
+            power_system(3, 2.0, NR, one=(0.4, 1.5), pair=(0.3, 1.5)),
+            power_system(3, 0.0, SR, one=(0.2, 1.5), pair=(0.1, 1.5)),
+            power_system(3, 1.2, SR, one=(0.4, 2.0), pair=(0.2, 2.0)),
+            power_system(4, 1.2, SR, one=(0.3, 1.0), pair=(0.25, 1.0)),
+            power_system(3, 1.0, SR, one=(0.3, -1.0), pair=(-0.1, -1.0)),
+        )
+    ]
+    for m in (0.0, 1.0):
+        spec = power_system(3, m, SR, one=(0.2, 1.0), pair=(0.15, 1.0))
+        cases.append((spec, linear_mass(3, m, 0.2, 0.15, 3.0)))
+        spec = power_system(3, m, SR, one=(0.4, 2.0), pair=(0.2, 2.0))
+        cases.append((spec, srho_mass(3, m, 0.4, 0.2, 3.0)))
+    spec = power_system(3, 0.0, SR, one=(0.2, 1.0), pair=(0.6, -1.0))
+    cases.append((spec, baryonic_ur(3, 0.2, 0.6, 3.0)))
+    for spec, sol in cases:
         q = ground(spec.n)
-        sol = afm_mass(spec, q)
         n, m, qq = spec.n, spec.identical_mass, q.q
         assert sol.mu0**2 - m * m == pytest.approx(qq * sol.x0 / n, rel=1e-10)
-        assert sol.x0 > 0 and sol.r0_one > 0 and sol.r0_pair > 0
+        assert sol.x0 > 0
+        assert sol.r0_one == pytest.approx(math.sqrt(qq / (n * sol.x0)), rel=1e-15)
+        assert sol.r0_pair == pytest.approx(
+            math.sqrt(2.0 * qq / ((n - 1) * sol.x0)), rel=1e-15
+        )
         pot = 0.0
         if spec.one_body:
             pot += n * spec.one_body[0].evaluate(sol.r0_one)
@@ -224,8 +255,6 @@ def test_equal_power_numeric_fallback_matches_generic():
     via_fallback = equal_power_mass(spec, ground(3))
     generic = afm_mass(spec, ground(3))
     assert via_fallback.mass == pytest.approx(generic.mass, rel=1e-11)
-    with pytest.raises(NotClosedForm):
-        equal_power_mass(spec, ground(3), allow_numeric_fallback=False)
 
 
 def test_equal_power_sr_linear_matches_linear_mass():

@@ -7,6 +7,7 @@ from auxfield.errors import (
     InvalidCoefficient,
     InvalidExponent,
     UnsupportedForm,
+    ValidationError,
     WrongModeCount,
     ZeroMassNonrelativistic,
 )
@@ -22,7 +23,7 @@ from auxfield.model import (
     SystemSpec,
     validate,
 )
-from conftest import ground, power_system
+from conftest import gaussian_system, ground, power_system
 
 
 def test_accepts_ground_state_quadratic():
@@ -102,6 +103,41 @@ def test_gaussian_pairwise_nonrelativistic_only():
     )
     with pytest.raises(UnsupportedForm):
         validate(bad_scope, ground(2))
+
+
+NAN, INF = math.nan, math.inf
+SR = Kinematics.SEMIRELATIVISTIC
+
+
+def per_particle_oscillator(masses):
+    quadratic = PotentialTerm(Scope.PAIRWISE, PowerLaw(1.0, 2.0))
+    return SystemSpec(
+        3, PerParticle(masses), Kinematics.NONRELATIVISTIC, pairwise=(quadratic,)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        power_system(3, NAN, SR, pair=(0.2, 1.0)),
+        power_system(3, INF, SR, pair=(0.2, 1.0)),
+        power_system(3, 1.0, SR, pair=(NAN, 1.0)),
+        power_system(3, 1.0, SR, pair=(INF, 1.0)),
+        power_system(3, 1.0, SR, one=(0.2, 1.0), pair=(-INF, 1.0)),
+        power_system(3, 1.0, SR, pair=(0.2, NAN)),
+        power_system(3, 1.0, SR, pair=(0.2, INF)),
+        power_system(3, 1.0, Kinematics.NONRELATIVISTIC, pair=(0.2, -INF)),
+        per_particle_oscillator((1.0, NAN, 2.0)),
+        per_particle_oscillator((1.0, INF, 2.0)),
+        gaussian_system(3, 1.0, NAN, 0.5),
+        gaussian_system(3, 1.0, INF, 0.5),
+        gaussian_system(3, 1.0, 2.0, NAN),
+        gaussian_system(3, 1.0, 2.0, INF),
+    ],
+)
+def test_non_finite_inputs_rejected(spec):
+    with pytest.raises(ValidationError):
+        validate(spec, ground(3))
 
 
 def test_per_particle_masses_validated():

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from auxfield.errors import DomainError, NotSymmetric
 from auxfield.special import (
+    cubic_residual,
     cubic_root,
-    cubic_root_checked,
+    lambert_residual,
     lambert_w0,
-    lambert_w0_checked,
+    quartic_residual,
     quartic_root,
-    quartic_root_checked,
     symmetric_eigen,
 )
 
@@ -53,9 +53,9 @@ def test_lambert_domain_error():
 @given(st.floats(min_value=-0.3678, max_value=1e3))
 @settings(max_examples=200)
 def test_lambert_residual_property(x):
-    res = lambert_w0_checked(x)
-    assert abs(res.residual) <= 1e-14 * max(1.0, abs(x))
-    assert res.value >= -1.0
+    w = lambert_w0(x)
+    assert abs(lambert_residual(w, x)) <= 1e-14 * max(1.0, abs(x))
+    assert w >= -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +82,9 @@ def test_cubic_domain_error():
 @given(st.floats(min_value=0.0, max_value=1e3))
 @settings(max_examples=200)
 def test_cubic_residual_property(y):
-    res = cubic_root_checked(y)
-    assert abs(res.residual) <= 1e-12 * max(1.0, 2.0 * y)
-    assert res.value >= math.sqrt(3.0) - 1e-12
+    x = cubic_root(y)
+    assert abs(cubic_residual(x, y)) <= 1e-12 * max(1.0, 2.0 * y)
+    assert x >= math.sqrt(3.0) - 1e-12
 
 
 def test_cubic_monotone():
@@ -123,9 +123,9 @@ def test_quartic_domain_error():
 @given(st.floats(min_value=0.0, max_value=1e3))
 @settings(max_examples=200)
 def test_quartic_residual_property(y):
-    res = quartic_root_checked(y)
-    assert abs(res.residual) <= 1e-12 * max(1.0, 3.0 * y)
-    assert res.value > 0.0
+    x = quartic_root(y)
+    assert abs(quartic_residual(x, y)) <= 1e-12 * max(1.0, 3.0 * y)
+    assert x > 0.0
 
 
 def test_quartic_monotone():
