@@ -19,6 +19,7 @@ from .errors import (
     NoPositiveRoot,
     UnsupportedCombination,
     UnsupportedForm,
+    require_finite,
 )
 from .model import (
     AFMSolution,
@@ -329,6 +330,7 @@ def linear_mass(n: int, m: float, a: float, b: float, q: float) -> AFMSolution:
     giving M = N m sqrt(F/(2Y)) (F + 3/F). Massless particles give the linear
     trajectory M^2 = 4NcQ.
     """
+    require_finite(n=n, m=m, a=a, b=b, q=q)
     c = a + b * math.sqrt(n * (n - 1) / 2.0)
     if c <= 0.0:
         raise NonPositiveSlope(f"combined slope {c} <= 0")

@@ -4,6 +4,7 @@ Two broad families matter for callers (and for CLI exit codes): problems with
 the problem statement itself (``ValidationError``) and failures of the solve
 (``NumericalError``).
 """
+import math
 
 
 class AuxFieldError(Exception):
@@ -92,3 +93,15 @@ class NonConvergence(NumericalError):
 
 class UnboundedBelow(NumericalError):
     """Variational expectation decreases without bound."""
+
+
+def require_finite(**values: float) -> None:
+    """Reject NaN and +-inf arguments of a closed form by name.
+
+    The particle mass ``m`` raises SingularMasses; any other argument raises
+    InvalidCoefficient.
+    """
+    for name, value in values.items():
+        if not math.isfinite(value):
+            error = SingularMasses if name == "m" else InvalidCoefficient
+            raise error(f"{name} = {value} is not finite")

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     NegativeDiscriminant,
@@ -22,9 +20,13 @@ from .errors import (
     NotClosedShell,
     SingularMasses,
     ValidationError,
+    require_finite,
 )
 from .model import AFMSolution, BoundCharacter
 from .special import quartic_root, symmetric_eigen
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ModePair = tuple[int, int]
 
@@ -55,6 +57,8 @@ class HOSpectrumEntry:
 
 
 def _relative_masses(masses: Sequence[float], reference_mass: float) -> np.ndarray:
+    import numpy as np
+
     masses = np.asarray(masses, dtype=float)
     if np.any(masses <= 0.0):
         raise SingularMasses("all masses must be positive for the exact oscillator")
@@ -75,6 +79,8 @@ def build_quadratic_form(
     matrix whose strict upper triangle is read. The reference mass defaults to
     the first particle's mass; energies downstream do not depend on it.
     """
+    import numpy as np
+
     n = len(masses)
     if n < 2:
         raise ValidationError("need at least two particles")
@@ -250,6 +256,7 @@ def srho_mass(n: int, m: float, k: float, kbar: float, q: float) -> AFMSolution:
     The result is an upper bound on the exact level. Massless particles give
     the simple limit M = (3/2) (2N (k + N kbar) Q^2)^(1/3).
     """
+    require_finite(n=n, m=m, k=k, kbar=kbar, q=q)
     if m < 0.0:
         raise SingularMasses(f"mass must be non-negative, got {m}")
     kappa = k + n * kbar

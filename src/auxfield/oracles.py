@@ -29,7 +29,11 @@ from .model import (
     validate,
 )
 
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of an interval
+# Line searches stop once the minimum is located to this absolute width in
+# log space (relative width in the field). At an extremum the mass is
+# quadratic in the log-field error, so it moves by ~1e-18 relative.
+_LINE_TOL = 1e-9
 _LOG_LO = -40.0  # fields confined to roughly [1e-17, 1e17]
 _LOG_HI = 40.0
 _KAPPA_SPAN = 34.5  # trial widths confined to roughly [1e-15, 1e15]
@@ -40,7 +44,7 @@ class Verdict(Enum):
     VIOLATION = "violation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleReport:
     """Closed-form value against an independently computed one."""
 
@@ -71,30 +75,71 @@ def compare_ordering(
 # direct extremization of the three-field mass function
 
 
-def _golden_min(g: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    x1 = b - _GOLD * (b - a)
-    x2 = a + _GOLD * (b - a)
-    f1, f2 = g(x1), g(x2)
-    while (b - a) > tol * (abs(a) + abs(b) + 1e-3):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLD * (b - a)
-            f1 = g(x1)
+def _brent_min(
+    g: Callable[[float], float], a: float, x: float, fx: float, b: float
+) -> tuple[float, float]:
+    """Minimize g on [a, b] from a point a <= x <= b with g(x) = fx.
+
+    Brent's localmin (Brent 1973, Algorithms for Minimization without
+    Derivatives, ch. 5): parabolic steps through the three best points, with a
+    golden-section step whenever the parabola is not trusted. A non-finite
+    value makes the parabola non-finite and so forces the golden step, which
+    lets inf act as a barrier. Stops once the minimum is bracketed to within
+    _LINE_TOL; returns the lowest point evaluated and its value.
+    """
+    w, fw = v, fv = x, fx
+    d = e = 0.0
+    tol2 = 2.0 * _LINE_TOL
+    while True:
+        mid = 0.5 * (a + b)
+        if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        p = q = r = 0.0
+        if abs(e) > _LINE_TOL:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q  # parabolic step
+            u = x + d
+            if u - a < tol2 or b - u < tol2:
+                d = _LINE_TOL if x < mid else -_LINE_TOL
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLD * (b - a)
-            f2 = g(x2)
-    return 0.5 * (a + b)
+            e = (b - x) if x < mid else (a - x)
+            d = _CGOLD * e  # golden-section step
+        u = x + (d if abs(d) >= _LINE_TOL else math.copysign(_LINE_TOL, d))
+        fu = g(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _bracket_min(
     g: Callable[[float], float], u0: float, f0: float, lo: float, hi: float
-) -> tuple[float, float, float, float, float]:
+) -> tuple[float, float, float, float, float, float]:
     """Grow a bracket around a minimum of g by doubling steps from u0.
 
-    The bracket stays inside [lo, hi]. Returns (ul, fl, f0, uh, fh) where f0
-    is the lowest value found inside; fl < f0 or fh < f0 means g still
-    descends at that edge of the domain.
+    The bracket stays inside [lo, hi]. Returns (ul, fl, u0, f0, uh, fh) where
+    f0 = g(u0) is the lowest value found inside; fl < f0 or fh < f0 means g
+    still descends at that edge of the domain.
     """
     step = 0.5
     ul, uh = max(u0 - step, lo), min(u0 + step, hi)
@@ -111,13 +156,11 @@ def _bracket_min(
         step *= 2.0
         uh = min(u0 + step, hi)
         fh = g(uh)
-    return ul, fl, f0, uh, fh
+    return ul, fl, u0, f0, uh, fh
 
 
-def _extremize_log_line(
-    f: Callable[[float], float], x0: float, sense: int, tol: float
-) -> float:
-    """Extremize f over a positive variable by golden section in log space.
+def _extremize_log_line(f: Callable[[float], float], x0: float, sense: int) -> float:
+    """Extremize f over a positive variable by Brent's method in log space.
 
     sense +1 minimizes, -1 maximizes; non-finite values act as a barrier for
     either sense. The bracket is grown outward from x0 by doubling steps.
@@ -146,8 +189,8 @@ def _extremize_log_line(
             break
         if not math.isfinite(f0):
             return x0  # no valid point anywhere along this line
-    ul, _, _, uh, _ = _bracket_min(g, u0, f0, _LOG_LO, _LOG_HI)
-    return math.exp(_golden_min(g, ul, uh, tol))
+    ul, _, u0, f0, uh, _ = _bracket_min(g, u0, f0, _LOG_LO, _LOG_HI)
+    return math.exp(_brent_min(g, ul, u0, f0, uh)[0])
 
 
 @dataclass
@@ -201,7 +244,7 @@ def numeric_afm_minimize(
     The function
     M = N/2 (mu + m^2/mu) + N [V(I(nu)) - nu I^2] + N(N-1)/2 [Vbar(...)]
       + sqrt(2 (nu + N nubar) / mu) Q
-    is extremized by nested golden-section line searches in the logs of the
+    is extremized by nested Brent line searches in the logs of the
     positive fields: directions whose stationary point is a maximum (repulsive
     or convex terms) are solved innermost, the rest are cyclically minimized
     until successive passes improve the mass by less than tolerance * |M|.
@@ -261,7 +304,6 @@ def numeric_afm_minimize(
 
     max_idx = [j for j, ft in enumerate(field_terms) if ft.sense < 0]
     min_idx = [j for j, ft in enumerate(field_terms) if ft.sense > 0]
-    inner_tol = 1e-9
 
     def hull(mu_: float, ts_: list[float]) -> float:
         """Resolve the max-sense fields for fixed minimized ones (in place)."""
@@ -274,7 +316,7 @@ def numeric_afm_minimize(
                 ts_[j] = prev
                 return v
 
-            ts_[j] = _extremize_log_line(fj, ts_[j], -1, inner_tol)
+            ts_[j] = _extremize_log_line(fj, ts_[j], -1)
         return mass(mu_, ts_)
 
     cur = hull(mu, ts)
@@ -286,7 +328,7 @@ def numeric_afm_minimize(
             def fmu(v: float) -> float:
                 return hull(v, list(ts))
 
-            mu = _extremize_log_line(fmu, mu, +1, 1e-12)
+            mu = _extremize_log_line(fmu, mu, +1)
         for j in min_idx:
 
             def fj(t: float, j=j) -> float:
@@ -294,7 +336,7 @@ def numeric_afm_minimize(
                 scratch[j] = t
                 return hull(mu, scratch)
 
-            ts[j] = _extremize_log_line(fj, ts[j], +1, 1e-12)
+            ts[j] = _extremize_log_line(fj, ts[j], +1)
         cur = hull(mu, ts)
         if abs(prev - cur) <= tolerance * max(1.0, abs(cur)):
             small_steps += 1
@@ -326,7 +368,7 @@ def gaussian_trial_bound(spec: SystemSpec) -> float:
     expectation is analytic: the kinetic part is 3 N (N-1) kappa / (2m) and
     every pair sees the density r^2 exp(-kappa N r^2), giving Gamma-function
     moments for powers and a closed ratio for gaussian wells. Minimized over
-    kappa > 0 by golden section; the result bounds the exact ground-state
+    kappa > 0 by Brent's method; the result bounds the exact ground-state
     internal energy (rest mass excluded) from above. The quadratic pair
     potential is reproduced exactly since the trial family then contains the
     true ground state.
@@ -364,11 +406,10 @@ def gaussian_trial_bound(spec: SystemSpec) -> float:
         v = energy(math.exp(u))
         return v if math.isfinite(v) else math.inf
 
-    ul, fl, f0, uh, fh = _bracket_min(g, 0.0, g(0.0), -_KAPPA_SPAN, _KAPPA_SPAN)
+    ul, fl, u0, f0, uh, fh = _bracket_min(g, 0.0, g(0.0), -_KAPPA_SPAN, _KAPPA_SPAN)
     if fl < f0 or fh < f0:  # still descending at the domain edge
         edge = fl if fl < f0 else fh
         if edge < -1e-12 * max(1.0, abs(f0)):
             raise UnboundedBelow("trial expectation decreases without bound")
         return edge
-    u_best = _golden_min(g, ul, uh, 1e-13)
-    return g(u_best)
+    return _brent_min(g, ul, u0, f0, uh)[1]

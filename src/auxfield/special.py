@@ -9,10 +9,12 @@ arguments while Newton converges in one or two steps from it.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, NotSymmetric
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _INV_E = math.exp(-1.0)
 
@@ -122,6 +124,8 @@ def symmetric_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a fixed convergence threshold (off-diagonal Frobenius mass below
     1e-14 * ||a||, at most 100 sweeps) keep the result reproducible.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")

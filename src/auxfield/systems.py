@@ -19,6 +19,7 @@ from .errors import (
     SingularMasses,
     UnstableConfiguration,
     ValidationError,
+    require_finite,
 )
 from .model import AFMSolution, BoundCharacter
 from .special import cubic_root, lambert_w0
@@ -57,6 +58,7 @@ def coulomb_nbody(n: int, m: float, b: float, q_c: float = 1.0) -> float:
     quantum number of the two-body ground level (n + l + 1 = 1 by default;
     callers may pass an improved coupling-dependent value).
     """
+    require_finite(n=n, m=m, b=b, q_c=q_c)
     if m <= 0.0:
         raise SingularMasses("coulomb systems need massive particles")
     arg = 1.0 - n * (n - 1.0) * b * b / (8.0 * q_c * q_c)
@@ -82,6 +84,7 @@ def baryonic_ur(n: int, a: float, b: float, q: float) -> AFMSolution:
     must stay positive, which caps either the particle number at fixed b or
     the coupling at fixed N.
     """
+    require_finite(n=n, a=a, b=b, q=q)
     if a <= 0.0:
         raise InvalidCoefficient(f"string tension a = {a} must be positive")
     pair_pull = b * (n * (n - 1.0) / 2.0) ** 1.5
@@ -131,6 +134,7 @@ def baryon_mass(params: BaryonParams, n_tot: int, l_tot: int) -> float:
     B' = (pi/2) n_tot + l_tot.
     """
     lam, als = params.lambda_string, params.alpha_s
+    require_finite(lambda_string=lam, alpha_s=als, n_tot=n_tot, l_tot=l_tot)
     if lam <= 0.0:
         raise InvalidCoefficient(f"string tension {lam} must be positive")
     if als < 0.0:
@@ -194,6 +198,7 @@ def atomic_stable(n: int, alpha: float, alphabar: float, q: float) -> bool:
 
 
 def _atomic_d(n: int, m: float, alpha: float, alphabar: float, q: float) -> float:
+    require_finite(n=n, m=m, alpha=alpha, alphabar=alphabar, q=q)
     if m <= 0.0:
         raise SingularMasses("atom-like systems need massive particles")
     if alpha < 0.0 or alphabar < 0.0:
@@ -254,6 +259,7 @@ def gaussian_spectrum(
     E = -(beta^2/m) (Q^2/(N-1)) (1 + 2 W0(Y)) / (4 W0(Y)^2), an upper bound
     of the exact level; it crosses zero at g = 2e Q^2 / (N (N-1)^2).
     """
+    require_finite(n=n, m=m, alpha=alpha, beta=beta, q=q)
     if m <= 0.0:
         raise SingularMasses("gaussian wells are nonrelativistic: need m > 0")
     if alpha <= 0.0 or beta <= 0.0:
@@ -289,6 +295,7 @@ def funnel_nbody_ur(n: int, a: float, b: float, q: float) -> float:
     M^2 = a sqrt(8 N (N-1)) N Q - a b N^2 (N-1)^2; equals the route through
     the two-body duality map, which is a useful cross-check.
     """
+    require_finite(n=n, a=a, b=b, q=q)
     if a <= 0.0:
         raise InvalidCoefficient(f"slope a = {a} must be positive")
     msq = a * math.sqrt(8.0 * n * (n - 1.0)) * n * q - a * b * n * n * (n - 1.0) ** 2

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -235,3 +238,12 @@ def test_gaussian_below_critical_exits_3(tmp_path):
     code, text = run_cli(["gaussian", "--spec", path, "--format", "json"])
     assert code == EXIT_NUMERICAL
     assert json.loads(text)["error"]["type"] == "NoBoundState"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # solve, verify and baryon-table never build arrays, so a cold CLI process
+    # must not pay for importing numpy
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = "import sys, auxfield.cli; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

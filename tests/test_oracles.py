@@ -1,15 +1,18 @@
 import math
+from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from auxfield.engine import equal_power_mass
 from auxfield.errors import NonConvergence, UnboundedBelow, UnsupportedCombination
 from auxfield.ho import ho_energy_identical, srho_mass
-from auxfield.model import Kinematics
+from auxfield.model import Kinematics, QuantumNumbers
 from auxfield.oracles import (
     OracleReport,
     Verdict,
+    _brent_min,
     compare,
     compare_ordering,
     gaussian_trial_bound,
@@ -17,7 +20,7 @@ from auxfield.oracles import (
     pair_moment_gaussian,
     pair_moment_power,
 )
-from auxfield.systems import baryonic_ur, gaussian_spectrum
+from auxfield.systems import atomic_mass, baryonic_ur, gaussian_spectrum
 from conftest import gaussian_system, ground, power_system
 
 NR = Kinematics.NONRELATIVISTIC
@@ -33,6 +36,51 @@ def test_compare_verdicts():
     assert compare(1.0, 1.1, 1e-8).verdict is Verdict.VIOLATION
     assert compare_ordering(1.0, 0.5).verdict is Verdict.MATCH
     assert compare_ordering(1.0, 1.5).verdict is Verdict.VIOLATION
+
+
+def test_report_is_a_slotted_frozen_value():
+    report = compare(1.0, 1.0 + 1e-12, 1e-8)
+    assert report == compare(1.0, 1.0 + 1e-12, 1e-8)
+    assert report != compare(1.0, 1.1, 1e-8)
+    assert not hasattr(report, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        report.tolerance = 1.0
+
+
+# ---------------------------------------------------------------------------
+# line search
+
+
+def test_brent_min_smooth_function():
+    calls = []
+
+    def g(u):
+        calls.append(u)
+        return math.cosh(u - 0.7)
+
+    x, fx = _brent_min(g, -3.0, 0.0, g(0.0), 3.0)
+    # function values resolve the minimum only to ~sqrt(machine epsilon)
+    assert x == pytest.approx(0.7, abs=1e-7)
+    assert fx == pytest.approx(1.0, abs=1e-15)
+    assert len(calls) < 40  # golden section alone needs 47 to reach 1e-9
+
+
+def test_brent_min_inf_barrier():
+    # the barrier covers the true minimum at 2: the search must stop at the
+    # barrier's edge and never return an infinite value
+    def g(u):
+        return math.inf if u > 1.0 else (u - 2.0) ** 2
+
+    x, fx = _brent_min(g, -3.0, 0.0, g(0.0), 3.0)
+    assert 1.0 - 1e-8 < x <= 1.0
+    assert fx == pytest.approx(1.0, abs=1e-7)
+    # a barrier away from the minimum does not disturb it
+    def h(u):
+        return math.inf if u < -1.0 else (u - 0.7) ** 2 + 1.0
+
+    x, fx = _brent_min(h, -3.0, -0.5, h(-0.5), 3.0)
+    assert x == pytest.approx(0.7, abs=1e-7)
+    assert fx == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +138,33 @@ def test_oracle_budget_exhaustion():
     spec = power_system(3, 1.0, SR, one=(0.3, 1.0), pair=(0.2, -1.0))
     with pytest.raises(NonConvergence):
         numeric_afm_minimize(spec, ground(3), max_evals=50)
+
+
+def _atomic_check(n, m, alpha, alphabar, q, **kwargs):
+    spec = power_system(n, m, SR, one=(alpha, -1.0), pair=(-alphabar, -1.0))
+    oracle = numeric_afm_minimize(spec, q, **kwargs)
+    assert oracle == pytest.approx(atomic_mass(n, m, alpha, alphabar, q.q), rel=1e-8)
+
+
+def test_oracle_hard_atomic_draw_within_default_budget():
+    # a criterion-4 draw that used to exhaust the default 100 000 evaluations
+    _atomic_check(6, 4.846, 0.987, 0.0707, ground(6))
+
+
+def test_oracle_atomic_cost_guard():
+    # machine-independent cost bound on criterion-4 atomic draws: nested line
+    # searches must stay well below the 100 000 default budget
+    rng = np.random.default_rng(2718)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        m = float(rng.uniform(0.5, 5.0))
+        band = int(rng.integers(0, 2))
+        q = QuantumNumbers(((band, 0),) + ((0, 0),) * (n - 2))
+        alpha = float(rng.uniform(0.1, 0.8)) * q.q / n
+        alphabar = float(rng.uniform(0.1, 0.6)) * alpha * n * n / (
+            n * (n - 1) / 2.0
+        ) ** 1.5
+        _atomic_check(n, m, alpha, alphabar, q, max_evals=25_000)
 
 
 def test_oracle_rejects_empty_system():

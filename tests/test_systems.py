@@ -7,7 +7,9 @@ from auxfield.errors import (
     NoBoundState,
     OverCritical,
     UnstableConfiguration,
+    ValidationError,
 )
+from auxfield.ho import srho_mass
 from auxfield.systems import (
     BaryonParams,
     BaryonVariant,
@@ -418,3 +420,34 @@ def test_two_body_linear_sigma_formula_against_minimization():
             if abs(prev - cur) < 1e-15 * max(1.0, abs(cur)):
                 break
         assert two_body_linear_mass(sigma, m, c, q) == pytest.approx(cur, rel=1e-10)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        pytest.param(linear_mass, (3, NAN, 0.2, 0.1, 3.0), id="linear-m"),
+        pytest.param(linear_mass, (3, 1.0, INF, 0.1, 3.0), id="linear-a"),
+        pytest.param(linear_mass, (3, 1.0, 0.2, 0.1, -INF), id="linear-q"),
+        pytest.param(srho_mass, (3, 1.0, NAN, 0.2, 3.0), id="srho-k"),
+        pytest.param(srho_mass, (3, INF, 0.3, 0.2, 3.0), id="srho-m"),
+        pytest.param(baryonic_ur, (3, 0.2, NAN, 3.0), id="baryonic-b"),
+        pytest.param(baryonic_ur, (3, INF, 0.1, 3.0), id="baryonic-a"),
+        pytest.param(baryon_mass, (BaryonParams(NAN, 0.4), 0, 0), id="baryon-lambda"),
+        pytest.param(baryon_mass, (BaryonParams(0.2, INF), 0, 0), id="baryon-alpha"),
+        pytest.param(atomic_mass, (3, NAN, 0.3, 0.1, 3.0), id="atomic-m"),
+        pytest.param(atomic_mass, (3, 1.0, 0.3, NAN, 3.0), id="atomic-alphabar"),
+        pytest.param(atomic_mass_nr, (3, 1.0, INF, 0.1, 3.0), id="atomic-nr-alpha"),
+        pytest.param(gaussian_spectrum, (3, 1.0, NAN, 0.5, 3.0), id="gaussian-alpha"),
+        pytest.param(gaussian_spectrum, (3, 1.0, 2.0, 0.5, INF), id="gaussian-q"),
+        pytest.param(coulomb_nbody, (3, 1.0, NAN), id="coulomb-b"),
+        pytest.param(coulomb_nbody, (3, INF, 0.1), id="coulomb-m"),
+        pytest.param(funnel_nbody_ur, (3, 0.2, NAN, 3.0), id="funnel-b"),
+        pytest.param(funnel_nbody_ur, (3, 0.2, 0.1, INF), id="funnel-q"),
+    ],
+)
+def test_closed_forms_reject_non_finite_arguments(fn, args):
+    with pytest.raises(ValidationError):
+        fn(*args)
