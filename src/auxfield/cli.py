@@ -57,6 +57,13 @@ def _integer(value: Any) -> int:
     return whole
 
 
+def _mode(raw: Any) -> tuple[int, int]:
+    """(n, l) of one internal mode; anything but two integers is rejected."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ValidationError(f"mode must be a pair [n, l] of integers, got {raw!r}")
+    return _integer(raw[0]), _integer(raw[1])
+
+
 def _parse_term(raw: Any, scope: Scope) -> PotentialTerm:
     if not isinstance(raw, dict):
         raise ValidationError(f"potential term must be an object, got {raw!r}")
@@ -87,7 +94,7 @@ def parse_system(raw: dict) -> tuple[SystemSpec, QuantumNumbers]:
         pairwise = tuple(
             _parse_term(t, Scope.PAIRWISE) for t in raw.get("pairwise", [])
         )
-        modes = tuple((_integer(nl[0]), _integer(nl[1])) for nl in raw["modes"])
+        modes = tuple(_mode(nl) for nl in raw["modes"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed system spec: {exc}") from exc
     spec = SystemSpec(
@@ -328,9 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec_required=True):
-        if spec_required:
-            p.add_argument("--spec", required=True, help="path to a JSON system spec")
+    def add_common(p):
+        p.add_argument("--spec", required=True, help="path to a JSON system spec")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     p = sub.add_parser("solve", help="auxiliary-field mass of the spec'd system")
@@ -375,7 +381,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     except ValidationError as exc:
         _emit_error(exc, args, out)
         return EXIT_VALIDATION
-    except (NumericalError, AuxFieldError) as exc:
+    except AuxFieldError as exc:
         _emit_error(exc, args, out)
         return EXIT_NUMERICAL
 

@@ -15,6 +15,7 @@ import math
 from typing import Callable
 
 from .errors import (
+    DomainError,
     NonPositiveSlope,
     NoPositiveRoot,
     UnsupportedCombination,
@@ -41,15 +42,18 @@ def auxiliary_k(term: PotentialTerm) -> Callable[[float], float]:
     """Tangency map K(x) = V'(x) / (x^2)' of a potential term.
 
     Power law: K(x) = coefficient |lam| / 2 * x^(lam-2), a constant spring
-    coefficient for lam = 2; gaussian well:
-    K(x) = depth range^2 exp(-(range x)^2).
+    coefficient for lam = 2, read as +-inf where the power overflows; gaussian
+    well: K(x) = depth range^2 exp(-(range x)^2).
     """
     form = term.form
     if isinstance(form, PowerLaw):
         half = form.coefficient * abs(form.exponent) / 2.0
 
         def k(x: float, half=half, lam=form.exponent) -> float:
-            return half * x ** (lam - 2.0)
+            try:
+                return half * x ** (lam - 2.0)
+            except OverflowError:
+                return math.copysign(math.inf, half) if half else 0.0
 
         return k
     if isinstance(form, GaussianWell):
@@ -121,10 +125,13 @@ def _scale_candidates(spec: SystemSpec, q: float) -> list[float]:
             coef = abs(form.coefficient)
             if coef == 0.0:
                 continue
-            if term.scope is Scope.ONE_BODY:
-                amp = coef * abs(lam) * (n / q) ** ((2.0 - lam) / 2.0)
-            else:
-                amp = coef * abs(lam) * n * ((n - 1) / (2.0 * q)) ** ((2.0 - lam) / 2.0)
+            try:
+                if term.scope is Scope.ONE_BODY:
+                    amp = coef * abs(lam) * (n / q) ** ((2.0 - lam) / 2.0)
+                else:
+                    amp = coef * abs(lam) * n * ((n - 1) / (2.0 * q)) ** ((2.0 - lam) / 2.0)
+            except OverflowError:
+                continue  # no finite magnitude from this term
             if m > 0.0:
                 out.append((m * amp) ** (2.0 / (lam + 2.0)))
             if lam + 1.0 > 0.0:
@@ -140,8 +147,10 @@ def _solve_x0_roots(
     h: Callable[[float], float], scales: list[float], tolerance: float
 ) -> list[float]:
     """All positive roots of h by log-grid scan plus bisection."""
-    lo = min(scales) * 1e-10
-    hi = max(scales) * 1e10
+    lo = min(scales, default=0.0) * 1e-10
+    hi = max(scales, default=0.0) * 1e10
+    if lo == 0.0 or not math.isfinite(hi / lo):
+        raise DomainError(f"root-scan grid [{lo}, {hi}] leaves the floating-point range")
     decades = math.log10(hi / lo)
     points = max(int(decades * 24), 48) + 1
     ratio = (hi / lo) ** (1.0 / (points - 1))

@@ -93,33 +93,18 @@ def build_quadratic_form(
         raise ValidationError("k must have length N and kbar shape (N, N)")
 
     cum = np.cumsum(alpha)
-
-    u = np.zeros((n, n))
-    for i in range(n - 1):
-        u[i, : i + 1] = alpha[: i + 1] / cum[i]
-        u[i, i + 1] = -1.0
-    u[n - 1, :] = alpha / cum[-1]
-
-    b = np.zeros((n, n))
-    for l in range(n - 1):
-        b[: l + 1, l] = alpha[l + 1] / cum[l + 1]
-        b[l + 1, l] = -cum[l] / cum[l + 1]
-    b[:, n - 1] = 1.0
-
+    u = np.tril(alpha / cum[:, None]) - np.eye(n, k=1)
+    b = np.triu(np.tile(np.append(alpha[1:] / cum[1:], 1.0), (n, 1)))
+    b -= np.diag(cum[:-1] / cum[1:], k=-1)
     lam = np.sqrt(cum[1:] / (alpha[1:] * cum[:-1]))
 
+    # one-body springs act on each particle, pairwise ones through the graph
+    # Laplacian diag(W 1) - W of the spring weights W
+    w = np.triu(kbar, 1) + np.triu(kbar, 1).T
     bi = b[:, : n - 1]  # internal columns only
-    f = (lam[:, None] * lam[None, :]) * (bi.T @ (k[:, None] * bi))
-
-    g = np.zeros((n - 1, n - 1))
-    for i in range(n):
-        for jdx in range(i + 1, n):
-            w = kbar[i, jdx]
-            if w == 0.0:
-                continue
-            diff = bi[i, :] - bi[jdx, :]
-            g += w * np.outer(diff, diff)
-    g *= lam[:, None] * lam[None, :]
+    scale = np.outer(lam, lam)
+    f = scale * (bi.T @ (k[:, None] * bi))
+    g = scale * (bi.T @ ((np.diag(w.sum(axis=1)) - w) @ bi))
 
     return QuadraticForm(u=u, b=b, lam=lam, f=f, g=g, j=f + g)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, NotSymmetric
+from .errors import DomainError, NonConvergence, NotSymmetric
 
 if TYPE_CHECKING:
     import numpy as np
@@ -122,7 +122,8 @@ def symmetric_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues ascending, orthogonal matrix O) with columns of O the
     matching eigenvectors, so a = O @ diag(w) @ O.T. Row-major sweep order and
     a fixed convergence threshold (off-diagonal Frobenius mass below
-    1e-14 * ||a||, at most 100 sweeps) keep the result reproducible.
+    1e-14 * ||a||) keep the result reproducible; a matrix that misses the
+    threshold after 100 sweeps raises NonConvergence.
     """
     import numpy as np
 
@@ -139,10 +140,13 @@ def symmetric_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = 0.5 * (a + a.T)
     o = np.eye(d)
     norm = np.linalg.norm(w)
-    for _ in range(100):
-        off = math.sqrt(max(np.sum(w * w) - np.sum(np.diag(w) ** 2), 0.0))
-        if off <= 1e-14 * max(norm, 1e-300):
+    for sweep in range(101):
+        if np.linalg.norm(w - np.diag(np.diag(w))) <= 1e-14 * max(norm, 1e-300):
             break
+        if sweep == 100:
+            raise NonConvergence(
+                "off-diagonal mass above 1e-14 relative after 100 Jacobi sweeps"
+            )
         for p in range(d - 1):
             for qi in range(p + 1, d):
                 apq = w[p, qi]

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from auxfield.cli import (
     EXIT_NUMERICAL,
@@ -205,14 +206,64 @@ def test_verify_matches_oracle(tmp_path):
         ({"modes": [[0.9, 0], [0, 0]]}, "ValidationError"),
         ({"pairwise": [5]}, "ValidationError"),
         ({"mass": float("nan")}, "SingularMasses"),
+        ({"modes": [[0]]}, "ValidationError"),
+        ({"modes": [[0, 0, 7], [0, 0]]}, "ValidationError"),
     ],
-    ids=["exponent", "fractional-N", "fractional-mode", "non-object-term", "nan-mass"],
+    ids=[
+        "exponent",
+        "fractional-N",
+        "fractional-mode",
+        "non-object-term",
+        "nan-mass",
+        "short-mode",
+        "long-mode",
+    ],
 )
 def test_invalid_exponent_exits_2(tmp_path, change, error):
     path = write_spec(tmp_path, dict(LINEAR_SPEC, **change))
     code, text = run_cli(["solve", "--spec", path, "--format", "json"])
     assert code == EXIT_VALIDATION
     assert json.loads(text)["error"]["type"] == error
+
+
+def test_steep_pairwise_power_solves(tmp_path):
+    steep = dict(
+        LINEAR_SPEC,
+        pairwise=[{"type": "power", "coefficient": 0.2, "exponent": 300.0}],
+    )
+    path = write_spec(tmp_path, steep)
+    code, text = run_cli(["solve", "--spec", path, "--format", "json"])
+    assert code == EXIT_OK
+    assert math.isfinite(json.loads(text)["mass"])
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {
+            "N": 2,
+            "mass": 0.0,
+            "pairwise": [{"type": "power", "coefficient": 1e-133, "exponent": 1e-24}],
+            "modes": [[859, 0]],
+        },
+        {
+            "N": 8,
+            "mass": 690.0,
+            "pairwise": [{"type": "power", "coefficient": 1e-260, "exponent": 1e-48}],
+            "modes": [[500, 1000]] * 7,
+        },
+        {
+            "mass": 1e200,
+            "pairwise": [{"type": "power", "coefficient": 0.0, "exponent": 1.0}],
+        },
+    ],
+    ids=["grid-underflow", "grid-overflow", "no-finite-scale"],
+)
+def test_root_scan_beyond_float_range_exits_cleanly(tmp_path, change):
+    # the log-grid of X0 would reach 0, overflow its span, or have no scale
+    path = write_spec(tmp_path, dict(LINEAR_SPEC, **change))
+    code, _ = run_cli(["solve", "--spec", path, "--format", "json"])
+    assert code in (EXIT_OK, EXIT_NUMERICAL)
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -247,3 +298,54 @@ def test_cli_import_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     code = "import sys, auxfield.cli; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed spec documents
+
+_NUMBER = st.one_of(
+    st.floats(-5.0, 5.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 3),
+)
+_EXPONENT = st.one_of(
+    st.sampled_from([-2.0, -1.0, -0.5, 0.0, 1.0, 2.0, 100.0, 150.0, 300.0]),
+    st.floats(-3.0, 300.0),
+)
+_TERM = st.one_of(
+    st.fixed_dictionaries(
+        {"type": st.just("power"), "coefficient": _NUMBER, "exponent": _EXPONENT}
+    ),
+    st.fixed_dictionaries(
+        {"type": st.just("gaussian"), "depth": _NUMBER, "range": _NUMBER}
+    ),
+    st.dictionaries(st.sampled_from(["type", "coefficient", "depth"]), _NUMBER),
+    _NUMBER,
+)
+_MODE = st.one_of(
+    st.lists(st.integers(-1, 4), min_size=2, max_size=2),
+    st.lists(st.one_of(st.integers(-1, 4), st.floats(-1.0, 4.0)), max_size=3),
+    _NUMBER,
+)
+_DOCUMENT = st.fixed_dictionaries(
+    {
+        "N": st.one_of(st.integers(2, 5), _NUMBER),
+        "mass": _NUMBER,
+        "kinematics": st.sampled_from(["nonrelativistic", "semirelativistic", "x"]),
+        "one_body": st.lists(_TERM, max_size=2),
+        "pairwise": st.lists(_TERM, max_size=2),
+        "modes": st.lists(_MODE, max_size=5),
+    }
+)
+
+
+@settings(
+    max_examples=250,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_DOCUMENT)
+def test_solve_exit_code_is_always_0_2_or_3(tmp_path, document):
+    path = write_spec(tmp_path, document)
+    code, _ = run_cli(["solve", "--spec", path, "--format", "json"])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)

@@ -22,9 +22,10 @@ from auxfield.model import (
     Kinematics,
     PotentialTerm,
     PowerLaw,
+    QuantumNumbers,
     Scope,
 )
-from auxfield.oracles import _field_term
+from auxfield.oracles import _field_term, numeric_afm_minimize
 from auxfield.systems import baryonic_ur
 from conftest import gaussian_system, ground, power_system
 
@@ -189,6 +190,26 @@ def test_mixed_exponent_couple_through_numeric_solver():
     sol = afm_mass(spec, ground(3))
     assert sol.mass == pytest.approx(numeric_afm_minimize(spec, ground(3)), rel=1e-8)
     assert x0_residual(spec, ground(3), sol) < 1e-10
+
+
+@pytest.mark.parametrize("kinematics", [NR, SR], ids=["nr", "sr"])
+@pytest.mark.parametrize("scope", ["one", "pair"])
+@pytest.mark.parametrize("lam", [100.0, 150.0, 300.0])
+def test_steep_power_overflow_reads_as_infinite_field(lam, scope, kinematics):
+    # x^(lam - 2) overflows on the outer root-scan grid; the tangency map must
+    # read that as an infinite field rather than raise OverflowError
+    spec = power_system(3, 1.0, kinematics, **{scope: (0.3, lam)})
+    sol = afm_mass(spec, ground(3))
+    assert sol.mass == pytest.approx(numeric_afm_minimize(spec, ground(3)), rel=1e-12)
+
+
+def test_excited_steep_power_skips_overflowing_scale_candidate():
+    # at Q ~ 2000 the grid-centering magnitude of a lam = 299 term overflows;
+    # the other candidates still bracket the root
+    spec = power_system(3, 1.0, SR, pair=(0.2, 299.0))
+    q = QuantumNumbers(((0, 0), (2000, 0)))
+    sol = afm_mass(spec, q)
+    assert sol.mass == pytest.approx(numeric_afm_minimize(spec, q), rel=1e-12)
 
 
 def test_mass_monotone_in_pair_strength():

@@ -71,6 +71,57 @@ def test_f_and_g_positive_semidefinite():
         assert np.min(np.linalg.eigvalsh(qf.g)) >= -1e-12
 
 
+def loop_reference(masses, kbar):
+    """u, b and the unscaled pairwise form, built element by element."""
+    n = len(masses)
+    alpha = np.asarray(masses) / masses[0]
+    cum = np.cumsum(alpha)
+    u = np.zeros((n, n))
+    for i in range(n - 1):
+        u[i, : i + 1] = alpha[: i + 1] / cum[i]
+        u[i, i + 1] = -1.0
+    u[n - 1, :] = alpha / cum[-1]
+    b = np.zeros((n, n))
+    for l in range(n - 1):
+        b[: l + 1, l] = alpha[l + 1] / cum[l + 1]
+        b[l + 1, l] = -cum[l] / cum[l + 1]
+    b[:, n - 1] = 1.0
+    pair = np.zeros((n - 1, n - 1))
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = b[i, : n - 1] - b[j, : n - 1]
+            pair += kbar[i, j] * np.outer(diff, diff)
+    return u, b, pair
+
+
+def test_quadratic_form_matches_loop_reference():
+    # u and b use the same arithmetic as the loops, so they must agree
+    # bitwise; the pairwise sum runs in another order, so g agrees to rounding
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 7, 16):
+        masses = rng.uniform(0.1, 10.0, size=n)
+        kbar = np.triu(rng.uniform(0.0, 5.0, size=(n, n)), 1)
+        qf = build_quadratic_form(masses, rng.uniform(0.0, 5.0, size=n), kbar + kbar.T)
+        u, b, pair = loop_reference(masses, kbar)
+        assert np.array_equal(qf.u, u)
+        assert np.array_equal(qf.b, b)
+        g = np.outer(qf.lam, qf.lam) * pair
+        assert np.max(np.abs(qf.g - g)) <= 1e-13 * np.max(np.abs(g))
+
+
+def test_only_strict_upper_triangle_of_kbar_is_read():
+    rng = np.random.default_rng(9)
+    n = 6
+    masses = rng.uniform(0.1, 10.0, size=n)
+    k = rng.uniform(0.0, 5.0, size=n)
+    upper = np.triu(rng.uniform(0.0, 5.0, size=(n, n)), 1)
+    garbage = np.tril(rng.normal(scale=1e3, size=(n, n)))
+    garbage[1, 1], garbage[4, 2] = math.nan, -math.inf
+    clean = build_quadratic_form(masses, k, upper + upper.T)
+    dirty = build_quadratic_form(masses, k, upper + garbage)
+    assert np.array_equal(dirty.j, clean.j)
+
+
 # ---------------------------------------------------------------------------
 # general vs closed three-body solution
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from auxfield.errors import DomainError, NotSymmetric
+from auxfield.errors import DomainError, NonConvergence, NotSymmetric
 from auxfield.special import (
     cubic_residual,
     cubic_root,
@@ -166,6 +166,24 @@ def test_eigen_reconstruction_random():
     assert np.max(np.abs(recon - a)) <= 1e-10 * np.max(np.abs(a))
     assert np.max(np.abs(o.T @ o - np.eye(5))) <= 1e-12
     assert np.all(np.diff(w) >= -1e-14)
+
+
+def test_eigen_reconstruction_many_small_matrices():
+    # sweeps must continue until the off-diagonal mass itself is below the
+    # threshold, which a difference of two nearly equal norms cannot resolve
+    rng = np.random.default_rng(20)
+    for i in range(400):
+        dim = 3 + i % 4
+        a = rng.normal(size=(dim, dim))
+        a = 0.5 * (a + a.T)
+        w, o = symmetric_eigen(a)
+        recon = o @ np.diag(w) @ o.T
+        assert np.max(np.abs(recon - a)) <= 1e-12 * np.max(np.abs(a)), i
+
+
+def test_eigen_raises_when_sweeps_run_out():
+    with pytest.raises(NonConvergence):
+        symmetric_eigen(np.array([[1.0, math.nan], [math.nan, 1.0]]))
 
 
 def test_eigen_matches_library_solver():
