@@ -24,7 +24,7 @@ import sys
 from typing import Any, Sequence
 
 from . import engine, ho, oracles, systems
-from .errors import AuxFieldError, NumericalError, ValidationError
+from .errors import AuxFieldError, NumericalError, ValidationError, require_tolerance
 from .model import (
     AFMSolution,
     BoundCharacter,
@@ -316,6 +316,7 @@ def _cmd_duality_check(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    require_tolerance(args.tolerance)
     spec, q = load_system(args.spec)
     closed = engine.afm_mass(spec, q).mass
     oracle = oracles.numeric_afm_minimize(spec, q)

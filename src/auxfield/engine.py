@@ -18,9 +18,11 @@ from .errors import (
     DomainError,
     NonPositiveSlope,
     NoPositiveRoot,
+    NumericalError,
     UnsupportedCombination,
     UnsupportedForm,
     require_finite,
+    require_tolerance,
 )
 from .model import (
     AFMSolution,
@@ -168,6 +170,8 @@ def _solve_x0_roots(
             fa = h_prev
             while (b - a) > tolerance * b:
                 mid = 0.5 * (a + b)
+                if mid == a or mid == b:
+                    break  # adjacent floats: no finer bracket exists
                 fm = h(mid)
                 if fm == 0.0:
                     a = b = mid
@@ -193,8 +197,12 @@ def afm_mass(
     assembles M = N mu0 + N V(r_one) + N(N-1)/2 Vbar(r_pair). Accepts at most
     one term per scope. When several positive roots exist (e.g. gaussian
     wells) the one minimizing the assembled mass wins, ties toward smaller X0.
+    Roots are bisected to a relative width of tolerance, which must be finite
+    and positive (else ValidationError), or to adjacent floats. A mass that
+    leaves the float range raises NumericalError.
     """
     validate(spec, q)
+    require_tolerance(tolerance)
     if len(spec.one_body) > 1 or len(spec.pairwise) > 1:
         raise UnsupportedCombination("at most one term per scope")
     if not spec.terms:
@@ -238,9 +246,10 @@ def afm_mass(
         if not roots:
             raise NoPositiveRoot("the auxiliary-scale equation has no positive root")
         x0 = min(roots, key=lambda r: (_mass_at_x0(spec, qq, r), r))
-    return AFMSolution.at_scale(
-        n, m, qq, x0, _mass_at_x0(spec, qq, x0), bound_character(spec)
-    )
+    mass = _mass_at_x0(spec, qq, x0)
+    if not math.isfinite(mass):
+        raise NumericalError(f"mass {mass} at X0 = {x0} is not a finite float")
+    return AFMSolution.at_scale(n, m, qq, x0, mass, bound_character(spec))
 
 
 def _extract_equal_powers(spec: SystemSpec) -> tuple[float, float, float]:

@@ -105,3 +105,9 @@ def require_finite(**values: float) -> None:
         if not math.isfinite(value):
             error = SingularMasses if name == "m" else InvalidCoefficient
             raise error(f"{name} = {value} is not finite")
+
+
+def require_tolerance(tolerance: float) -> None:
+    """Reject a solver tolerance that is not a finite positive number."""
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValidationError(f"tolerance = {tolerance} must be finite and positive")

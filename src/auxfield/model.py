@@ -7,6 +7,7 @@ by the caller (e.g. GeV and GeV^-1); no unit conversion happens anywhere.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -20,6 +21,8 @@ from .errors import (
     WrongModeCount,
     ZeroMassNonrelativistic,
 )
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class Kinematics(Enum):
@@ -67,7 +70,16 @@ class PowerLaw:
     exponent: float
 
     def evaluate(self, r: float) -> float:
-        return self.coefficient * math.copysign(1.0, self.exponent) * r**self.exponent
+        sign = math.copysign(1.0, self.exponent)
+        try:
+            return self.coefficient * sign * r**self.exponent
+        except OverflowError:
+            # r**exponent leaves the float range; the product may not
+            if self.coefficient == 0.0:
+                return 0.0
+            log_mag = math.log(abs(self.coefficient)) + self.exponent * math.log(r)
+            mag = math.exp(log_mag) if log_mag <= _LOG_MAX else math.inf
+            return math.copysign(mag, self.coefficient * sign)
 
 
 @dataclass(frozen=True)

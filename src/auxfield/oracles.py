@@ -9,6 +9,7 @@ upper bound on the exact ground level of nonrelativistic pairwise systems.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -18,6 +19,7 @@ from .errors import (
     UnboundedBelow,
     UnsupportedCombination,
     UnsupportedForm,
+    require_tolerance,
 )
 from .model import (
     GaussianWell,
@@ -30,10 +32,17 @@ from .model import (
 )
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of an interval
-# Line searches stop once the minimum is located to this absolute width in
-# log space (relative width in the field). At an extremum the mass is
-# quadratic in the log-field error, so it moves by ~1e-18 relative.
+# Line searches stop once the minimum is bracketed to this absolute width in
+# log space (relative width in the field). Near a smooth minimum the values
+# are level to rounding within ~sqrt(eps) ~ 1.5e-8 of it, so they cannot place
+# it closer than that; the bracket shrinks to this width mainly at a barrier
+# edge, where the values keep changing.
 _LINE_TOL = 1e-9
+# A smooth minimum ends the search earlier: once the three best points lie
+# within _LEVEL_SPAN of each other and their values agree to _LEVEL_RTOL
+# relative (4 ulp), no further evaluation can move the minimum.
+_LEVEL_SPAN = 1e-6
+_LEVEL_RTOL = 4.0 * sys.float_info.epsilon
 _LOG_LO = -40.0  # fields confined to roughly [1e-17, 1e17]
 _LOG_HI = 40.0
 _KAPPA_SPAN = 34.5  # trial widths confined to roughly [1e-15, 1e15]
@@ -85,7 +94,9 @@ def _brent_min(
     golden-section step whenever the parabola is not trusted. A non-finite
     value makes the parabola non-finite and so forces the golden step, which
     lets inf act as a barrier. Stops once the minimum is bracketed to within
-    _LINE_TOL; returns the lowest point evaluated and its value.
+    _LINE_TOL, or earlier once the three best points x, w, v are distinct,
+    within _LEVEL_SPAN of each other and level to _LEVEL_RTOL in value;
+    returns the lowest point evaluated and its value.
     """
     w, fw = v, fv = x, fx
     d = e = 0.0
@@ -93,6 +104,13 @@ def _brent_min(
     while True:
         mid = 0.5 * (a + b)
         if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        if (
+            x != w != v != x
+            and max(x, w, v) - min(x, w, v) <= _LEVEL_SPAN
+            and abs(fw - fx) <= _LEVEL_RTOL * abs(fx)
+            and abs(fv - fx) <= _LEVEL_RTOL * abs(fx)
+        ):
             return x, fx
         p = q = r = 0.0
         if abs(e) > _LINE_TOL:
@@ -247,11 +265,13 @@ def numeric_afm_minimize(
     is extremized by nested Brent line searches in the logs of the
     positive fields: directions whose stationary point is a maximum (repulsive
     or convex terms) are solved innermost, the rest are cyclically minimized
-    until successive passes improve the mass by less than tolerance * |M|.
+    until successive passes improve the mass by less than tolerance * |M|
+    (tolerance must be finite and positive, else ValidationError).
     Quadratic terms pin their field to the spring constant; nonrelativistic
     kinematics pins mu to the particle mass. Deterministic for fixed input.
     """
     validate(spec, q)
+    require_tolerance(tolerance)
     if len(spec.one_body) > 1 or len(spec.pairwise) > 1:
         raise UnsupportedCombination("at most one term per scope")
     if not spec.terms:

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from auxfield.cli import (
     EXIT_NUMERICAL,
@@ -266,6 +266,44 @@ def test_root_scan_beyond_float_range_exits_cleanly(tmp_path, change):
     assert code in (EXIT_OK, EXIT_NUMERICAL)
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+def test_unusable_tolerance_exits_2(tmp_path, command, tolerance):
+    path = write_spec(tmp_path, LINEAR_SPEC)
+    argv = [command, "--spec", path, "--format", "json", "--tolerance", tolerance]
+    code, text = run_cli(argv)
+    assert code == EXIT_VALIDATION
+    assert json.loads(text)["error"]["type"] == "ValidationError"
+
+
+def test_tolerance_below_float_spacing_terminates(tmp_path):
+    # adjacent floats are never 1e-20 apart relative to their size, so the
+    # root bisection has to stop once its midpoint reaches an endpoint
+    five_body = {
+        "N": 5,
+        "mass": 2.0,
+        "kinematics": "semirelativistic",
+        "one_body": [{"type": "power", "coefficient": 0.3, "exponent": 1.0}],
+        "pairwise": [{"type": "power", "coefficient": 0.1, "exponent": -1.0}],
+        "modes": [[0, 0]] * 4,
+    }
+    path = write_spec(tmp_path, five_body)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    argv = [sys.executable, "-m", "auxfield.cli", "solve", "--spec", path]
+    result = subprocess.run(
+        argv + ["--format", "json", "--tolerance", "1e-20"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == EXIT_OK
+    _, default = run_cli(["solve", "--spec", path, "--format", "json"])
+    mass = json.loads(result.stdout)["mass"]
+    assert mass == pytest.approx(json.loads(default)["mass"], rel=1e-12)
+
+
 def test_missing_file_exits_2(tmp_path):
     code, _ = run_cli(["solve", "--spec", str(tmp_path / "nope.json")])
     assert code == EXIT_VALIDATION
@@ -323,8 +361,8 @@ _TERM = st.one_of(
     _NUMBER,
 )
 _MODE = st.one_of(
-    st.lists(st.integers(-1, 4), min_size=2, max_size=2),
-    st.lists(st.one_of(st.integers(-1, 4), st.floats(-1.0, 4.0)), max_size=3),
+    st.lists(st.integers(-1, 2000), min_size=2, max_size=2),
+    st.lists(st.one_of(st.integers(-1, 2000), st.floats(-1.0, 4.0)), max_size=3),
     _NUMBER,
 )
 _DOCUMENT = st.fixed_dictionaries(
@@ -345,6 +383,16 @@ _DOCUMENT = st.fixed_dictionaries(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(_DOCUMENT)
+@example(
+    {
+        "N": 6,
+        "mass": 4.53e-201,
+        "kinematics": "nonrelativistic",
+        "one_body": [{"type": "power", "coefficient": -2.2e-311, "exponent": 36.97}],
+        "pairwise": [{"type": "power", "coefficient": 33.69, "exponent": 33.69}],
+        "modes": [[112, 179], [1908, 293], [136, 1578], [1908, 293], [200, 104]],
+    }
+)
 def test_solve_exit_code_is_always_0_2_or_3(tmp_path, document):
     path = write_spec(tmp_path, document)
     code, _ = run_cli(["solve", "--spec", path, "--format", "json"])

@@ -14,6 +14,7 @@ from auxfield.errors import (
     NonPositiveSlope,
     NoPositiveRoot,
     UnsupportedCombination,
+    ValidationError,
 )
 from auxfield.ho import ho_energy_identical, srho_mass
 from auxfield.model import (
@@ -351,3 +352,10 @@ def test_bound_character_rules():
         bound_character(power_system(3, 1.0, NR, one=(0.5, 1.0), pair=(0.5, 3.0)))
         is BoundCharacter.UNKNOWN
     )
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+def test_afm_mass_rejects_unusable_tolerance(tolerance):
+    spec = power_system(3, 1.0, Kinematics.SEMIRELATIVISTIC, pair=(0.2, 1.0))
+    with pytest.raises(ValidationError):
+        afm_mass(spec, ground(3), tolerance=tolerance)

@@ -181,3 +181,13 @@ def test_potential_evaluation_sign_convention():
     well = GaussianWell(2.0, 0.5)
     assert well.evaluate(0.0) == pytest.approx(-2.0)
     assert well.evaluate(2.0) == pytest.approx(-2.0 * math.exp(-1.0))
+
+
+def test_power_evaluation_past_float_range():
+    # r**exponent overflows, but the product with a small coefficient does not
+    assert PowerLaw(1e-300, 300.0).evaluate(10.0) == pytest.approx(1.0, rel=1e-12)
+    assert PowerLaw(1e-300, -300.0).evaluate(0.1) == pytest.approx(-1.0, rel=1e-12)
+    assert PowerLaw(-2e-300, 300.0).evaluate(10.0) == pytest.approx(-2.0, rel=1e-12)
+    assert PowerLaw(0.5, 300.0).evaluate(1e3) == math.inf
+    assert PowerLaw(0.5, -300.0).evaluate(1e-3) == -math.inf
+    assert PowerLaw(0.0, 300.0).evaluate(1e3) == 0.0

@@ -6,7 +6,12 @@ import pytest
 from scipy.integrate import quad
 
 from auxfield.engine import equal_power_mass
-from auxfield.errors import NonConvergence, UnboundedBelow, UnsupportedCombination
+from auxfield.errors import (
+    NonConvergence,
+    UnboundedBelow,
+    UnsupportedCombination,
+    ValidationError,
+)
 from auxfield.ho import ho_energy_identical, srho_mass
 from auxfield.model import Kinematics, QuantumNumbers
 from auxfield.oracles import (
@@ -81,6 +86,23 @@ def test_brent_min_inf_barrier():
     x, fx = _brent_min(h, -3.0, -0.5, h(-0.5), 3.0)
     assert x == pytest.approx(0.7, abs=1e-7)
     assert fx == pytest.approx(1.0, abs=1e-15)
+
+
+def test_brent_min_stops_at_rounding_floor():
+    # near a smooth minimum the three best values become level to rounding
+    # long before the bracket shrinks to the line tolerance; the search must
+    # stop there instead of spending its last calls on rounding noise
+    for c in (0.7, 0.123, -2.5):
+        calls = []
+
+        def g(u, c=c):
+            calls.append(u)
+            return math.cosh(u - c)
+
+        x, fx = _brent_min(g, -3.0, 0.0, g(0.0), 3.0)
+        assert fx == 1.0
+        assert x == pytest.approx(c, abs=1e-7)
+        assert len(calls) <= 15
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +189,33 @@ def test_oracle_atomic_cost_guard():
         _atomic_check(n, m, alpha, alphabar, q, max_evals=25_000)
 
 
+def test_oracle_atomic_cost_tight():
+    # the draws of test_oracle_atomic_cost_guard under a budget that only
+    # holds when line searches stop at the rounding floor
+    rng = np.random.default_rng(2718)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        m = float(rng.uniform(0.5, 5.0))
+        band = int(rng.integers(0, 2))
+        q = QuantumNumbers(((band, 0),) + ((0, 0),) * (n - 2))
+        alpha = float(rng.uniform(0.1, 0.8)) * q.q / n
+        alphabar = float(rng.uniform(0.1, 0.6)) * alpha * n * n / (
+            n * (n - 1) / 2.0
+        ) ** 1.5
+        _atomic_check(n, m, alpha, alphabar, q, max_evals=8_000)
+
+
 def test_oracle_rejects_empty_system():
     spec = power_system(3, 1.0, SR)
     with pytest.raises(UnsupportedCombination):
         numeric_afm_minimize(spec, ground(3))
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+def test_oracle_rejects_unusable_tolerance(tolerance):
+    spec = power_system(3, 1.0, SR, pair=(0.2, 1.0))
+    with pytest.raises(ValidationError):
+        numeric_afm_minimize(spec, ground(3), tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
