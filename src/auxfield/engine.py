@@ -62,7 +62,8 @@ def auxiliary_k(term: PotentialTerm) -> Callable[[float], float]:
         cap = form.depth * form.range_ * form.range_
 
         def k(x: float, cap=cap, rng=form.range_) -> float:
-            return cap * math.exp(-((rng * x) ** 2))
+            u = rng * x  # u * u is inf past the float range, where ** raises
+            return cap * math.exp(-(u * u))
 
         return k
     raise UnsupportedForm(f"no tangency map for {form!r}")
@@ -139,7 +140,7 @@ def _scale_candidates(spec: SystemSpec, q: float) -> list[float]:
             if lam + 1.0 > 0.0:
                 out.append(((q / n) * amp * amp) ** (1.0 / (lam + 1.0)))
         else:
-            cap = form.depth * form.range_**2
+            cap = form.depth * form.range_ * form.range_  # inf past the float range
             m_eff = m if m > 0.0 else 1.0
             out.append(math.sqrt(2.0 * m_eff * n * cap))
     return [s for s in out if math.isfinite(s) and s > 0.0]
@@ -231,6 +232,8 @@ def afm_mass(
         if kappa <= 0.0:
             raise NoPositiveRoot(f"net spring constant {kappa} <= 0")
         x0 = math.sqrt(2.0 * m * kappa)
+        if not 0.0 < x0 < math.inf:
+            raise DomainError(f"auxiliary scale X0 = {x0} is not a positive float")
     else:
         if semirel:
 

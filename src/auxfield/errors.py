@@ -67,10 +67,6 @@ class DomainError(NumericalError):
     """Argument outside the domain of a root function."""
 
 
-class NegativeDiscriminant(NumericalError):
-    """Discriminant came out negative beyond rounding tolerance."""
-
-
 class NoPositiveRoot(NumericalError):
     """The auxiliary-scale equation has no positive solution (collapse)."""
 

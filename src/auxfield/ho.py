@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
-    NegativeDiscriminant,
     NoRestoringForce,
     NotClosedShell,
     SingularMasses,
@@ -179,19 +178,24 @@ def ho_energy_3body_closed(
         + kb13 * (k13 * a2**2 + k2 * a13**2)
         + kb23 * (k23 * a1**2 + k1 * a23**2)
     )
-    disc = s * s - 4.0 * a1 * a2 * a3 * al * r
-    if disc < 0.0:
-        if disc >= -1e-12 * s * s:
-            disc = 0.0  # rounding; the discriminant is a real square analytically
-        else:
-            raise NegativeDiscriminant(f"discriminant {disc} < 0 beyond tolerance")
-    delta = math.sqrt(disc)
+    # The internal quadratic form in mass-weighted Jacobi coordinates, scaled
+    # by P = a1 a2 a3 al, is the symmetric 2x2 [[j11, j12], [j12, j22]] with
+    # trace s and determinant P r. Its discriminant as a sum of squares keeps
+    # full precision when the two internal frequencies nearly coincide.
+    p = a1 * a2 * a3 * al
+    j11 = (
+        a3 * al * (k1 * a2**2 + k2 * a1**2 + kb12 * a12**2 + kb13 * a2**2 + kb23 * a1**2) / a12
+    )
+    j22 = a1 * a2 * (k12 * a3**2 + k3 * a12**2 + (kb13 + kb23) * al**2) / a12
+    j12 = math.sqrt(p) * (a3 * (k1 * a2 - k2 * a1) + al * (kb13 * a2 - kb23 * a1)) / a12
+    delta = math.sqrt((j11 - j22) ** 2 + 4.0 * j12 * j12)
+    stiff = s + delta
+    soft = 4.0 * p * r / stiff if stiff else 0.0  # Vieta: (s - delta) without cancellation
 
     (n1, l1), (n2, l2) = mode1, mode2
-    pref = 1.0 / math.sqrt(mref * a1 * a2 * a3 * al)
+    pref = 1.0 / math.sqrt(mref * p)
     return pref * (
-        math.sqrt(s + delta) * (2 * n1 + l1 + 1.5)
-        + math.sqrt(s - delta) * (2 * n2 + l2 + 1.5)
+        math.sqrt(stiff) * (2 * n1 + l1 + 1.5) + math.sqrt(soft) * (2 * n2 + l2 + 1.5)
     )
 
 
@@ -248,11 +252,13 @@ def srho_mass(n: int, m: float, k: float, kbar: float, q: float) -> AFMSolution:
     if kappa <= 0.0:
         raise NoRestoringForce(f"k + N kbar = {kappa} must be positive")
 
-    if m == 0.0:
+    y = 0.0
+    if m != 0.0:
+        y = (4.0 * m * m / 3.0) * (2.0 * n * n / (kappa * q * q)) ** (2.0 / 3.0)
+    if y == 0.0:  # massless, or so light that Y underflows: the massless limit
         mass = 1.5 * (2.0 * n * kappa * q * q) ** (1.0 / 3.0)
         mu0 = (2.0 * kappa * q * q / (n * n)) ** (1.0 / 3.0)
     else:
-        y = (4.0 * m * m / 3.0) * (2.0 * n * n / (kappa * q * q)) ** (2.0 / 3.0)
         g = quartic_root(y)
         mu0 = 2.0 * m * g * g / math.sqrt(3.0 * y)
         mass = 2.0 * n * m / math.sqrt(3.0 * y) * (1.0 / g + g * g)

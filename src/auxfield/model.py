@@ -13,6 +13,7 @@ from enum import Enum
 from typing import Union
 
 from .errors import (
+    DomainError,
     InvalidCoefficient,
     InvalidExponent,
     SingularMasses,
@@ -90,7 +91,8 @@ class GaussianWell:
     range_: float
 
     def evaluate(self, r: float) -> float:
-        return -self.depth * math.exp(-((self.range_ * r) ** 2))
+        u = self.range_ * r  # u * u is inf past the float range, where ** raises
+        return -self.depth * math.exp(-(u * u))
 
 
 PotentialForm = Union[PowerLaw, GaussianWell]
@@ -196,7 +198,11 @@ class AFMSolution:
         Everything but the mass follows from X0: mu0 = sqrt(m^2 + Q X0 / N),
         so mu0^2 - m^2 = Q X0 / N holds by construction, and the tangency
         radii are r0_one = sqrt(Q / (N X0)) and r0_pair = sqrt(2Q / ((N-1) X0)).
+        An X0 that is not a positive float (it under- or overflowed) raises
+        DomainError.
         """
+        if not 0.0 < x0 < math.inf:
+            raise DomainError(f"auxiliary scale X0 = {x0} is not a positive float")
         r_one, r_pair = _tangency_radii(n, q, x0)
         return cls(
             mass=mass,

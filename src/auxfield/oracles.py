@@ -15,6 +15,7 @@ from enum import Enum
 from typing import Callable
 
 from .errors import (
+    DomainError,
     NonConvergence,
     UnboundedBelow,
     UnsupportedCombination,
@@ -43,8 +44,19 @@ _LINE_TOL = 1e-9
 # relative (4 ulp), no further evaluation can move the minimum.
 _LEVEL_SPAN = 1e-6
 _LEVEL_RTOL = 4.0 * sys.float_info.epsilon
-_LOG_LO = -40.0  # fields confined to roughly [1e-17, 1e17]
-_LOG_HI = 40.0
+_LOG_LO = -700.0  # fields confined to roughly [1e-304, 1e304], where exp is finite
+_LOG_HI = 700.0
+# A field starts at its |K| at unit radius, clamped to [e^-40, e^40]: from
+# further out, as for steep powers with tiny coefficients, the mass can be
+# flat to rounding along the field and the searches stall there.
+_START_LO = math.exp(-40.0)
+_START_HI = math.exp(40.0)
+# First bracket step in log space. Within one solve each search direction
+# starts its next bracket at _WARM_GROWTH times its last move, clamped to
+# [_STEP_MIN, _STEP_MAX]; doubling still reaches a far minimum.
+_STEP_MAX = 0.5
+_STEP_MIN = 1e-4
+_WARM_GROWTH = 4.0
 _KAPPA_SPAN = 34.5  # trial widths confined to roughly [1e-15, 1e15]
 
 
@@ -151,15 +163,20 @@ def _brent_min(
 
 
 def _bracket_min(
-    g: Callable[[float], float], u0: float, f0: float, lo: float, hi: float
+    g: Callable[[float], float],
+    u0: float,
+    f0: float,
+    lo: float,
+    hi: float,
+    step: float = _STEP_MAX,
 ) -> tuple[float, float, float, float, float, float]:
     """Grow a bracket around a minimum of g by doubling steps from u0.
 
-    The bracket stays inside [lo, hi]. Returns (ul, fl, u0, f0, uh, fh) where
-    f0 = g(u0) is the lowest value found inside; fl < f0 or fh < f0 means g
-    still descends at that edge of the domain.
+    The first probes sit at u0 -/+ step. The bracket stays inside [lo, hi].
+    Returns (ul, fl, u0, f0, uh, fh) where f0 = g(u0) is the lowest value
+    found inside; fl < f0 or fh < f0 means g still descends at that edge of
+    the domain.
     """
-    step = 0.5
     ul, uh = max(u0 - step, lo), min(u0 + step, hi)
     fl, fh = g(ul), g(uh)
     while fl < f0 and ul > lo:
@@ -177,18 +194,22 @@ def _bracket_min(
     return ul, fl, u0, f0, uh, fh
 
 
-def _extremize_log_line(f: Callable[[float], float], x0: float, sense: int) -> float:
+def _extremize_log_line(
+    f: Callable[[float], float], x0: float, sense: int, step: float = _STEP_MAX
+) -> tuple[float, float]:
     """Extremize f over a positive variable by Brent's method in log space.
 
     sense +1 minimizes, -1 maximizes; non-finite values act as a barrier for
-    either sense. The bracket is grown outward from x0 by doubling steps.
+    either sense. The bracket is grown outward from x0 by doubling steps that
+    start at `step`. Returns the extremum and how far it lies from x0 in log
+    space.
     """
 
     def g(u: float) -> float:
         v = f(math.exp(u))
         return sense * v if math.isfinite(v) else math.inf
 
-    u0 = min(max(math.log(x0), _LOG_LO), _LOG_HI)
+    u_start = u0 = min(max(math.log(x0), _LOG_LO), _LOG_HI)
     f0 = g(u0)
     if not math.isfinite(f0):
         # the warm start sits outside the valid field region; probe outward
@@ -206,9 +227,10 @@ def _extremize_log_line(f: Callable[[float], float], x0: float, sense: int) -> f
                 continue
             break
         if not math.isfinite(f0):
-            return x0  # no valid point anywhere along this line
-    ul, _, u0, f0, uh, _ = _bracket_min(g, u0, f0, _LOG_LO, _LOG_HI)
-    return math.exp(_brent_min(g, ul, u0, f0, uh)[0])
+            return x0, 0.0  # no valid point anywhere along this line
+    ul, _, u0, f0, uh, _ = _bracket_min(g, u0, f0, _LOG_LO, _LOG_HI, step)
+    u = _brent_min(g, ul, u0, f0, uh)[0]
+    return math.exp(u), abs(u - u_start)
 
 
 @dataclass
@@ -225,12 +247,17 @@ def _field_term(term) -> _FieldTerm:
     if isinstance(form, PowerLaw):
         coef, lam = form.coefficient, form.exponent
         mag = abs(coef) * abs(lam) / 2.0
-        sgn_lam = math.copysign(1.0, lam)
         sign = 1.0 if coef > 0.0 else -1.0
+        # With x = I(t) = (t/mag)^(1/(lam-2)), t x^2 = mag x^lam, so
+        # coef sgn(lam) x^lam - sign t x^2 = scale (t/mag)^(lam/(lam-2)).
+        scale = coef * math.copysign(1.0, lam) * (1.0 - lam / 2.0)
+        power = lam / (lam - 2.0)
 
-        def offset(t: float, coef=coef, lam=lam, mag=mag, sgn_lam=sgn_lam, sign=sign):
-            x = (t / mag) ** (1.0 / (lam - 2.0))
-            return coef * sgn_lam * x**lam - sign * t * x * x
+        def offset(t: float, mag=mag, scale=scale, power=power):
+            try:
+                return scale * (t / mag) ** power
+            except (OverflowError, ZeroDivisionError):  # past the float range
+                return math.copysign(math.inf, scale)  # a barrier
 
         # Along a binding concave direction the stationary point is a
         # minimum; repulsion or convex growth flips it to a maximum.
@@ -282,14 +309,23 @@ def numeric_afm_minimize(
     npair = n * (n - 1) / 2.0
     semirel = spec.kinematics is Kinematics.SEMIRELATIVISTIC
 
-    pinned = {Scope.ONE_BODY: 0.0, Scope.PAIRWISE: 0.0}
+    nu0 = nubar0 = 0.0  # spring sums of the pinned quadratic terms
     field_terms: list[_FieldTerm] = []
+    kernel = []  # (pairwise?, field sign, term weight, offset) per field
     for term in spec.terms:
         form = term.form
+        pair = term.scope is Scope.PAIRWISE
         if isinstance(form, PowerLaw) and form.exponent == 2.0:
-            pinned[term.scope] += form.coefficient
+            if pair:
+                nubar0 += form.coefficient
+            else:
+                nu0 += form.coefficient
         else:
-            field_terms.append(_field_term(term))
+            ft = _field_term(term)
+            if not 0.0 < ft.init < math.inf:
+                raise DomainError(f"field scale {ft.init} of {form!r} is not a positive float")
+            field_terms.append(ft)
+            kernel.append((pair, ft.sign, npair if pair else n, ft.offset))
 
     evals = [0]
 
@@ -297,24 +333,25 @@ def numeric_afm_minimize(
         evals[0] += 1
         if evals[0] > max_evals:
             raise NonConvergence(f"evaluation budget {max_evals} exhausted")
-        nu = pinned[Scope.ONE_BODY]
-        nubar = pinned[Scope.PAIRWISE]
+        nu, nubar = nu0, nubar0
         total = n * m if not semirel else n / 2.0 * (mu + m * m / mu)
-        for ft, t in zip(field_terms, ts):
-            if ft.scope is Scope.ONE_BODY:
-                nu += ft.sign * t
-                total += n * ft.offset(t)
+        for (pair, sign, weight, offset), t in zip(kernel, ts):
+            if pair:
+                nubar += sign * t
             else:
-                nubar += ft.sign * t
-                total += npair * ft.offset(t)
+                nu += sign * t
+            total += weight * offset(t)
         s = nu + n * nubar
         if s <= 0.0:
             return math.inf
         mu_eff = mu if semirel else m
-        return total + math.sqrt(2.0 * s / mu_eff) * qq
+        kinetic = math.sqrt(2.0 * s / mu_eff)
+        if kinetic == math.inf:  # only the quotient left the float range
+            kinetic = math.sqrt(2.0 * s) / math.sqrt(mu_eff)
+        return total + kinetic * qq
 
     mu = math.sqrt(m * m + qq)
-    ts = [ft.init for ft in field_terms]
+    ts = [min(max(ft.init, _START_LO), _START_HI) for ft in field_terms]
     for _ in range(200):  # deterministic repair of an invalid start
         if math.isfinite(mass(mu, ts)):
             break
@@ -324,6 +361,12 @@ def numeric_afm_minimize(
 
     max_idx = [j for j, ft in enumerate(field_terms) if ft.sense < 0]
     min_idx = [j for j, ft in enumerate(field_terms) if ft.sense > 0]
+    steps = [_STEP_MAX] * (len(field_terms) + 1)  # field j, then mu at -1
+
+    def search(f: Callable[[float], float], x0: float, sense: int, k: int) -> float:
+        x, move = _extremize_log_line(f, x0, sense, steps[k])
+        steps[k] = min(max(_WARM_GROWTH * move, _STEP_MIN), _STEP_MAX)
+        return x
 
     def hull(mu_: float, ts_: list[float]) -> float:
         """Resolve the max-sense fields for fixed minimized ones (in place)."""
@@ -336,7 +379,7 @@ def numeric_afm_minimize(
                 ts_[j] = prev
                 return v
 
-            ts_[j] = _extremize_log_line(fj, ts_[j], -1)
+            ts_[j] = search(fj, ts_[j], -1, j)
         return mass(mu_, ts_)
 
     cur = hull(mu, ts)
@@ -348,7 +391,7 @@ def numeric_afm_minimize(
             def fmu(v: float) -> float:
                 return hull(v, list(ts))
 
-            mu = _extremize_log_line(fmu, mu, +1)
+            mu = search(fmu, mu, +1, -1)
         for j in min_idx:
 
             def fj(t: float, j=j) -> float:
@@ -356,7 +399,7 @@ def numeric_afm_minimize(
                 scratch[j] = t
                 return hull(mu, scratch)
 
-            ts[j] = _extremize_log_line(fj, ts[j], +1)
+            ts[j] = search(fj, ts[j], +1, j)
         cur = hull(mu, ts)
         if abs(prev - cur) <= tolerance * max(1.0, abs(cur)):
             small_steps += 1

@@ -100,10 +100,13 @@ def quartic_root(y: float) -> float:
     nearly equal cube-root terms), so the closed form only seeds a Newton
     iteration that enforces a residual of 1e-12 * max(1, 3y).
     """
-    if y < 0.0:
-        raise DomainError(f"quartic_root argument {y} < 0")
-    t = (2.0 + math.sqrt(4.0 + y**3)) ** (1.0 / 3.0)
-    v = t - y / t
+    if not 0.0 <= y < math.inf:
+        raise DomainError(f"quartic_root argument {y} outside [0, inf)")
+    try:
+        t = (2.0 + math.sqrt(4.0 + y**3)) ** (1.0 / 3.0)
+        v = t - y / t
+    except OverflowError:  # y**3 past the float range: v has cancelled anyway
+        v = 0.0
     if v <= 0.0:  # cancellation for very large y; asymptotic seed instead
         x = (0.75 * y) ** 0.25
     else:

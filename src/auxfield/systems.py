@@ -264,7 +264,7 @@ def gaussian_spectrum(
         raise SingularMasses("gaussian wells are nonrelativistic: need m > 0")
     if alpha <= 0.0 or beta <= 0.0:
         raise InvalidCoefficient("need well depth alpha > 0 and range beta > 0")
-    g = m * alpha / (beta * beta)
+    g = m * alpha / beta / beta  # beta * beta may underflow to 0
     g_crit = gaussian_critical_coupling(n, q)
     if g <= g_crit:
         raise NoBoundState(
@@ -272,9 +272,11 @@ def gaussian_spectrum(
         )
     y = -beta * q / ((n - 1.0) * math.sqrt(2.0 * n * m * alpha))
     w0 = lambert_w0(y)
-    energy = -(beta * beta / m) * (q * q / (n - 1.0)) * (1.0 + 2.0 * w0) / (
-        4.0 * w0 * w0
-    )
+    if w0 == 0.0:  # Y underflowed; W0(Y) ~ Y leaves every pair at the well bottom
+        energy = -n * (n - 1.0) / 2.0 * alpha
+    else:  # beta / W0 stays finite where beta^2 and W0^2 underflow
+        r = beta / w0
+        energy = -(q * q / (m * (n - 1.0))) * (1.0 + 2.0 * w0) / 4.0 * r * r
     return GaussianSpectrum(energy=energy, g=g, g_critical=g_crit, y=y, w0=w0)
 
 

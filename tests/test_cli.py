@@ -58,6 +58,17 @@ GAUSS_SPEC = {
     "modes": [[0, 0], [0, 0]],
 }
 
+# A steep pairwise power whose mass, 2.14e196, lies past the float range of
+# r^33.69 and of the oracle's field offsets at the stationary point.
+OVERFLOW_SPEC = {
+    "N": 6,
+    "mass": 4.53e-201,
+    "kinematics": "nonrelativistic",
+    "one_body": [{"type": "power", "coefficient": -2.2e-311, "exponent": 36.97}],
+    "pairwise": [{"type": "power", "coefficient": 33.69, "exponent": 33.69}],
+    "modes": [[112, 179], [1908, 293], [136, 1578], [1908, 293], [200, 104]],
+}
+
 
 # ---------------------------------------------------------------------------
 # parsing and serialization
@@ -189,6 +200,23 @@ def test_verify_matches_oracle(tmp_path):
     data = json.loads(text)
     assert data["verdict"] == "match"
     assert data["relative_gap"] <= 1e-8
+
+
+def test_verify_overflow_document_exits_cleanly(tmp_path):
+    # the oracle's offsets and kinetic term leave the float range on the
+    # way to this stationary point; they must read as barriers, not raise
+    path = write_spec(tmp_path, OVERFLOW_SPEC)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    argv = [sys.executable, "-m", "auxfield.cli", "verify", "--spec", path]
+    result = subprocess.run(
+        argv + ["--format", "json"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert "Traceback" not in result.stderr
+    assert result.returncode == EXIT_OK
+    data = json.loads(result.stdout)
+    assert data["verdict"] == "match"
+    assert data["closed_form"] == pytest.approx(2.143002805165599e196, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -396,4 +424,96 @@ _DOCUMENT = st.fixed_dictionaries(
 def test_solve_exit_code_is_always_0_2_or_3(tmp_path, document):
     path = write_spec(tmp_path, document)
     code, _ = run_cli(["solve", "--spec", path, "--format", "json"])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
+
+
+# _DOCUMENT rarely gets past validation. These documents keep its terms'
+# numbers and exponents but take an integer N, a matching mode list, a
+# valid kinematics and at most one well-typed term per scope, so that the
+# commands' numerical paths run too.
+_SHAPED_TERM = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "type": st.just("power"),
+            "coefficient": _NUMBER,
+            "exponent": st.one_of(st.just(2.0), _EXPONENT),
+        }
+    ),
+    st.fixed_dictionaries(
+        {"type": st.just("gaussian"), "depth": _NUMBER, "range": _NUMBER}
+    ),
+)
+
+
+@st.composite
+def _shaped_document(draw):
+    n = draw(st.integers(2, 5))
+    mode = st.lists(st.integers(0, 2000), min_size=2, max_size=2)
+    return dict(
+        draw(_DOCUMENT),
+        N=n,
+        mass=draw(st.one_of(st.floats(0.0, 5.0), _NUMBER)),
+        kinematics=draw(st.sampled_from(["nonrelativistic", "semirelativistic"])),
+        one_body=draw(st.lists(_SHAPED_TERM, max_size=1)),
+        pairwise=draw(st.lists(_SHAPED_TERM, max_size=1)),
+        modes=draw(st.lists(mode, min_size=n - 1, max_size=n - 1)),
+    )
+
+
+def _shaped_example(n, mass, kinematics, one_body=(), pairwise=()):
+    return {
+        "N": n,
+        "mass": mass,
+        "kinematics": kinematics,
+        "one_body": list(one_body),
+        "pairwise": list(pairwise),
+        "modes": [[500, 500]] * (n - 1),
+    }
+
+
+def _power(coefficient, exponent):
+    return {"type": "power", "coefficient": coefficient, "exponent": exponent}
+
+
+def _gaussian(depth, range_):
+    return {"type": "gaussian", "depth": depth, "range": range_}
+
+
+@pytest.mark.parametrize("command", ["verify", "ho", "gaussian"])
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.one_of(_DOCUMENT, _shaped_document()))
+@example(OVERFLOW_SPEC)
+# a subnormal spring: Y**3 of the quartic seed left the float range
+@example(_shaped_example(4, 1.34, "semirelativistic", pairwise=[_power(2.2e-309, 2.0)]))
+# a nearly massless oscillator: Y underflowed to 0 and was divided by
+@example(_shaped_example(3, 4.5e-203, "semirelativistic", one_body=[_power(1.2e-38, 2.0)]))
+# a spring so weak that X0 = sqrt(2 m kappa) underflowed to 0
+@example(_shaped_example(4, 3.9e-244, "nonrelativistic", one_body=[_power(1.4e-175, 2.0)]))
+# the oracle's field magnitude |coef| |lambda| / 2 underflowed to 0
+@example(
+    _shaped_example(
+        2,
+        1.63,
+        "semirelativistic",
+        one_body=[_power(3.95, -0.5)],
+        pairwise=[_power(-1.6e-252, 9.1e-199)],
+    )
+)
+# the oracle's t/mag underflowed to 0 under a negative power
+@example(_shaped_example(3, 0.5, "nonrelativistic", one_body=[_power(1.2e229, 1.0)]))
+# a gaussian level whose Y = -beta Q / ((N-1) sqrt(2 N m alpha)) underflowed to 0
+@example(
+    _shaped_example(5, 2.5e45, "nonrelativistic", pairwise=[_gaussian(7.8e293, 2.0)])
+)
+# a gaussian range whose square underflowed to 0
+@example(
+    _shaped_example(5, 2.05, "nonrelativistic", pairwise=[_gaussian(0.15, 8.3e-177)])
+)
+def test_command_exit_code_is_always_0_2_or_3(tmp_path, command, document):
+    path = write_spec(tmp_path, document)
+    code, _ = run_cli([command, "--spec", path, "--format", "json"])
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)

@@ -192,6 +192,24 @@ def test_closed_vs_general_random_draws():
         assert closed == pytest.approx(general.energy, rel=1e-10)
 
 
+@pytest.mark.parametrize("spread", [1e-3, 1e-6, 1e-9])
+def test_closed_3body_near_degenerate_masses(spread):
+    # equal springs and nearly equal masses make the two internal frequencies
+    # nearly coincide; the closed form must keep full precision there, with
+    # either mode excited
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        masses = list(rng.uniform(0.1, 10.0) * (1.0 + spread * rng.uniform(-1.0, 1.0, 3)))
+        k = [rng.uniform(0.0, 5.0)] * 3
+        kb = [rng.uniform(0.05, 5.0)] * 3
+        kbar = np.full((3, 3), kb[0])
+        np.fill_diagonal(kbar, 0.0)
+        for stiff, soft in (((1, 0), (0, 0)), ((0, 1), (2, 0))):
+            closed = ho_energy_3body_closed(masses, k, kb, stiff, soft)
+            general = ho_energies_general(masses, k, kbar, (soft, stiff))
+            assert closed == pytest.approx(general.energy, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # identical particles
 
@@ -264,6 +282,12 @@ def test_srho_massless_continuity():
     tiny = srho_mass(2, 1e-6, 0.0, 1.0, 1.5).mass
     zero = srho_mass(2, 0.0, 0.0, 1.0, 1.5).mass
     assert abs(tiny - zero) / zero < 1e-5
+
+
+def test_srho_mass_below_float_range_takes_massless_limit():
+    # m^2 underflows in Y: the massless limit, not a division by zero
+    light = srho_mass(3, 4.5e-203, 1.2e-38, 0.0, 3000.0)
+    assert light.mass == pytest.approx(srho_mass(3, 0.0, 1.2e-38, 0.0, 3000.0).mass, rel=1e-15)
 
 
 def test_srho_scale_identity():

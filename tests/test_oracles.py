@@ -13,11 +13,13 @@ from auxfield.errors import (
     ValidationError,
 )
 from auxfield.ho import ho_energy_identical, srho_mass
-from auxfield.model import Kinematics, QuantumNumbers
+from auxfield.model import Kinematics, PotentialTerm, PowerLaw, QuantumNumbers, Scope
 from auxfield.oracles import (
     OracleReport,
     Verdict,
+    _bracket_min,
     _brent_min,
+    _field_term,
     compare,
     compare_ordering,
     gaussian_trial_bound,
@@ -105,6 +107,54 @@ def test_brent_min_stops_at_rounding_floor():
         assert len(calls) <= 15
 
 
+def test_bracket_min_small_step_reaches_far_minimum():
+    # a warm-started search begins with a tiny step; doubling must still
+    # bracket a minimum 20 log-units away, in a few dozen calls
+    calls = []
+
+    def g(u):
+        calls.append(u)
+        return (u - 20.0) ** 2
+
+    ul, fl, u0, f0, uh, fh = _bracket_min(g, 0.0, g(0.0), -40.0, 40.0, 1e-4)
+    assert ul < 20.0 < uh
+    assert f0 <= fl and f0 <= fh
+    assert len(calls) <= 25
+    x, fx = _brent_min(g, ul, u0, f0, uh)
+    assert x == pytest.approx(20.0, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# field offsets
+
+
+@pytest.mark.parametrize("lam", [-1.5, -1.0, -0.5, 0.5, 1.0, 3.0, 36.97])
+@pytest.mark.parametrize("coef", [0.8, -1.7])
+def test_power_offset_matches_two_power_form(coef, lam):
+    # offset(t) = coef sgn(lam) x^lam - sign t x^2 at x = (t/mag)^(1/(lam-2))
+    offset = _field_term(PotentialTerm(Scope.PAIRWISE, PowerLaw(coef, lam))).offset
+    mag = abs(coef) * abs(lam) / 2.0
+    sign = math.copysign(1.0, coef)
+    for t in (1e-6, 0.03, 0.7, 1.0, 4.2, 1e3, 1e6):
+        x = (t / mag) ** (1.0 / (lam - 2.0))
+        two_power = coef * math.copysign(1.0, lam) * x**lam - sign * t * x * x
+        assert offset(t) == pytest.approx(two_power, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "coef,lam,t,expected",
+    [
+        (33.69, 33.69, 1e300, -math.inf),  # (t/mag)^1.06 past the float range
+        (-2.2, 36.97, 1e300, math.inf),  # (t/mag)^1.06
+        (0.5, 1.5, 1e-300, math.inf),  # (t/mag)^-3
+        (1.2e229, 1.0, 1e-300, math.inf),  # t/mag underflows to 0, then ^-1
+    ],
+)
+def test_power_offset_overflow_reads_as_barrier(coef, lam, t, expected):
+    offset = _field_term(PotentialTerm(Scope.PAIRWISE, PowerLaw(coef, lam))).offset
+    assert offset(t) == expected
+
+
 # ---------------------------------------------------------------------------
 # field extremization against closed forms
 
@@ -156,6 +206,29 @@ def test_oracle_is_deterministic():
     assert first == second  # bitwise
 
 
+def test_oracle_warm_state_is_deterministic():
+    # an atomic draw: its pairwise repulsion is a max-sense field, so the
+    # searches reuse their step sizes within a solve; that state must neither
+    # change a repeated solve nor leak into the next one
+    spec = power_system(4, 2.3, SR, one=(0.9, -1.0), pair=(-0.15, -1.0))
+    q = QuantumNumbers(((1, 0), (0, 0), (0, 0)))
+    first = numeric_afm_minimize(spec, q)
+    other = power_system(3, 1.0, SR, one=(0.3, -1.0), pair=(-0.1, -1.0))
+    numeric_afm_minimize(other, ground(3))
+    second = numeric_afm_minimize(spec, q)
+    assert first == second  # bitwise
+    assert first == pytest.approx(atomic_mass(4, 2.3, 0.9, 0.15, q.q), rel=1e-8)
+
+
+def test_oracle_steep_power_with_tiny_coefficient():
+    # |K| at unit radius is ~1e-268, far below the field's stationary value;
+    # the search must start from a clamped field, not from that flat region
+    spec = power_system(3, 4.98, SR, pair=(1.65e-270, 100.0))
+    q = QuantumNumbers(((196, 1999), (209, 498)))
+    closed = equal_power_mass(spec, q).mass
+    assert numeric_afm_minimize(spec, q) == pytest.approx(closed, rel=1e-8)
+
+
 def test_oracle_budget_exhaustion():
     spec = power_system(3, 1.0, SR, one=(0.3, 1.0), pair=(0.2, -1.0))
     with pytest.raises(NonConvergence):
@@ -203,6 +276,22 @@ def test_oracle_atomic_cost_tight():
             n * (n - 1) / 2.0
         ) ** 1.5
         _atomic_check(n, m, alpha, alphabar, q, max_evals=8_000)
+
+
+def test_oracle_atomic_cost_warm():
+    # the draws of test_oracle_atomic_cost_guard under a budget that only
+    # holds when each search's first bracket step follows its last move
+    rng = np.random.default_rng(2718)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        m = float(rng.uniform(0.5, 5.0))
+        band = int(rng.integers(0, 2))
+        q = QuantumNumbers(((band, 0),) + ((0, 0),) * (n - 2))
+        alpha = float(rng.uniform(0.1, 0.8)) * q.q / n
+        alphabar = float(rng.uniform(0.1, 0.6)) * alpha * n * n / (
+            n * (n - 1) / 2.0
+        ) ** 1.5
+        _atomic_check(n, m, alpha, alphabar, q, max_evals=4_800)
 
 
 def test_oracle_rejects_empty_system():

@@ -141,6 +141,18 @@ def test_quartic_huge_argument_stays_accurate():
         assert abs(4 * x**4 - 8 * x - 3 * y) <= 1e-12 * 3 * y
 
 
+def test_quartic_argument_past_cube_range():
+    # y**3 overflows: the asymptotic seed still converges, and a non-finite
+    # argument is a domain error rather than a NaN root
+    y = 1e202
+    x = quartic_root(y)
+    assert x == pytest.approx((0.75 * y) ** 0.25, rel=1e-12)
+    assert abs(quartic_residual(x, y)) <= 1e-12 * 3.0 * y
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            quartic_root(bad)
+
+
 # ---------------------------------------------------------------------------
 # symmetric eigensolver
 

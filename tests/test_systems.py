@@ -259,6 +259,17 @@ def test_gaussian_small_range_oscillator_expansion():
     assert residuals[0] / residuals[1] == pytest.approx(100.0, rel=0.1)
 
 
+@pytest.mark.parametrize(
+    "m,alpha,beta",
+    [(2.0, 1.5, 1e-232), (2.5e45, 7.8e293, 2.0)],
+    ids=["range-squared-underflows", "y-underflows"],
+)
+def test_gaussian_limit_past_float_range(m, alpha, beta):
+    # beta^2 or Y underflows to 0: every pair sits at the bottom of its well
+    level = gaussian_spectrum(3, m, alpha, beta, 3.0)
+    assert level.energy == pytest.approx(-3.0 * alpha, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # funnel potential
 
