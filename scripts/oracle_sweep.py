@@ -5,7 +5,6 @@ draws, plus the duality identities. Everything should sit far below 1e-8.
 
 Usage: python scripts/oracle_sweep.py [draws per family]
 """
-import math
 import sys
 
 import numpy as np
@@ -24,16 +23,11 @@ from auxfield.model import (
 )
 from auxfield.oracles import numeric_afm_minimize
 from auxfield.systems import (
-    DualityKind,
     atomic_mass,
     baryonic_ur,
-    duality_map,
-    funnel_nbody_ur,
+    duality_identities,
     gaussian_critical_coupling,
     gaussian_spectrum,
-    two_body_funnel_ur,
-    two_body_gaussian_energy,
-    two_body_linear_mass,
 )
 
 NR = Kinematics.NONRELATIVISTIC
@@ -99,28 +93,6 @@ def sweep(draws):
     return worst
 
 
-def duality_gaps():
-    gaps = []
-    a, b = 0.2, 0.3
-    for n in (2, 3, 4, 6):
-        q = 1.5 * (n - 1)
-        direct = gaussian_spectrum(n, 1.0, 20.0, 1.0, q).energy
-        mapped = duality_map(DualityKind.GAUSSIAN_DUAL, n, two_body_gaussian_energy,
-                             m=1.0, alpha=20.0, beta=1.0, q=q)
-        gaps.append(("gaussian-dual", n, abs(direct - mapped) / abs(direct)))
-        direct = linear_mass(n, 1.0, 0.1, 0.25, q).mass
-        mapped = duality_map(DualityKind.LINEAR_DUAL, n, two_body_linear_mass,
-                             m=1.0, a=0.1, b=0.25, q=q)
-        gaps.append(("linear-dual", n, abs(direct - mapped) / abs(direct)))
-        direct = funnel_nbody_ur(n, a, b, q)
-        mapped = duality_map(
-            DualityKind.PAIRWISE_G, n,
-            lambda sigma, g, q2: two_body_funnel_ur(sigma, g * a, g * b, q2),
-            g=1.7, q=q)
-        gaps.append(("funnel-dual", n, abs(direct - mapped) / abs(direct)))
-    return gaps
-
-
 def main():
     draws = int(sys.argv[1]) if len(sys.argv) > 1 else 25
     print(f"closed form vs field-extremization oracle, {draws} draws per family")
@@ -128,9 +100,12 @@ def main():
         flag = "ok" if gap < 1e-8 else "VIOLATION"
         print(f"  {family:16s} worst relative gap {gap:.2e}  {flag}")
     print("duality identities (direct vs two-body route)")
-    worst = max(gap for _, _, gap in duality_gaps())
-    for name, n, gap in duality_gaps():
-        print(f"  {name:14s} N={n}  gap {gap:.2e}")
+    worst = 0.0
+    for n in (2, 3, 4, 6):
+        for name, direct, mapped in duality_identities(n):
+            gap = abs(direct - mapped) / abs(direct)
+            worst = max(worst, gap)
+            print(f"  {name:14s} N={n}  gap {gap:.2e}")
     print("worst duality gap:", f"{worst:.2e}", "ok" if worst < 1e-12 else "VIOLATION")
 
 

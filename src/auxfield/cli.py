@@ -20,11 +20,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Sequence
 
 from . import engine, ho, oracles, systems
-from .errors import AuxFieldError, NumericalError, ValidationError, require_tolerance
+from .errors import (
+    AuxFieldError,
+    NoRestoringForce,
+    NumericalError,
+    UnsupportedCombination,
+    ValidationError,
+    require_tolerance,
+)
 from .model import (
     AFMSolution,
     BoundCharacter,
@@ -187,12 +195,17 @@ def _cmd_ho(args, out) -> int:
     for term in spec.terms:
         if not (isinstance(term.form, PowerLaw) and term.form.exponent == 2.0):
             raise ValidationError("ho expects purely quadratic interactions")
+    if len(spec.one_body) > 1 or len(spec.pairwise) > 1:
+        raise UnsupportedCombination("at most one term per scope")
     k = spec.one_body[0].form.coefficient if spec.one_body else 0.0
     kbar = spec.pairwise[0].form.coefficient if spec.pairwise else 0.0
     if spec.kinematics is Kinematics.SEMIRELATIVISTIC:
         sol = ho.srho_mass(spec.n, spec.identical_mass, k, kbar, q.q)
         emit(solution_to_dict(sol), args.format, out)
         return EXIT_OK
+    kappa = k + spec.n * kbar
+    if kappa <= 0.0:
+        raise NoRestoringForce(f"k + N kbar = {kappa} must be positive")
     if isinstance(spec.masses, PerParticle):
         masses: Sequence[float] = spec.masses.values
     else:
@@ -202,6 +215,8 @@ def _cmd_ho(args, out) -> int:
     kbar_matrix = np.full((spec.n, spec.n), kbar)
     np.fill_diagonal(kbar_matrix, 0.0)
     entry = ho.ho_energies_general(masses, [k] * spec.n, kbar_matrix, q.modes)
+    if not math.isfinite(entry.energy):
+        raise NumericalError(f"energy {entry.energy} is not a finite float")
     emit(
         {"energy": entry.energy, "omegas": list(entry.omegas)},
         args.format,
@@ -257,58 +272,15 @@ def _cmd_gaussian(args, out) -> int:
     return EXIT_OK
 
 
-def _duality_rows(n: int) -> list[dict]:
-    q = 1.5 * (n - 1)
-    rows = []
-
-    direct = systems.gaussian_spectrum(n, 1.0, 20.0, 1.0, q).energy
-    mapped = systems.duality_map(
-        systems.DualityKind.GAUSSIAN_DUAL,
-        n,
-        systems.two_body_gaussian_energy,
-        m=1.0,
-        alpha=20.0,
-        beta=1.0,
-        q=q,
-    )
-    rows.append(("gaussian-dual", direct, mapped))
-
-    direct = engine.linear_mass(n, 1.0, 0.2, 0.15, q).mass
-    mapped = systems.duality_map(
-        systems.DualityKind.LINEAR_DUAL,
-        n,
-        systems.two_body_linear_mass,
-        m=1.0,
-        a=0.2,
-        b=0.15,
-        q=q,
-    )
-    rows.append(("linear-dual", direct, mapped))
-
-    a, b = 0.2, 0.3
-    direct = systems.funnel_nbody_ur(n, a, b, q)
-    mapped = systems.duality_map(
-        systems.DualityKind.PAIRWISE_G,
-        n,
-        lambda sigma, g, q2: systems.two_body_funnel_ur(sigma, g * a, g * b, q2),
-        q=q,
-    )
-    rows.append(("funnel-dual", direct, mapped))
-
-    out = []
-    for name, direct, mapped in rows:
-        report = oracles.compare(direct, mapped, 1e-12)
-        out.append({"check": name, "n": n, **report_to_dict(report)})
-    return out
-
-
 def _cmd_duality_check(args, out) -> int:
     if args.n is not None and args.n < 2:
         raise ValidationError(f"need --n >= 2, got {args.n}")
     ns = [args.n] if args.n is not None else [2, 3, 4, 6]
-    payload = []
-    for n in ns:
-        payload.extend(_duality_rows(n))
+    payload = [
+        {"check": name, "n": n, **report_to_dict(oracles.compare(direct, mapped, 1e-12))}
+        for n in ns
+        for name, direct, mapped in systems.duality_identities(n)
+    ]
     emit(payload, args.format, out)
     if any(row["verdict"] != "match" for row in payload):
         raise NumericalError("a duality identity is violated")

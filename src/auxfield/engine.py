@@ -135,10 +135,16 @@ def _scale_candidates(spec: SystemSpec, q: float) -> list[float]:
                     amp = coef * abs(lam) * n * ((n - 1) / (2.0 * q)) ** ((2.0 - lam) / 2.0)
             except OverflowError:
                 continue  # no finite magnitude from this term
+            powers = []
             if m > 0.0:
-                out.append((m * amp) ** (2.0 / (lam + 2.0)))
+                powers.append((m * amp, 2.0 / (lam + 2.0)))
             if lam + 1.0 > 0.0:
-                out.append(((q / n) * amp * amp) ** (1.0 / (lam + 1.0)))
+                powers.append(((q / n) * amp * amp, 1.0 / (lam + 1.0)))
+            for base, exponent in powers:
+                try:
+                    out.append(base**exponent)
+                except OverflowError:
+                    pass  # this candidate has no finite magnitude
         else:
             cap = form.depth * form.range_ * form.range_  # inf past the float range
             m_eff = m if m > 0.0 else 1.0
@@ -235,15 +241,17 @@ def afm_mass(
         if not 0.0 < x0 < math.inf:
             raise DomainError(f"auxiliary scale X0 = {x0} is not a positive float")
     else:
+        # h(X0) = 2 mu F(X0) / X0 - X0 has the sign of 2 mu F - X0^2 for X0 > 0
+        # and no X0^2 to overflow into a false sign change near sqrt(DBL_MAX)
         if semirel:
 
             def h(x0: float) -> float:
-                return 2.0 * math.sqrt(m * m + qq * x0 / n) * field_sum(x0) - x0 * x0
+                return 2.0 * math.sqrt(m * m + qq * x0 / n) * field_sum(x0) / x0 - x0
 
         else:
 
             def h(x0: float) -> float:
-                return 2.0 * m * field_sum(x0) - x0 * x0
+                return 2.0 * m * field_sum(x0) / x0 - x0
 
         roots = _solve_x0_roots(h, _scale_candidates(spec, qq), tolerance)
         if not roots:
@@ -319,10 +327,13 @@ def equal_power_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
                 "massless pure inverse-distance systems have no scale; the mass"
                 " tends to zero"
             )
-        x0 = ((qq / n) * c * c) ** (1.0 / (lam + 1.0))
-        mass = (lam + 1.0) / lam * (
-            qq ** (lam + 2.0) * n**lam * c * c
-        ) ** (1.0 / (2.0 * (lam + 1.0)))
+        try:
+            x0 = ((qq / n) * c * c) ** (1.0 / (lam + 1.0))
+            mass = (lam + 1.0) / lam * (
+                qq ** (lam + 2.0) * n**lam * c * c
+            ) ** (1.0 / (2.0 * (lam + 1.0)))
+        except OverflowError:
+            x0 = mass = math.inf  # past the float range; at_scale rejects X0
     else:
         if lam == 2.0:
             s = (c * c * qq / (2.0 * n)) ** (1.0 / 3.0)

@@ -204,10 +204,13 @@ class AFMSolution:
         if not 0.0 < x0 < math.inf:
             raise DomainError(f"auxiliary scale X0 = {x0} is not a positive float")
         r_one, r_pair = _tangency_radii(n, q, x0)
+        mu0 = math.sqrt(m * m + q * x0 / n)
+        if mu0 == math.inf:  # m * m overflowed
+            mu0 = math.hypot(m, math.sqrt(q * x0 / n))
         return cls(
             mass=mass,
             x0=x0,
-            mu0=math.sqrt(m * m + q * x0 / n),
+            mu0=mu0,
             r0_one=r_one,
             r0_pair=r_pair,
             bound_character=bound,

@@ -20,7 +20,6 @@ from .errors import (
     UnboundedBelow,
     UnsupportedCombination,
     UnsupportedForm,
-    require_tolerance,
 )
 from .model import (
     GaussianWell,
@@ -58,6 +57,9 @@ _STEP_MAX = 0.5
 _STEP_MIN = 1e-4
 _WARM_GROWTH = 4.0
 _KAPPA_SPAN = 34.5  # trial widths confined to roughly [1e-15, 1e15]
+# Field extremization ends after two passes in a row that move the mass by
+# at most this much relative to max(1, |M|).
+_PASS_TOL = 1e-12
 
 
 class Verdict(Enum):
@@ -281,7 +283,6 @@ def _field_term(term) -> _FieldTerm:
 def numeric_afm_minimize(
     spec: SystemSpec,
     q: QuantumNumbers,
-    tolerance: float = 1e-12,
     max_evals: int = 100_000,
 ) -> float:
     """Extremal mass of the three-field function, found without closed forms.
@@ -292,13 +293,11 @@ def numeric_afm_minimize(
     is extremized by nested Brent line searches in the logs of the
     positive fields: directions whose stationary point is a maximum (repulsive
     or convex terms) are solved innermost, the rest are cyclically minimized
-    until successive passes improve the mass by less than tolerance * |M|
-    (tolerance must be finite and positive, else ValidationError).
+    until two passes in a row change the mass by at most 1e-12 max(1, |M|).
     Quadratic terms pin their field to the spring constant; nonrelativistic
     kinematics pins mu to the particle mass. Deterministic for fixed input.
     """
     validate(spec, q)
-    require_tolerance(tolerance)
     if len(spec.one_body) > 1 or len(spec.pairwise) > 1:
         raise UnsupportedCombination("at most one term per scope")
     if not spec.terms:
@@ -401,7 +400,7 @@ def numeric_afm_minimize(
 
             ts[j] = search(fj, ts[j], +1, j)
         cur = hull(mu, ts)
-        if abs(prev - cur) <= tolerance * max(1.0, abs(cur)):
+        if abs(prev - cur) <= _PASS_TOL * max(1.0, abs(cur)):
             small_steps += 1
             if small_steps >= 2:
                 return cur

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+from .engine import linear_mass
 from .errors import (
     InvalidCoefficient,
     NoBoundState,
@@ -308,47 +309,77 @@ def funnel_nbody_ur(n: int, a: float, b: float, q: float) -> float:
 
 # ---------------------------------------------------------------------------
 # duality maps: N-body masses through two-body evaluators
+#
+# The pairwise-only maps rescale the principal number to
+# Q* = Q sqrt(2/(N(N-1))) and call two_body(sigma, g, Q*), the mass of
+# sigma sqrt(p^2 + m^2) + g Vbar(r); the result does not depend on the free
+# choice of sigma (or g).
 
 
-class DualityKind(Enum):
-    GROUND_REDUCTION = "ground_reduction"
-    PAIRWISE_SIGMA = "pairwise_sigma"
-    PAIRWISE_G = "pairwise_g"
-    GAUSSIAN_DUAL = "gaussian_dual"
-    LINEAR_DUAL = "linear_dual"
+def pairwise_sigma_dual(
+    n: int, two_body: Callable, q: float, sigma: float = 2.0
+) -> float:
+    """N-body mass of a pairwise-only system, two-body weight sigma."""
+    q_star = q * math.sqrt(2.0 / (n * (n - 1.0)))
+    return n / sigma * two_body(sigma, (n - 1.0) / 2.0 * sigma, q_star)
 
 
-def duality_map(kind: DualityKind, n: int, two_body: Callable, **params) -> float:
-    """Evaluate an N-body mass through a two-body evaluator.
+def pairwise_g_dual(n: int, two_body: Callable, q: float, g: float = 1.0) -> float:
+    """N-body mass of a pairwise-only system, two-body coupling g."""
+    q_star = q * math.sqrt(2.0 / (n * (n - 1.0)))
+    return n * (n - 1.0) / (2.0 * g) * two_body(2.0 * g / (n - 1.0), g, q_star)
 
-    Pairwise-only maps rescale the principal number to
-    Q* = Q sqrt(2/(N(N-1))) and call two_body(sigma, g, Q*), the mass of
-    sigma sqrt(p^2 + m^2) + g Vbar(r); the caller picks sigma (or g) freely
-    since the result does not depend on it. The gaussian dual keeps Q and
-    rescales the well instead, and the linear dual absorbs the pairwise slope
-    into an effective two-body slope at sigma = N.
+
+def gaussian_dual(
+    n: int, two_body: Callable, m: float, alpha: float, beta: float, q: float
+) -> float:
+    """N-body gaussian level through two_body(m, alpha', beta', Q).
+
+    Q stays; the well deepens to alpha N(N-1)/2 and widens to beta/sqrt(N-1).
     """
-    if kind is DualityKind.GROUND_REDUCTION:
-        return twobody_reduction(n, params["m"], two_body)
-    if kind is DualityKind.PAIRWISE_SIGMA:
-        sigma = params.get("sigma", 2.0)
-        q_star = params["q"] * math.sqrt(2.0 / (n * (n - 1.0)))
-        return n / sigma * two_body(sigma, (n - 1.0) / 2.0 * sigma, q_star)
-    if kind is DualityKind.PAIRWISE_G:
-        g = params.get("g", 1.0)
-        q_star = params["q"] * math.sqrt(2.0 / (n * (n - 1.0)))
-        return n * (n - 1.0) / (2.0 * g) * two_body(2.0 * g / (n - 1.0), g, q_star)
-    if kind is DualityKind.GAUSSIAN_DUAL:
-        return two_body(
-            params["m"],
-            params["alpha"] * n * (n - 1.0) / 2.0,
-            params["beta"] / math.sqrt(n - 1.0),
-            params["q"],
-        )
-    if kind is DualityKind.LINEAR_DUAL:
-        slope = params["a"] + params["b"] * math.sqrt(n * (n - 1.0) / 2.0)
-        return two_body(float(n), params["m"], slope, params["q"])
-    raise ValidationError(f"unknown duality kind {kind!r}")
+    return two_body(m, alpha * n * (n - 1.0) / 2.0, beta / math.sqrt(n - 1.0), q)
+
+
+def linear_dual(
+    n: int, two_body: Callable, m: float, a: float, b: float, q: float
+) -> float:
+    """N-body linear mass through two_body(sigma, m, slope, Q).
+
+    The pairwise slope b joins the one-body slope a in the effective slope
+    a + b sqrt(N(N-1)/2), at sigma = N.
+    """
+    slope = a + b * math.sqrt(n * (n - 1.0) / 2.0)
+    return two_body(float(n), m, slope, q)
+
+
+def duality_identities(n: int) -> list[tuple[str, float, float]]:
+    """Rows (name, direct, mapped): one level at N bodies by both routes.
+
+    The gaussian well (m = 1, alpha = 20, beta = 1), the linear system
+    (m = 1, a = 0.2, b = 0.15) and the massless funnel (a = 0.2, b = 0.3)
+    are taken at Q = 1.5 (N-1); direct and mapped agree to rounding.
+    """
+    q = 1.5 * (n - 1)
+    a, b = 0.2, 0.3
+    return [
+        (
+            "gaussian-dual",
+            gaussian_spectrum(n, 1.0, 20.0, 1.0, q).energy,
+            gaussian_dual(n, two_body_gaussian_energy, 1.0, 20.0, 1.0, q),
+        ),
+        (
+            "linear-dual",
+            linear_mass(n, 1.0, 0.2, 0.15, q).mass,
+            linear_dual(n, two_body_linear_mass, 1.0, 0.2, 0.15, q),
+        ),
+        (
+            "funnel-dual",
+            funnel_nbody_ur(n, a, b, q),
+            pairwise_g_dual(
+                n, lambda sigma, g, q2: two_body_funnel_ur(sigma, g * a, g * b, q2), q
+            ),
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,13 @@ from auxfield.systems import (
     baryon_table,
     baryonic_ur,
     coulomb_critical_coupling,
-    duality_map,
-    DualityKind,
     funnel_nbody_ur,
     gaussian_critical_coupling,
+    gaussian_dual,
     gaussian_energy_alt,
     gaussian_spectrum,
+    linear_dual,
+    pairwise_g_dual,
     two_body_funnel_ur,
     two_body_gaussian_energy,
     two_body_linear_mass,
@@ -237,25 +238,20 @@ def test_criterion_5_duality_identities():
         q = 1.5 * (n - 1)
 
         direct = gaussian_spectrum(n, m, alpha, beta, q).energy
-        mapped = duality_map(
-            DualityKind.GAUSSIAN_DUAL, n, two_body_gaussian_energy,
-            m=m, alpha=alpha, beta=beta, q=q,
-        )
+        mapped = gaussian_dual(n, two_body_gaussian_energy, m, alpha, beta, q)
         assert abs(direct - mapped) <= 1e-12 * max(1.0, abs(direct))
 
         direct = linear_mass(n, m, 0.1, 0.25, q).mass
-        mapped = duality_map(
-            DualityKind.LINEAR_DUAL, n, two_body_linear_mass,
-            m=m, a=0.1, b=0.25, q=q,
-        )
+        mapped = linear_dual(n, two_body_linear_mass, m, 0.1, 0.25, q)
         assert abs(direct - mapped) <= 1e-12 * max(1.0, abs(direct))
 
         direct = funnel_nbody_ur(n, a, b, q)
         for g in (1.0, 2.5):
-            mapped = duality_map(
-                DualityKind.PAIRWISE_G, n,
+            mapped = pairwise_g_dual(
+                n,
                 lambda sigma, gg, q2: two_body_funnel_ur(sigma, gg * a, gg * b, q2),
-                g=g, q=q,
+                q,
+                g=g,
             )
             assert abs(direct - mapped) <= 1e-12 * max(1.0, abs(direct))
     elapsed = time.perf_counter() - start

@@ -18,6 +18,7 @@ from auxfield.cli import (
     solution_to_dict,
 )
 from auxfield.engine import afm_mass
+from auxfield.ho import ho_energy_3body_closed
 from auxfield.model import BoundCharacter, Kinematics
 
 
@@ -31,6 +32,14 @@ def write_spec(tmp_path, payload, name="system.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _power(coefficient, exponent):
+    return {"type": "power", "coefficient": coefficient, "exponent": exponent}
+
+
+def _gaussian(depth, range_):
+    return {"type": "gaussian", "depth": depth, "range": range_}
 
 
 LINEAR_SPEC = {
@@ -126,6 +135,43 @@ def test_ho_command_value(tmp_path):
     assert data["energy"] == pytest.approx(7.348469, abs=5e-7)
 
 
+def test_ho_per_particle_masses_match_three_body_closed_form(tmp_path):
+    spec = dict(HO_SPEC, masses=[1.0, 2.0, 3.5], one_body=[_power(0.4, 2.0)])
+    del spec["mass"]
+    path = write_spec(tmp_path, spec)
+    code, text = run_cli(["ho", "--spec", path, "--format", "json"])
+    assert code == EXIT_OK
+    closed = ho_energy_3body_closed(
+        [1.0, 2.0, 3.5], [0.4] * 3, [1.0] * 3, (0, 0), (0, 0)
+    )
+    assert json.loads(text)["energy"] == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "change,code,error",
+    [
+        # the second spring was dropped: 4.2426 is the level of spring 1 alone
+        (
+            {"pairwise": [], "one_body": [_power(1.0, 2.0), _power(5.0, 2.0)]},
+            EXIT_VALIDATION,
+            "UnsupportedCombination",
+        ),
+        ({"pairwise": []}, EXIT_VALIDATION, "NoRestoringForce"),
+        (
+            {"mass": 2.2e-309, "pairwise": [], "one_body": [_power(2.0, 2.0)]},
+            EXIT_NUMERICAL,
+            "NumericalError",
+        ),
+    ],
+    ids=["two-springs-one-scope", "no-terms", "subnormal-mass"],
+)
+def test_ho_rejects_what_it_would_answer_wrong(tmp_path, change, code, error):
+    path = write_spec(tmp_path, dict(HO_SPEC, **change))
+    exit_code, text = run_cli(["ho", "--spec", path, "--format", "json"])
+    assert exit_code == code
+    assert json.loads(text)["error"]["type"] == error
+
+
 def test_ho_semirelativistic_goes_through_oscillator_mass(tmp_path):
     spec = dict(HO_SPEC, kinematics="semirelativistic")
     path = write_spec(tmp_path, spec)
@@ -186,6 +232,22 @@ def test_duality_check_passes():
     assert all(row["verdict"] == "match" for row in rows)
 
 
+def test_duality_check_default_tsv_lists_every_identity():
+    code, text = run_cli(["duality-check"])
+    assert code == EXIT_OK
+    lines = text.splitlines()
+    assert lines[0].split("\t") == [
+        "check", "n", "closed_form", "oracle_value", "relative_gap", "verdict", "tolerance"
+    ]
+    rows = [line.split("\t") for line in lines[1:]]
+    assert [(row[0], row[1]) for row in rows] == [
+        (name, n)
+        for n in ("2", "3", "4", "6")
+        for name in ("gaussian-dual", "linear-dual", "funnel-dual")
+    ]
+    assert all(row[5] == "match" and float(row[4]) <= 1e-12 for row in rows)
+
+
 @pytest.mark.parametrize("n", ["1", "0"])
 def test_duality_check_rejects_fewer_than_two_bodies(n):
     code, text = run_cli(["duality-check", "--n", n, "--format", "json"])
@@ -217,6 +279,15 @@ def test_verify_overflow_document_exits_cleanly(tmp_path):
     data = json.loads(result.stdout)
     assert data["verdict"] == "match"
     assert data["closed_form"] == pytest.approx(2.143002805165599e196, rel=1e-12)
+
+
+def test_solve_keeps_mu0_finite_where_mass_squared_overflows(tmp_path):
+    spec = dict(GAUSS_SPEC, mass=1.53e249, pairwise=[_gaussian(2.04e16, 2.0)])
+    path = write_spec(tmp_path, spec)
+    code, text = run_cli(["solve", "--spec", path, "--format", "json"])
+    assert code == EXIT_OK
+    data = json.loads(text)
+    assert data["mu0"] == pytest.approx(1.53e249, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +492,16 @@ _DOCUMENT = st.fixed_dictionaries(
         "modes": [[112, 179], [1908, 293], [136, 1578], [1908, 293], [200, 104]],
     }
 )
+# a candidate grid scale (Q/N amp^2)^(1/(lam+1)) overflowed at lam = -0.999
+@example(dict(LINEAR_SPEC, mass=0.0, pairwise=[_power(5.0, -0.999)]))
+@example(
+    dict(
+        LINEAR_SPEC,
+        one_body=[_power(5.0, -0.999)],
+        pairwise=[_power(0.1, 1.0)],
+        kinematics="nonrelativistic",
+    )
+)
 def test_solve_exit_code_is_always_0_2_or_3(tmp_path, document):
     path = write_spec(tmp_path, document)
     code, _ = run_cli(["solve", "--spec", path, "--format", "json"])
@@ -469,14 +550,6 @@ def _shaped_example(n, mass, kinematics, one_body=(), pairwise=()):
         "pairwise": list(pairwise),
         "modes": [[500, 500]] * (n - 1),
     }
-
-
-def _power(coefficient, exponent):
-    return {"type": "power", "coefficient": coefficient, "exponent": exponent}
-
-
-def _gaussian(depth, range_):
-    return {"type": "gaussian", "depth": depth, "range": range_}
 
 
 @pytest.mark.parametrize("command", ["verify", "ho", "gaussian"])

@@ -11,8 +11,10 @@ from auxfield.engine import (
     linear_mass,
 )
 from auxfield.errors import (
+    DomainError,
     NonPositiveSlope,
     NoPositiveRoot,
+    NumericalError,
     UnsupportedCombination,
     ValidationError,
 )
@@ -211,6 +213,45 @@ def test_excited_steep_power_skips_overflowing_scale_candidate():
     q = QuantumNumbers(((0, 0), (2000, 0)))
     sol = afm_mass(spec, q)
     assert sol.mass == pytest.approx(numeric_afm_minimize(spec, q), rel=1e-12)
+
+
+def test_no_false_root_where_x0_squared_overflows():
+    # X0^2 reached inf at X0 = sqrt(DBL_MAX), a false sign change of the
+    # scale equation that gave -2.75e153; the true root X0 = 6.7e164 lies
+    # where the field sum itself overflows
+    spec = power_system(3, 1.0, NR, pair=(10.0, -1.99))
+    q = ground(3)
+    try:
+        mass = afm_mass(spec, q).mass
+    except NumericalError:
+        return
+    assert mass == pytest.approx(equal_power_mass(spec, q).mass, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kinematics,mass,one,pair",
+    [
+        (SR, 0.0, None, (5.0, -0.999)),
+        (NR, 1.0, (5.0, -0.999), (0.1, 1.0)),
+        (SR, 1.0, (5.0, -0.999), (0.1, 1.0)),
+    ],
+    ids=["massless-pair", "nr-mixed", "sr-mixed"],
+)
+def test_overflowing_scale_candidate_is_skipped(kinematics, mass, one, pair):
+    # (Q/N amp^2)^(1/(lam+1)) overflows for lam + 1 = 0.001; the solve must
+    # end in a mass or a typed error, not OverflowError
+    spec = power_system(3, mass, kinematics, one=one, pair=pair)
+    try:
+        sol = afm_mass(spec, ground(3))
+    except NumericalError:
+        return
+    assert sol.mass == pytest.approx(numeric_afm_minimize(spec, ground(3)), rel=1e-12)
+
+
+def test_equal_power_massless_overflowing_scale_is_domain_error():
+    spec = power_system(3, 0.0, SR, pair=(5.0, -0.999))
+    with pytest.raises(DomainError):
+        equal_power_mass(spec, ground(3))
 
 
 def test_mass_monotone_in_pair_strength():

@@ -12,6 +12,8 @@ from auxfield.errors import (
     ZeroMassNonrelativistic,
 )
 from auxfield.model import (
+    AFMSolution,
+    BoundCharacter,
     GaussianWell,
     Identical,
     Kinematics,
@@ -191,3 +193,17 @@ def test_power_evaluation_past_float_range():
     assert PowerLaw(0.5, 300.0).evaluate(1e3) == math.inf
     assert PowerLaw(0.5, -300.0).evaluate(1e-3) == -math.inf
     assert PowerLaw(0.0, 300.0).evaluate(1e3) == 0.0
+
+
+def test_at_scale_mu0_stays_finite_when_mass_squared_overflows():
+    # m * m is inf above m ~ 1.3e154; Q X0 / N is negligible next to m^2 here
+    sol = AFMSolution.at_scale(
+        3, 1.53e249, 3.0, 2.7e133, 4.59e249, BoundCharacter.UPPER_BOUND
+    )
+    assert sol.mu0 == 1.53e249
+
+
+def test_at_scale_mu0_is_the_plain_square_root_below_overflow():
+    m, q, x0 = 1.7, 3.0, 2.3
+    sol = AFMSolution.at_scale(3, m, q, x0, 1.0, BoundCharacter.UPPER_BOUND)
+    assert sol.mu0 == math.sqrt(m * m + q * x0 / 3)

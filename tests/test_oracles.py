@@ -10,7 +10,6 @@ from auxfield.errors import (
     NonConvergence,
     UnboundedBelow,
     UnsupportedCombination,
-    ValidationError,
 )
 from auxfield.ho import ho_energy_identical, srho_mass
 from auxfield.model import Kinematics, PotentialTerm, PowerLaw, QuantumNumbers, Scope
@@ -298,13 +297,6 @@ def test_oracle_rejects_empty_system():
     spec = power_system(3, 1.0, SR)
     with pytest.raises(UnsupportedCombination):
         numeric_afm_minimize(spec, ground(3))
-
-
-@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
-def test_oracle_rejects_unusable_tolerance(tolerance):
-    spec = power_system(3, 1.0, SR, pair=(0.2, 1.0))
-    with pytest.raises(ValidationError):
-        numeric_afm_minimize(spec, ground(3), tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from auxfield.ho import srho_mass
 from auxfield.systems import (
     BaryonParams,
     BaryonVariant,
-    DualityKind,
     atomic_binding_parameter,
     atomic_mass,
     atomic_mass_nr,
@@ -24,11 +23,14 @@ from auxfield.systems import (
     baryonic_ur,
     coulomb_critical_coupling,
     coulomb_nbody,
-    duality_map,
     funnel_nbody_ur,
     gaussian_critical_coupling,
+    gaussian_dual,
     gaussian_energy_alt,
     gaussian_spectrum,
+    linear_dual,
+    pairwise_g_dual,
+    pairwise_sigma_dual,
     twobody_reduction,
     two_body_coulomb_ground,
     two_body_funnel_ur,
@@ -315,15 +317,7 @@ def test_gaussian_dual_identity():
     for n in (2, 3, 4, 6):
         q = 1.5 * (n - 1)
         direct = gaussian_spectrum(n, m, alpha, beta, q).energy
-        mapped = duality_map(
-            DualityKind.GAUSSIAN_DUAL,
-            n,
-            two_body_gaussian_energy,
-            m=m,
-            alpha=alpha,
-            beta=beta,
-            q=q,
-        )
+        mapped = gaussian_dual(n, two_body_gaussian_energy, m, alpha, beta, q)
         assert mapped == pytest.approx(direct, rel=1e-12)
 
 
@@ -331,26 +325,10 @@ def test_linear_dual_identity():
     for n in (2, 3, 4, 6):
         q = 1.5 * (n - 1)
         direct = linear_mass(n, 1.0, 0.2, 0.0, q).mass
-        mapped = duality_map(
-            DualityKind.LINEAR_DUAL,
-            n,
-            two_body_linear_mass,
-            m=1.0,
-            a=0.2,
-            b=0.0,
-            q=q,
-        )
+        mapped = linear_dual(n, two_body_linear_mass, 1.0, 0.2, 0.0, q)
         assert mapped == pytest.approx(direct, rel=1e-12)
         with_pair = linear_mass(n, 1.0, 0.1, 0.25, q).mass
-        mapped_pair = duality_map(
-            DualityKind.LINEAR_DUAL,
-            n,
-            two_body_linear_mass,
-            m=1.0,
-            a=0.1,
-            b=0.25,
-            q=q,
-        )
+        mapped_pair = linear_dual(n, two_body_linear_mass, 1.0, 0.1, 0.25, q)
         assert mapped_pair == pytest.approx(with_pair, rel=1e-12)
 
 
@@ -361,34 +339,23 @@ def test_pairwise_g_identity_at_two_bodies():
     def evaluator(sigma, g, q2):
         return two_body_funnel_ur(sigma, g * a, g * b, q2)
 
-    mapped = duality_map(DualityKind.PAIRWISE_G, 2, evaluator, g=1.0, q=q)
+    mapped = pairwise_g_dual(2, evaluator, q, g=1.0)
     assert mapped == pytest.approx(two_body_funnel_ur(2.0, a, b, q), rel=1e-14)
 
 
 def test_funnel_direct_equals_duality_route():
     a, b = 0.2, 0.3
+
+    def evaluator(sigma, g, q2):
+        return two_body_funnel_ur(sigma, g * a, g * b, q2)
+
     for n in (2, 3, 4, 6):
         q = 1.5 * (n - 1)
         direct = funnel_nbody_ur(n, a, b, q)
-        for kind, extra in (
-            (DualityKind.PAIRWISE_G, {"g": 1.0}),
-            (DualityKind.PAIRWISE_G, {"g": 2.5}),
-        ):
-            mapped = duality_map(
-                kind,
-                n,
-                lambda sigma, g, q2: two_body_funnel_ur(sigma, g * a, g * b, q2),
-                q=q,
-                **extra,
-            )
+        for g in (1.0, 2.5):
+            mapped = pairwise_g_dual(n, evaluator, q, g=g)
             assert mapped == pytest.approx(direct, rel=1e-12)
-        sigma_route = duality_map(
-            DualityKind.PAIRWISE_SIGMA,
-            n,
-            lambda sigma, g, q2: two_body_funnel_ur(sigma, g * a, g * b, q2),
-            sigma=2.0,
-            q=q,
-        )
+        sigma_route = pairwise_sigma_dual(n, evaluator, q, sigma=2.0)
         assert sigma_route == pytest.approx(direct, rel=1e-12)
 
 
