@@ -29,7 +29,6 @@ from .errors import (
     AuxFieldError,
     NoRestoringForce,
     NumericalError,
-    UnsupportedCombination,
     ValidationError,
     require_tolerance,
 )
@@ -195,8 +194,6 @@ def _cmd_ho(args, out) -> int:
     for term in spec.terms:
         if not (isinstance(term.form, PowerLaw) and term.form.exponent == 2.0):
             raise ValidationError("ho expects purely quadratic interactions")
-    if len(spec.one_body) > 1 or len(spec.pairwise) > 1:
-        raise UnsupportedCombination("at most one term per scope")
     k = spec.one_body[0].form.coefficient if spec.one_body else 0.0
     kbar = spec.pairwise[0].form.coefficient if spec.pairwise else 0.0
     if spec.kinematics is Kinematics.SEMIRELATIVISTIC:

@@ -210,8 +210,6 @@ def afm_mass(
     """
     validate(spec, q)
     require_tolerance(tolerance)
-    if len(spec.one_body) > 1 or len(spec.pairwise) > 1:
-        raise UnsupportedCombination("at most one term per scope")
     if not spec.terms:
         raise UnsupportedCombination("need at least one potential term")
     n = spec.n
@@ -265,8 +263,6 @@ def afm_mass(
 
 def _extract_equal_powers(spec: SystemSpec) -> tuple[float, float, float]:
     """(a, b, lam) from a one-body and/or pairwise power-law system."""
-    if len(spec.one_body) > 1 or len(spec.pairwise) > 1:
-        raise UnsupportedCombination("at most one term per scope")
     a = b = 0.0
     lams = set()
     if spec.one_body:
@@ -302,7 +298,8 @@ def equal_power_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
     (N lam m^2 + Q (lam+1) X0) / (lam sqrt(m^2 + Q X0/N)). Nonrelativistic
     kinematics and the massless limit are closed for every exponent; with a
     finite mass the equation is algebraic for lam in {-1, 1, 2}, and other
-    exponents fall back to the numeric solve of afm_mass.
+    exponents fall back to the numeric solve of afm_mass, as does an
+    amplitude C past the float range.
     """
     validate(spec, q)
     a, b, lam = _extract_equal_powers(spec)
@@ -310,11 +307,16 @@ def equal_power_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
     m = spec.identical_mass
     qq = q.q
 
-    amp_one = a * abs(lam) * (n / qq) ** ((2.0 - lam) / 2.0)
-    amp_pair = b * abs(lam) * n * ((n - 1) / (2.0 * qq)) ** ((2.0 - lam) / 2.0)
-    c = amp_one + amp_pair
+    try:
+        amp_one = a * abs(lam) * (n / qq) ** ((2.0 - lam) / 2.0)
+        amp_pair = b * abs(lam) * n * ((n - 1) / (2.0 * qq)) ** ((2.0 - lam) / 2.0)
+        c = amp_one + amp_pair
+    except OverflowError:
+        c = math.inf
     if c <= 0.0:
         raise NoPositiveRoot(f"combined amplitude {c} <= 0: no binding")
+    if not c < math.inf:  # the amplitude left the float range, X0 need not
+        return afm_mass(spec, q)
 
     if spec.kinematics is Kinematics.NONRELATIVISTIC:
         x0 = (m * c) ** (2.0 / (lam + 2.0))
@@ -328,12 +330,10 @@ def equal_power_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
                 " tends to zero"
             )
         try:
-            x0 = ((qq / n) * c * c) ** (1.0 / (lam + 1.0))
-            mass = (lam + 1.0) / lam * (
-                qq ** (lam + 2.0) * n**lam * c * c
-            ) ** (1.0 / (2.0 * (lam + 1.0)))
+            x0 = (qq / n) ** (1.0 / (lam + 1.0)) * c ** (2.0 / (lam + 1.0))
         except OverflowError:
-            x0 = mass = math.inf  # past the float range; at_scale rejects X0
+            x0 = math.inf  # past the float range; at_scale rejects X0
+        mass = _m00_mass(n, 0.0, qq, lam, x0)
     else:
         if lam == 2.0:
             s = (c * c * qq / (2.0 * n)) ** (1.0 / 3.0)

@@ -129,7 +129,7 @@ def ho_energies_general(
     if reference_mass is None:
         reference_mass = float(masses[0])
     qf = build_quadratic_form(masses, k, kbar, reference_mass)
-    evals, _ = symmetric_eigen(qf.j)
+    evals = symmetric_eigen(qf.j).tolist()
     omegas = tuple(math.sqrt(max(2.0 * d, 0.0) / reference_mass) for d in evals)
     energy = sum(
         w * (2 * ni + li + 1.5) for w, (ni, li) in zip(omegas, modes)

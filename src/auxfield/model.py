@@ -17,6 +17,7 @@ from .errors import (
     InvalidCoefficient,
     InvalidExponent,
     SingularMasses,
+    UnsupportedCombination,
     UnsupportedForm,
     ValidationError,
     WrongModeCount,
@@ -259,7 +260,9 @@ def validate(
 ) -> tuple[SystemSpec, QuantumNumbers]:
     """Check every type invariant; return the pair unchanged if all hold.
 
-    Idempotent: validating an accepted pair again accepts identical content.
+    Every solver accepts at most one term per scope; a second one raises
+    UnsupportedCombination. Idempotent: validating an accepted pair again
+    accepts identical content.
     """
     if not isinstance(spec.n, int) or spec.n < 2:
         raise ValidationError(f"need an integer particle count >= 2, got {spec.n!r}")
@@ -303,5 +306,7 @@ def validate(
     for n_i, l_i in q.modes:
         if not (isinstance(n_i, int) and isinstance(l_i, int)) or n_i < 0 or l_i < 0:
             raise ValidationError(f"mode ({n_i!r}, {l_i!r}) must be non-negative integers")
+    if len(spec.one_body) > 1 or len(spec.pairwise) > 1:
+        raise UnsupportedCombination("at most one term per scope")
 
     return spec, q

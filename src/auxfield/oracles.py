@@ -298,8 +298,6 @@ def numeric_afm_minimize(
     kinematics pins mu to the particle mass. Deterministic for fixed input.
     """
     validate(spec, q)
-    if len(spec.one_body) > 1 or len(spec.pairwise) > 1:
-        raise UnsupportedCombination("at most one term per scope")
     if not spec.terms:
         raise UnsupportedCombination("need at least one potential term")
     n = spec.n

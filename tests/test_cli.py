@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -18,7 +19,7 @@ from auxfield.cli import (
     solution_to_dict,
 )
 from auxfield.engine import afm_mass
-from auxfield.ho import ho_energy_3body_closed
+from auxfield.ho import build_quadratic_form, ho_energy_3body_closed
 from auxfield.model import BoundCharacter, Kinematics
 
 
@@ -145,6 +146,30 @@ def test_ho_per_particle_masses_match_three_body_closed_form(tmp_path):
         [1.0, 2.0, 3.5], [0.4] * 3, [1.0] * 3, (0, 0), (0, 0)
     )
     assert json.loads(text)["energy"] == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [40, 64])
+def test_ho_takes_more_than_33_particles(tmp_path, n):
+    rng = np.random.default_rng(n)
+    masses = rng.uniform(0.1, 10.0, size=n)
+    spec = dict(
+        HO_SPEC,
+        N=n,
+        masses=masses.tolist(),
+        one_body=[_power(0.4, 2.0)],
+        modes=[[0, 1]] + [[0, 0]] * (n - 2),
+    )
+    del spec["mass"]
+    path = write_spec(tmp_path, spec)
+    code, text = run_cli(["ho", "--spec", path, "--format", "json"])
+    assert code == EXIT_OK
+    kbar = np.ones((n, n)) - np.eye(n)
+    evals = np.linalg.eigvalsh(build_quadratic_form(masses, [0.4] * n, kbar).j)
+    omegas = np.sqrt(2.0 * evals / masses[0])
+    data = json.loads(text)
+    assert np.max(np.abs(np.array(data["omegas"]) - omegas)) <= 1e-12 * omegas[-1]
+    expected = 1.5 * omegas.sum() + omegas[0]
+    assert data["energy"] == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize(

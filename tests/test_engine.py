@@ -327,6 +327,19 @@ def test_equal_power_sr_linear_matches_linear_mass():
     assert sol.mass == pytest.approx(closed.mass, rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "lam,mode", [(60.0, (2000, 0)), (150.0, (2000, 0)), (300.0, (2000, 0)), (300.0, (55, 1))]
+)
+def test_equal_power_massless_steep_excited_matches_afm_mass(lam, mode):
+    # X0 and the mass are finite although c*c (lam 60, 150) or the amplitude
+    # itself (lam 300: its power overflows, or at Q = 114 its product) leaves
+    # the float range
+    spec = power_system(3, 0.0, SR, pair=(0.2, lam))
+    q = QuantumNumbers(((0, 0), mode))
+    sol = equal_power_mass(spec, q)
+    assert sol.mass == pytest.approx(afm_mass(spec, q).mass, rel=1e-12)
+
+
 def test_equal_power_requires_matching_exponents():
     spec = power_system(3, 1.0, SR, one=(0.2, 1.0), pair=(0.3, -1.0))
     with pytest.raises(UnsupportedCombination):

@@ -233,6 +233,21 @@ def test_identical_energy_cross_check_general():
     assert direct == pytest.approx(general.energy, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [40, 64])
+def test_general_beyond_33_particles_matches_library_eigenvalues(n):
+    rng = np.random.default_rng(n)
+    masses = rng.uniform(0.1, 10.0, size=n)
+    k = rng.uniform(0.0, 5.0, size=n)
+    upper = np.triu(rng.uniform(0.0, 5.0, size=(n, n)), 1)
+    modes = ((1, 2),) + ((0, 0),) * (n - 3) + ((0, 1),)
+    entry = ho_energies_general(masses, k, upper + upper.T, modes)
+    evals = np.linalg.eigvalsh(build_quadratic_form(masses, k, upper + upper.T).j)
+    omegas = np.sqrt(2.0 * evals / masses[0])
+    assert np.max(np.abs(np.array(entry.omegas) - omegas)) <= 1e-12 * omegas[-1]
+    energy = sum(w * (2 * ni + li + 1.5) for w, (ni, li) in zip(omegas, modes))
+    assert entry.energy == pytest.approx(energy, rel=1e-12)
+
+
 def test_identical_energy_requires_restoring_force():
     with pytest.raises(NoRestoringForce):
         ho_energy_identical(3, 1.0, 0.0, 0.0, 3.0)

@@ -154,29 +154,29 @@ def test_quartic_argument_past_cube_range():
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigensolver
+# symmetric eigenvalues
 
 
 def test_eigen_2x2():
-    w, o = symmetric_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    a = np.array([[2.0, 1.0], [1.0, 2.0]])
+    w = symmetric_eigen(a)
     assert w == pytest.approx([1.0, 3.0], rel=1e-12)
-    assert np.max(np.abs(o.T @ o - np.eye(2))) < 1e-12
+    assert np.max(np.abs(w - np.linalg.eigvalsh(a))) < 1e-12
 
 
 def test_eigen_identity():
-    w, o = symmetric_eigen(np.eye(4))
+    w = symmetric_eigen(np.eye(4))
     assert w == pytest.approx([1.0] * 4)
-    assert np.allclose(o.T @ o, np.eye(4), atol=1e-12)
+    assert np.allclose(w, np.linalg.eigvalsh(np.eye(4)), rtol=0.0, atol=1e-12)
 
 
 def test_eigen_reconstruction_random():
     rng = np.random.default_rng(42)
     a = rng.normal(size=(5, 5))
     a = 0.5 * (a + a.T)
-    w, o = symmetric_eigen(a)
-    recon = o @ np.diag(w) @ o.T
-    assert np.max(np.abs(recon - a)) <= 1e-10 * np.max(np.abs(a))
-    assert np.max(np.abs(o.T @ o - np.eye(5))) <= 1e-12
+    w = symmetric_eigen(a)
+    assert w.shape == (5,)
+    assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-10 * np.max(np.abs(a))
     assert np.all(np.diff(w) >= -1e-14)
 
 
@@ -188,9 +188,8 @@ def test_eigen_reconstruction_many_small_matrices():
         dim = 3 + i % 4
         a = rng.normal(size=(dim, dim))
         a = 0.5 * (a + a.T)
-        w, o = symmetric_eigen(a)
-        recon = o @ np.diag(w) @ o.T
-        assert np.max(np.abs(recon - a)) <= 1e-12 * np.max(np.abs(a)), i
+        w = symmetric_eigen(a)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-12 * np.max(np.abs(a)), i
 
 
 def test_eigen_raises_when_sweeps_run_out():
@@ -203,7 +202,7 @@ def test_eigen_matches_library_solver():
     for dim in (2, 3, 6, 12):
         a = rng.normal(size=(dim, dim))
         a = 0.5 * (a + a.T)
-        w, _ = symmetric_eigen(a)
+        w = symmetric_eigen(a)
         assert w == pytest.approx(np.linalg.eigvalsh(a), rel=1e-10, abs=1e-10)
 
 
@@ -214,16 +213,11 @@ def test_eigen_similarity_invariance():
     # random rotation from QR of a gaussian matrix
     qmat, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     b = qmat @ a @ qmat.T
-    wa, _ = symmetric_eigen(a)
-    wb, _ = symmetric_eigen(0.5 * (b + b.T))
+    wa = symmetric_eigen(a)
+    wb = symmetric_eigen(0.5 * (b + b.T))
     assert wa == pytest.approx(wb, rel=1e-10, abs=1e-10)
 
 
 def test_eigen_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         symmetric_eigen(np.array([[1.0, 2.0], [0.5, 1.0]]))
-
-
-def test_eigen_rejects_oversized():
-    with pytest.raises(NotSymmetric):
-        symmetric_eigen(np.eye(33))
