@@ -12,6 +12,7 @@ other.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 from .errors import (
@@ -38,6 +39,12 @@ from .model import (
     validate,
 )
 from .special import cubic_root, quartic_root
+
+_EPS = sys.float_info.epsilon
+_LN2 = math.log(2.0)
+_T_MIN = math.log(math.ulp(0.0))  # t = ln X0 of the least positive float
+_T_MAX = math.log(sys.float_info.max)
+_STEP = 0.5 * math.log(10.0)  # half a decade of X0: first bracketing step, scan step
 
 
 def auxiliary_k(term: PotentialTerm) -> Callable[[float], float]:
@@ -152,10 +159,59 @@ def _scale_candidates(spec: SystemSpec, q: float) -> list[float]:
     return [s for s in out if math.isfinite(s) and s > 0.0]
 
 
+def _zero(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, tolerance: float
+) -> float:
+    """Brent's zero (1973, ch. 4) of f on [a, b], where fa and fb differ in sign.
+
+    The variable is t = ln X0, so a bracket width in t is a relative width in
+    X0. Returns the best point once its bracket is at most tolerance wide, or
+    a few float spacings of X0 wide (2 eps max(1, |t|) either side).
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * _EPS * max(1.0, abs(b)) + 0.5 * tolerance
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0.0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
+        else:
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, half)
+        fb = f(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+
+
 def _solve_x0_roots(
     h: Callable[[float], float], scales: list[float], tolerance: float
 ) -> list[float]:
-    """All positive roots of h by log-grid scan plus bisection."""
+    """All positive roots of h by a log-grid scan.
+
+    The grid runs from min(scales) 1e-10 to max(scales) 1e10 at 24 points per
+    decade; each sign change is polished by _zero in t = ln X0.
+    """
     lo = min(scales, default=0.0) * 1e-10
     hi = max(scales, default=0.0) * 1e10
     if lo == 0.0 or not math.isfinite(hi / lo):
@@ -163,6 +219,10 @@ def _solve_x0_roots(
     decades = math.log10(hi / lo)
     points = max(int(decades * 24), 48) + 1
     ratio = (hi / lo) ** (1.0 / (points - 1))
+
+    def h_of_t(t: float) -> float:
+        return h(math.exp(t))
+
     roots = []
     x_prev = lo
     h_prev = h(x_prev)
@@ -173,22 +233,285 @@ def _solve_x0_roots(
         if h_prev == 0.0:
             roots.append(x_prev)
         elif (h_prev > 0.0) != (h_cur > 0.0):
-            a, b = x_prev, x
-            fa = h_prev
-            while (b - a) > tolerance * b:
-                mid = 0.5 * (a + b)
-                if mid == a or mid == b:
-                    break  # adjacent floats: no finer bracket exists
-                fm = h(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if (fa > 0.0) == (fm > 0.0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            roots.append(0.5 * (a + b))
+            t = _zero(h_of_t, math.log(x_prev), math.log(x), h_prev, h_cur, tolerance)
+            roots.append(math.exp(t))
         x_prev, h_prev = x, h_cur
+    return roots
+
+
+def _merge(terms: list[tuple[float, float, float]]) -> list[tuple[float, float, float]]:
+    """Sum signed terms (exponent, sign, ln magnitude) of equal exponent; sort by exponent."""
+    merged: dict[float, tuple[float, float]] = {}
+    for e, s, l in terms:
+        if e not in merged:
+            merged[e] = (s, l)
+            continue
+        s0, l0 = merged.pop(e)
+        if l < l0:
+            s, l, s0, l0 = s0, l0, s, l
+        d = l0 - l  # s e^l + s0 e^l0 = s e^l (1 + s s0 e^d), d <= 0
+        if s == s0:
+            merged[e] = (s, l + math.log1p(math.exp(d)))
+        elif d < 0.0:
+            merged[e] = (s, l + math.log(-math.expm1(d)))
+    return [(e, s, l) for e, (s, l) in sorted(merged.items())]
+
+
+def _power_terms(spec: SystemSpec, qq: float) -> list[tuple[float, float, float]] | None:
+    """The field sum F(X0) = sum w X0^p as merged (p, sign w, ln|w|) terms.
+
+    K(r) = coefficient |lam| / 2 r^(lam-2) at r^2 = rho / X0 gives
+    p = (2 - lam) / 2. None when a term is not a power law.
+    """
+    n = spec.n
+    out = []
+    for term in spec.terms:
+        form = term.form
+        if not isinstance(form, PowerLaw):
+            return None
+        coef, lam = form.coefficient, form.exponent
+        if coef == 0.0:
+            continue
+        log_w = math.log(abs(coef)) + math.log(abs(lam)) - _LN2
+        if term.scope is Scope.ONE_BODY:
+            log_w += 0.5 * (lam - 2.0) * math.log(qq / n)
+        else:
+            log_w += math.log(n) + 0.5 * (lam - 2.0) * math.log(2.0 * qq / (n - 1))
+        if not math.isfinite(log_w):
+            return None  # the amplitude's log overflows at a huge exponent
+        out.append((1.0 - 0.5 * lam, math.copysign(1.0, coef), log_w))
+    return _merge(out)
+
+
+def _softplus(x: float) -> float:
+    """ln(1 + e^x) without overflow; 0 at x = -inf."""
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+def _log_sum(terms: list[tuple[float, float]], t: float) -> float:
+    """ln of sum e^(a + e t) over (e, a) terms; -inf for none."""
+    if not terms:
+        return -math.inf
+    xs = [a + e * t for e, a in terms]
+    top = max(xs)
+    if len(xs) == 1:
+        return top
+    return top + math.log(sum([math.exp(x - top) for x in xs]))
+
+
+def _sign_changes(terms: list[tuple[float, float, float]]) -> int:
+    return sum(a[1] != b[1] for a, b in zip(terms, terms[1:]))
+
+
+def _switch_point(terms: list[tuple[float, float, float]]) -> float:
+    """Where the largest term of the leading sign gives way to one of the other.
+
+    terms are sorted by exponent with one sign change; the root lies within
+    ln(len(terms)) / (exponent gap) of this point.
+    """
+    k = next(i for i, term in enumerate(terms) if term[1] != terms[0][1])
+    return max(
+        min((la - lb) / (eb - ea) for eb, _, lb in terms[k:]) for ea, _, la in terms[:k]
+    )
+
+
+def _tail_bounds(terms: list[tuple[float, float, float]]) -> tuple[float, float]:
+    """[t_lo, t_hi] outside which the lowest or the highest power outweighs the rest."""
+    (e0, _, l0), (e1, _, l1) = terms[0], terms[-1]
+    pad = math.log(len(terms)) + 1.0
+    t_lo = min((l - l0 + pad) / (e0 - e) for e, _, l in terms[1:])
+    t_hi = max((l - l1 + pad) / (e1 - e) for e, _, l in terms[:-1])
+    return t_lo, t_hi
+
+
+def _bracket(
+    f: Callable[[float], float], t: float, ft: float, direction: float
+) -> tuple[float, float, float, float] | None:
+    """Step from t with doubling steps until f changes sign: (a, b, f(a), f(b)).
+
+    None when the walk leaves the float range of X0 = e^t first.
+    """
+    step = _STEP
+    while True:
+        nxt = min(max(t + direction * step, _T_MIN), _T_MAX)
+        fn = f(nxt)
+        if fn == 0.0 or (fn > 0.0) != (ft > 0.0):
+            return t, nxt, ft, fn
+        if nxt in (_T_MIN, _T_MAX):
+            return None
+        t, ft = nxt, fn
+        step *= 2.0
+
+
+def _power_law_roots(
+    spec: SystemSpec, qq: float, f_terms: list[tuple[float, float, float]], tolerance: float
+) -> list[float] | None:
+    """Roots X0 of the scale equation of a power-law spec; None if not certified.
+
+    In t = ln X0 the scale equation X0^2 = 2 mu F(X0) reads u(t) = 1 with
+    u = 2 mu F / X0^2 a sum of signed terms e^(a + e t), times mu / m for
+    massive semirelativistic kinematics. Each term is formed in logs, and the
+    residual compares the logs of the positive and the negative part, so it is
+    finite wherever X0 is. Descartes' rule of signs, which holds for real
+    exponents (Jameson, Math. Gazette 90 (2006) 223), bounds the roots by the
+    sign changes s of the coefficients, ordered by exponent, of u - 1, or with
+    mu = sqrt(m^2 + Q X0 / N) and m > 0 of u^2 - 1 = 4 mu^2 F^2 / X0^4 - 1, whose
+    roots with F < 0 are dropped. One sign change is one root; two powers of
+    u have one turning point and at most one root on each side of it. Other
+    cases scan the interval that holds every root in half-decade steps, and
+    return None unless that finds s roots.
+    """
+    n, m = spec.n, spec.identical_mass
+    log_qn = math.log(qq / n)
+    massive = spec.kinematics is Kinematics.SEMIRELATIVISTIC and m > 0.0
+    if spec.kinematics is Kinematics.SEMIRELATIVISTIC and not massive:
+        shift, de = _LN2 + 0.5 * log_qn, -1.5  # u = 2 sqrt(Q / N) F / X0^(3/2)
+    else:
+        shift, de = _LN2 + math.log(m), -2.0  # u = 2 m F / X0^2 (times mu / m)
+    u_terms = [(p + de, s, l + shift) for p, s, l in f_terms]
+    if massive:
+        log_m2 = 2.0 * math.log(m)
+        square = [(0.0, -1.0, 0.0)]
+        for i, (pi, si, li) in enumerate(f_terms):
+            for j in range(i, len(f_terms)):
+                pj, sj, lj = f_terms[j]
+                l = 2.0 * _LN2 + li + lj + (_LN2 if j > i else 0.0)
+                square.append((pi + pj - 4.0, si * sj, l + log_m2))
+                square.append((pi + pj - 3.0, si * sj, l + log_qn))
+        count = _merge(square)
+    else:
+        count = _merge(u_terms + [(0.0, -1.0, 0.0)])
+    if not count:
+        return None  # u = 1 identically
+    if not all(math.isfinite(abs(l) - _T_MIN * abs(e)) for e, _, l in u_terms + count):
+        return None  # a term's log a + e t can overflow within the float range of X0
+    sign_changes = _sign_changes(count)
+    if sign_changes == 0:
+        return []
+    pos = [(e, a) for e, s, a in u_terms if s > 0.0]
+    neg = [(e, a) for e, s, a in u_terms if s < 0.0]
+    z0 = log_qn - log_m2 if massive else 0.0
+
+    def u_logs(t: float) -> tuple[float, float]:
+        """ln of the positive and of the negative part of u(t)."""
+        k = 0.5 * _softplus(t + z0) if massive else 0.0  # ln(mu / m)
+        return _log_sum(pos, t) + k, _log_sum(neg, t) + k
+
+    def residual(t: float) -> float:
+        """Has the sign of u - 1, or of |u| - 1 for massive kinematics."""
+        lp, ln = u_logs(t)  # u = P - N
+        if lp >= ln or not massive:
+            return lp - _softplus(ln)  # ln P - ln(N + 1)
+        return ln - _softplus(lp)  # ln N - ln(P + 1)
+
+    found: list[float] = []
+    beyond = False
+
+    def walk(t: float, rt: float, direction: float) -> None:
+        nonlocal beyond
+        bracket = _bracket(residual, t, rt, direction)
+        if bracket is None:
+            beyond = True
+        else:
+            found.append(_zero(residual, *bracket, tolerance))
+
+    if sign_changes == 1:
+        t0 = min(max(_switch_point(count), _T_MIN), _T_MAX)
+        r0 = residual(t0)
+        if r0 == 0.0:
+            found.append(t0)
+        else:
+            walk(t0, r0, 1.0 if (r0 > 0.0) == (count[0][1] > 0.0) else -1.0)
+    elif not massive:
+        # two powers, s = 2: u' vanishes at most once, at t*; u is monotone
+        # on either side, with a root on each side if u(t*) - 1 has the other sign
+        (e1, s1, a1), (e2, s2, a2) = [term for term in u_terms if term[0] != 0.0]
+        if s1 * e1 * s2 * e2 < 0.0:
+            t_star = (a1 - a2 + math.log(abs(e1 / e2))) / (e2 - e1)
+            t_star = min(max(t_star, _T_MIN), _T_MAX)
+            r_star = residual(t_star)
+            if r_star == 0.0:
+                found.append(t_star)
+            elif (r_star > 0.0) != (count[0][1] > 0.0):
+                walk(t_star, r_star, -1.0)
+                walk(t_star, r_star, 1.0)
+    else:
+        t_lo, t_hi = _tail_bounds(count)
+        t_lo, t_hi = max(t_lo, _T_MIN), min(t_hi, _T_MAX)
+        if not t_lo < t_hi:
+            return None
+        steps = math.ceil((t_hi - t_lo) / _STEP)
+        t_prev = r_prev = None
+        for i in range(steps + 1):
+            t = t_lo + (t_hi - t_lo) * i / steps
+            r = residual(t)
+            if r == 0.0:
+                found.append(t)
+            elif r_prev and (r > 0.0) != (r_prev > 0.0):
+                found.append(_zero(residual, t_prev, t, r_prev, r, tolerance))
+            if len(found) == sign_changes:
+                break
+            t_prev, r_prev = t, r
+        if len(found) < sign_changes:
+            return None
+    if massive and neg:  # drop the roots of u = -1, where F < 0
+        found = [t for t, (lp, ln) in zip(found, map(u_logs, found)) if lp > ln]
+    if not found and beyond:
+        raise DomainError("the scale equation's roots lie outside the float range of X0")
+    return sorted(math.exp(t) for t in found)
+
+
+def _field_sum(spec: SystemSpec, qq: float) -> Callable[[float], float]:
+    """F(X0) = K(r_one) + N Kbar(r_pair) at the tangency radii of X0."""
+    n = spec.n
+    k_one = auxiliary_k(spec.one_body[0]) if spec.one_body else None
+    k_pair = auxiliary_k(spec.pairwise[0]) if spec.pairwise else None
+
+    def field_sum(x0: float) -> float:
+        r1, r2 = _tangency_radii(n, qq, x0)
+        total = 0.0
+        if k_one is not None:
+            total += k_one(r1)
+        if k_pair is not None:
+            total += n * k_pair(r2)
+        return total
+
+    return field_sum
+
+
+def _scale_residual(spec: SystemSpec, qq: float) -> Callable[[float], float]:
+    """h(X0) = 2 mu F(X0) / X0 - X0, mu = sqrt(m^2 + Q X0 / N) or m.
+
+    h has the sign of 2 mu F - X0^2 for X0 > 0, and no X0^2 to overflow into
+    a false sign change near sqrt(DBL_MAX).
+    """
+    n, m = spec.n, spec.identical_mass
+    field_sum = _field_sum(spec, qq)
+    if spec.kinematics is Kinematics.SEMIRELATIVISTIC:
+
+        def h(x0: float) -> float:
+            return 2.0 * math.sqrt(m * m + qq * x0 / n) * field_sum(x0) / x0 - x0
+
+    else:
+
+        def h(x0: float) -> float:
+            return 2.0 * m * field_sum(x0) / x0 - x0
+
+    return h
+
+
+def _scale_roots(spec: SystemSpec, qq: float, tolerance: float) -> list[float]:
+    """Positive roots X0 of the scale equation, ascending.
+
+    Power-law specs take the structured solve of _power_law_roots; gaussian
+    wells, whose roots have no such bound, and the cases it leaves open scan
+    the log grid of _solve_x0_roots.
+    """
+    f_terms = _power_terms(spec, qq)
+    roots = None if f_terms is None else _power_law_roots(spec, qq, f_terms, tolerance)
+    if roots is None:
+        h = _scale_residual(spec, qq)
+        roots = _solve_x0_roots(h, _scale_candidates(spec, qq), tolerance)
     return roots
 
 
@@ -203,10 +526,16 @@ def afm_mass(
     (the square root pinned to m for nonrelativistic kinematics), then
     assembles M = N mu0 + N V(r_one) + N(N-1)/2 Vbar(r_pair). Accepts at most
     one term per scope. When several positive roots exist (e.g. gaussian
-    wells) the one minimizing the assembled mass wins, ties toward smaller X0.
-    Roots are bisected to a relative width of tolerance, which must be finite
-    and positive (else ValidationError), or to adjacent floats. A mass that
-    leaves the float range raises NumericalError.
+    wells) the one minimizing the assembled mass wins, ties toward smaller X0;
+    a root whose mass leaves the float range loses to any root with a finite
+    mass.
+    Power-law specs find their roots in t = ln X0 with a count certified by
+    Descartes' rule of signs (_power_law_roots); gaussian wells, and the
+    power-law cases that count leaves open, scan a log grid. Each root is
+    polished by Brent's zero in t until its bracket is at most tolerance wide
+    relative to X0, or a few float spacings wide; tolerance must be finite and
+    positive (else ValidationError). A mass that leaves the float range raises
+    NumericalError, and roots that all lie outside it raise DomainError.
     """
     validate(spec, q)
     require_tolerance(tolerance)
@@ -215,47 +544,22 @@ def afm_mass(
     n = spec.n
     m = spec.identical_mass
     qq = q.q
-    k_one = auxiliary_k(spec.one_body[0]) if spec.one_body else None
-    k_pair = auxiliary_k(spec.pairwise[0]) if spec.pairwise else None
-
-    def field_sum(x0: float) -> float:
-        r1, r2 = _tangency_radii(n, qq, x0)
-        total = 0.0
-        if k_one is not None:
-            total += k_one(r1)
-        if k_pair is not None:
-            total += n * k_pair(r2)
-        return total
-
-    semirel = spec.kinematics is Kinematics.SEMIRELATIVISTIC
-    all_quadratic = all(
+    if spec.kinematics is Kinematics.NONRELATIVISTIC and all(
         isinstance(t.form, PowerLaw) and t.form.exponent == 2.0 for t in spec.terms
-    )
-    if not semirel and all_quadratic:
-        kappa = field_sum(1.0)  # constant for quadratic terms
+    ):
+        kappa = _field_sum(spec, qq)(1.0)  # constant for quadratic terms
         if kappa <= 0.0:
             raise NoPositiveRoot(f"net spring constant {kappa} <= 0")
         x0 = math.sqrt(2.0 * m * kappa)
         if not 0.0 < x0 < math.inf:
             raise DomainError(f"auxiliary scale X0 = {x0} is not a positive float")
+        mass = _mass_at_x0(spec, qq, x0)
     else:
-        # h(X0) = 2 mu F(X0) / X0 - X0 has the sign of 2 mu F - X0^2 for X0 > 0
-        # and no X0^2 to overflow into a false sign change near sqrt(DBL_MAX)
-        if semirel:
-
-            def h(x0: float) -> float:
-                return 2.0 * math.sqrt(m * m + qq * x0 / n) * field_sum(x0) / x0 - x0
-
-        else:
-
-            def h(x0: float) -> float:
-                return 2.0 * m * field_sum(x0) / x0 - x0
-
-        roots = _solve_x0_roots(h, _scale_candidates(spec, qq), tolerance)
+        roots = _scale_roots(spec, qq, tolerance)
         if not roots:
             raise NoPositiveRoot("the auxiliary-scale equation has no positive root")
-        x0 = min(roots, key=lambda r: (_mass_at_x0(spec, qq, r), r))
-    mass = _mass_at_x0(spec, qq, x0)
+        candidates = [(_mass_at_x0(spec, qq, r), r) for r in roots]
+        mass, x0 = min([c for c in candidates if math.isfinite(c[0])] or candidates)
     if not math.isfinite(mass):
         raise NumericalError(f"mass {mass} at X0 = {x0} is not a finite float")
     return AFMSolution.at_scale(n, m, qq, x0, mass, bound_character(spec))
@@ -319,10 +623,13 @@ def equal_power_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
         return afm_mass(spec, q)
 
     if spec.kinematics is Kinematics.NONRELATIVISTIC:
-        x0 = (m * c) ** (2.0 / (lam + 2.0))
-        mass = n * m + (lam + 2.0) / (2.0 * lam) * qq * (c * c / m**lam) ** (
-            1.0 / (lam + 2.0)
-        )
+        # one power per factor: m**lam and c * c overflow where X0 and M need not
+        g = 2.0 / (lam + 2.0)
+        try:
+            x0 = m**g * c**g
+            mass = n * m + (lam + 2.0) / (2.0 * lam) * qq * c**g * m ** (-lam / (lam + 2.0))
+        except OverflowError:  # a power left the float range; X0 and M need not
+            return afm_mass(spec, q)
     elif m == 0.0:
         if lam == -1.0:
             raise NoPositiveRoot(

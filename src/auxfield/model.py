@@ -219,7 +219,11 @@ class AFMSolution:
 
 
 def _tangency_radii(n: int, q: float, x0: float) -> tuple[float, float]:
-    return math.sqrt(q / (n * x0)), math.sqrt(2.0 * q / ((n - 1) * x0))
+    r_one, r_pair = math.sqrt(q / (n * x0)), math.sqrt(2.0 * q / ((n - 1) * x0))
+    if r_pair == math.inf or r_one == 0.0:  # a quotient left the float range
+        root = math.sqrt(x0)
+        r_one, r_pair = math.sqrt(q / n) / root, math.sqrt(2.0 * q / (n - 1)) / root
+    return r_one, r_pair
 
 
 def _validate_term(term: PotentialTerm, kinematics: Kinematics) -> None:

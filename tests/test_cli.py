@@ -462,6 +462,27 @@ def test_cli_import_leaves_numpy_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_solve_path_leaves_numpy_unloaded():
+    # afm_mass on a power-law spec (structured solve) and on a gaussian well
+    # (grid scan) builds no arrays, so solve never pays for importing numpy
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = (
+        "import sys\n"
+        "from auxfield import engine\n"
+        "from auxfield.model import (GaussianWell, Identical, Kinematics,\n"
+        "    PotentialTerm, PowerLaw, QuantumNumbers, Scope, SystemSpec)\n"
+        "pair = lambda form: (PotentialTerm(Scope.PAIRWISE, form),)\n"
+        "q = QuantumNumbers.ground(3)\n"
+        "sr, nr = Kinematics.SEMIRELATIVISTIC, Kinematics.NONRELATIVISTIC\n"
+        "power = SystemSpec(3, Identical(1.0), sr, (), pair(PowerLaw(0.2, 1.0)))\n"
+        "well = SystemSpec(3, Identical(1.0), nr, (), pair(GaussianWell(10.0, 1.0)))\n"
+        "engine.afm_mass(power, q), engine.afm_mass(well, q)\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 # ---------------------------------------------------------------------------
 # fuzzed spec documents
 

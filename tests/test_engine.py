@@ -1,8 +1,13 @@
+import contextlib
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from auxfield import engine
 from auxfield.engine import (
     afm_mass,
     auxiliary_k,
@@ -228,6 +233,27 @@ def test_no_false_root_where_x0_squared_overflows():
     assert mass == pytest.approx(equal_power_mass(spec, q).mass, rel=1e-12)
 
 
+def test_root_where_the_field_sum_overflows():
+    # 2 mu F(X0) leaves the float range at the root X0 = 6.66e164; the
+    # structured solve works in logs, where the grid scan found no root
+    spec = power_system(3, 1.0, NR, pair=(10.0, -1.99))
+    q = ground(3)
+    sol = afm_mass(spec, q)
+    assert sol.mass == pytest.approx(equal_power_mass(spec, q).mass, rel=1e-12)
+    assert sol.mass == pytest.approx(-5.02023e162, rel=1e-6)
+
+
+def test_root_below_the_grid_window():
+    # the root X0 = 1.4e-308 lies below any log grid centred on the scale
+    # candidates, and 2Q / ((N-1) X0) overflows where the radius does not
+    spec = power_system(8, 690.0, SR, pair=(1e-260, 1e-48))
+    q = QuantumNumbers(((500, 1000),) * 7)
+    oracle = numeric_afm_minimize(spec, q)
+    assert oracle == pytest.approx(5520.0, rel=1e-12)
+    assert afm_mass(spec, q).mass == pytest.approx(oracle, rel=1e-12)
+    assert equal_power_mass(spec, q).mass == pytest.approx(oracle, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "kinematics,mass,one,pair",
     [
@@ -340,6 +366,18 @@ def test_equal_power_massless_steep_excited_matches_afm_mass(lam, mode):
     assert sol.mass == pytest.approx(afm_mass(spec, q).mass, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "m,lam,expected",
+    [(1e3, 150.0, 3000.0051475), (1e-3, 150.0, 4291.8976507), (1e-5, 60.0, 335416.11193)],
+)
+def test_equal_power_nonrelativistic_steep_power_is_finite(m, lam, expected):
+    # m**lam and c * c leave the float range where X0 and the mass do not
+    spec = power_system(3, m, NR, pair=(0.2, lam))
+    sol = equal_power_mass(spec, ground(3))
+    assert sol.mass == pytest.approx(afm_mass(spec, ground(3)).mass, rel=1e-12)
+    assert sol.mass == pytest.approx(expected, rel=1e-10)
+
+
 def test_equal_power_requires_matching_exponents():
     spec = power_system(3, 1.0, SR, one=(0.2, 1.0), pair=(0.3, -1.0))
     with pytest.raises(UnsupportedCombination):
@@ -413,3 +451,156 @@ def test_afm_mass_rejects_unusable_tolerance(tolerance):
     spec = power_system(3, 1.0, Kinematics.SEMIRELATIVISTIC, pair=(0.2, 1.0))
     with pytest.raises(ValidationError):
         afm_mass(spec, ground(3), tolerance=tolerance)
+
+
+# ---------------------------------------------------------------------------
+# structured scale-equation solve against the log-grid scan
+
+
+def _grid_only():
+    # without power terms _scale_roots falls back to the grid, as every spec did
+    return mock.patch.object(engine, "_power_terms", lambda spec, qq: None)
+
+
+def _solve_routes(spec, q):
+    """(roots, solution or error type) by the structured solve, then by the grid."""
+    out = []
+    for route in (contextlib.nullcontext(), _grid_only()):
+        with route:
+            try:
+                roots = engine._scale_roots(spec, q.q, 1e-12)
+            except NumericalError as exc:
+                roots = type(exc)
+            try:
+                result = afm_mass(spec, q)
+            except NumericalError as exc:
+                result = type(exc)
+        out.append((roots, result))
+    return out
+
+
+def _mass_parts(spec, q, x0):
+    """Sum of the magnitudes of the kinetic and potential parts of the mass at X0."""
+    n, m = spec.n, spec.identical_mass
+    r1, r2 = math.sqrt(q.q / (n * x0)), math.sqrt(2.0 * q.q / ((n - 1) * x0))
+    parts = n * math.hypot(m, math.sqrt(q.q * x0 / n))
+    parts += sum(n * abs(t.evaluate(r1)) for t in spec.one_body)
+    return parts + sum(n * (n - 1) / 2.0 * abs(t.evaluate(r2)) for t in spec.pairwise)
+
+
+@st.composite
+def _power_specs(draw):
+    """One- and two-power specs: NR, massless and massive SR, either sign."""
+    kind = draw(st.sampled_from(["nr", "massless", "massive"]))
+    m = 0.0 if kind == "massless" else draw(st.floats(0.1, 5.0))
+    lam_min = -1.5 if kind == "nr" else -0.8
+    n = draw(st.integers(2, 6))
+    layout = draw(st.sampled_from(["one", "pair", "both"]))
+    signs = (1.0, 1.0) if layout != "both" else draw(
+        st.sampled_from([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)])
+    )
+    exponent = st.one_of(st.floats(lam_min, -0.1), st.floats(0.1, 3.0))
+    lams = [draw(exponent)]
+    lams.append(lams[0] if draw(st.booleans()) else draw(exponent))
+    # nearly equal distinct powers cancel in F: neither route then holds X0
+    # to 1e-12, since rounding moves the root by eps / (exponent gap)
+    assume(lams[1] == lams[0] or abs(lams[1] - lams[0]) >= 0.05)
+    terms = [(sign * draw(st.floats(0.05, 3.0)), lam) for sign, lam in zip(signs, lams)]
+    one = terms[0] if layout != "pair" else None
+    pair = terms[1] if layout != "one" else None
+    spec = power_system(n, m, NR if kind == "nr" else SR, one=one, pair=pair)
+    q = QuantumNumbers(((draw(st.integers(0, 3)), 0),) + ((0, 0),) * (n - 2))
+    return spec, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(_power_specs())
+def test_structured_solve_matches_grid(case):
+    spec, q = case
+    (roots, result), (grid_roots, grid_result) = _solve_routes(spec, q)
+    scales = engine._scale_candidates(spec, q.q)
+    # the grid spans 1e-10 min(scales) to 1e10 max(scales) at 24 points per
+    # decade: compare where it sees every root and resolves each one, and
+    # where its field terms do not underflow into false sign changes
+    lo, hi = min(scales) * 1e-7, max(scales) * 1e7
+    assume(hi / lo < 1e50)
+    found = [r for r in (roots, grid_roots) if isinstance(r, list)]
+    assume(all(lo < x < hi for r in found for x in r))
+    assume(all(b / a > 1.5 for r in found for a, b in zip(r, r[1:])))
+    if isinstance(result, type) or isinstance(grid_result, type):
+        assert result is grid_result
+        return
+    assert len(roots) == len(grid_roots)
+    for x, x_grid in zip(roots, grid_roots):
+        assert x == pytest.approx(x_grid, rel=1e-12)
+        mass = engine._mass_at_x0(spec, q.q, x)
+        grid_mass = engine._mass_at_x0(spec, q.q, x_grid)
+        # a mass that cancels its parts is known to their rounding only
+        assert mass == pytest.approx(grid_mass, rel=1e-13, abs=1e-13 * _mass_parts(spec, q, x))
+    assert result.x0 == pytest.approx(grid_result.x0, rel=1e-12)
+
+
+def test_unreached_sign_change_bound_falls_back_to_the_grid():
+    # massive kinematics with a repulsive term: u^2 - 1 has more sign changes
+    # than the equation has roots, so the scan cannot certify the count and
+    # the grid decides, as it did for every spec before
+    spec = power_system(3, 1.0, SR, one=(0.5, 1.0), pair=(-0.1, 0.5))
+    q = ground(3)
+    assert engine._power_law_roots(spec, q.q, engine._power_terms(spec, q.q), 1e-12) is None
+    (roots, sol), (grid_roots, grid_sol) = _solve_routes(spec, q)
+    assert roots == grid_roots
+    assert sol.mass == grid_sol.mass == pytest.approx(5.272585800226621, rel=1e-13)
+    assert sol.x0 == pytest.approx(0.6889831181056407, rel=1e-12)
+
+
+def test_exponent_whose_logs_overflow_takes_the_grid():
+    # (lam - 2)/2 ln(Q/N) overflows at lam = 1.7e308: the log-space terms are
+    # not floats, so the grid decides, as for every spec before
+    spec = power_system(8, 1.467229365877803e-08, SR, one=(2.0, 1.7e308))
+    q = QuantumNumbers(((0, 1000), (1, 0), (1, 0), (5, 3), (2000, 3), (2000, 1000), (2000, 0)))
+    assert engine._power_terms(spec, q.q) is None
+    assert afm_mass(spec, q).mass == pytest.approx(14030.5, rel=1e-12)
+
+
+def _criterion_4_power_draws(rng, count):
+    """Power-law draws of acceptance criterion 4: srho, linear, equal powers,
+    baryonic and atomic, each at one of its bands."""
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        q = QuantumNumbers(((int(rng.integers(0, 3)), 0),) + ((0, 0),) * (n - 2))
+        m = float(rng.uniform(0.0, 3.0)) if rng.random() > 0.2 else 0.0
+        yield power_system(n, m, SR, one=(float(rng.uniform(0.0, 3.0)), 2.0), pair=(0.7, 2.0)), q
+        yield power_system(n, m, SR, one=(float(rng.uniform(0.05, 1.5)), 1.0), pair=(0.4, 1.0)), q
+        a, b = rng.uniform(0.05, 2.0, size=2)
+        if rng.random() < 0.5:
+            kin, lam = NR, float(rng.choice([-1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.5, 3.0]))
+        else:
+            kin, lam = SR, float(rng.choice([-0.5, 0.5, 1.0, 2.0]))
+        yield power_system(n, m + 0.3, kin, one=(float(a), lam), pair=(float(b), lam)), q
+        b_max = q.q * n / (n * (n - 1) / 2.0) ** 1.5
+        b = float(rng.uniform(0.05, 0.8)) * b_max
+        yield power_system(n, 0.0, SR, one=(float(rng.uniform(0.05, 1.0)), 1.0), pair=(b, -1.0)), q
+        alpha = float(rng.uniform(0.1, 0.8)) * q.q / n
+        alphabar = float(rng.uniform(0.1, 0.6)) * alpha * n * n / (n * (n - 1) / 2.0) ** 1.5
+        yield power_system(n, m + 0.5, SR, one=(alpha, -1.0), pair=(-alphabar, -1.0)), q
+
+
+def test_structured_solve_cost_guard():
+    # machine-independent cost: evaluations of the scale equation per solve,
+    # counted as calls of its two implementations (u_logs in t, h in X0)
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in ("u_logs", "h"):
+            if frame.f_code.co_filename == engine.__file__:
+                calls.append(frame.f_code.co_name)
+
+    for spec, q in _criterion_4_power_draws(np.random.default_rng(314), 40):
+        calls.clear()
+        sys.setprofile(count)
+        try:
+            afm_mass(spec, q)
+        finally:
+            sys.setprofile(None)
+        assert "h" not in calls  # no grid scan
+        assert len(calls) <= 60
