@@ -44,7 +44,8 @@ _EPS = sys.float_info.epsilon
 _LN2 = math.log(2.0)
 _T_MIN = math.log(math.ulp(0.0))  # t = ln X0 of the least positive float
 _T_MAX = math.log(sys.float_info.max)
-_STEP = 0.5 * math.log(10.0)  # half a decade of X0: first bracketing step, scan step
+_STEP = 0.5 * math.log(10.0)  # half a decade of X0: first bracketing step
+_T_FLOOR = 4.0 * _EPS * -_T_MIN  # _zero's floor 4 eps max(1, |t|) at its widest
 
 
 def auxiliary_k(term: PotentialTerm) -> Callable[[float], float]:
@@ -160,13 +161,22 @@ def _scale_candidates(spec: SystemSpec, q: float) -> list[float]:
 
 
 def _zero(
-    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, tolerance: float
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    fa: float,
+    fb: float,
+    tolerance: float,
+    h: Callable[[float], float] | None,
 ) -> float:
-    """Brent's zero (1973, ch. 4) of f on [a, b], where fa and fb differ in sign.
+    """Root X0 = e^t of f by Brent's zero (1973, ch. 4) on [a, b] in t = ln X0.
 
-    The variable is t = ln X0, so a bracket width in t is a relative width in
-    X0. Returns the best point once its bracket is at most tolerance wide, or
-    a few float spacings of X0 wide (2 eps max(1, |t|) either side).
+    fa and fb differ in sign, or a = b and fa = fb = 0 for an exact zero. A
+    bracket width in t is a relative width in X0, so Brent stops once its
+    bracket is at most tolerance wide, or as narrow as the float spacing of t
+    allows, 4 eps max(1, |t|) wide. A tolerance below that floor goes on with
+    _bisect on h, if given, which has the sign of f as a function of X0, from
+    the best point widened by that floor either side, down to adjacent floats.
     """
     c, fc = a, fa
     d = e = b - a
@@ -174,10 +184,13 @@ def _zero(
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * max(1.0, abs(b)) + 0.5 * tolerance
+        tol = max(2.0 * _EPS * max(1.0, abs(b)), 0.5 * tolerance)
         half = 0.5 * (c - b)
         if abs(half) <= tol or fb == 0.0:
-            return b
+            floor = 4.0 * _EPS * max(1.0, abs(b))
+            if h is None or floor <= tolerance:
+                return math.exp(b)
+            return _bisect(h, math.exp(b), math.exp(b - floor), math.exp(b + floor), tolerance)
         if abs(e) >= tol and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:  # secant
@@ -202,6 +215,35 @@ def _zero(
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
+
+
+def _bisect(
+    h: Callable[[float], float], x: float, a: float, b: float, tolerance: float
+) -> float:
+    """Root of h on [a, b] by bisection in X0.
+
+    Stops once the bracket is at most tolerance wide relative to its upper end,
+    or at adjacent floats; returns x where h shows no sign change on [a, b].
+    """
+    fa, fb = h(a), h(b)
+    if a == 0.0 or not (math.isfinite(fa) and math.isfinite(fb)):
+        return x
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if (fa > 0.0) == (fb > 0.0):
+        return x
+    while (b - a) > tolerance * b:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break  # adjacent floats: no finer bracket exists
+        fm = h(mid)
+        if fm == 0.0:
+            return mid
+        if (fa > 0.0) == (fm > 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 def _solve_x0_roots(
@@ -233,8 +275,7 @@ def _solve_x0_roots(
         if h_prev == 0.0:
             roots.append(x_prev)
         elif (h_prev > 0.0) != (h_cur > 0.0):
-            t = _zero(h_of_t, math.log(x_prev), math.log(x), h_prev, h_cur, tolerance)
-            roots.append(math.exp(t))
+            roots.append(_zero(h_of_t, math.log(x_prev), math.log(x), h_prev, h_cur, tolerance, h))
         x_prev, h_prev = x, h_cur
     return roots
 
@@ -315,15 +356,6 @@ def _switch_point(terms: list[tuple[float, float, float]]) -> float:
     )
 
 
-def _tail_bounds(terms: list[tuple[float, float, float]]) -> tuple[float, float]:
-    """[t_lo, t_hi] outside which the lowest or the highest power outweighs the rest."""
-    (e0, _, l0), (e1, _, l1) = terms[0], terms[-1]
-    pad = math.log(len(terms)) + 1.0
-    t_lo = min((l - l0 + pad) / (e0 - e) for e, _, l in terms[1:])
-    t_hi = max((l - l1 + pad) / (e1 - e) for e, _, l in terms[:-1])
-    return t_lo, t_hi
-
-
 def _bracket(
     f: Callable[[float], float], t: float, ft: float, direction: float
 ) -> tuple[float, float, float, float] | None:
@@ -357,9 +389,8 @@ def _power_law_roots(
     sign changes s of the coefficients, ordered by exponent, of u - 1, or with
     mu = sqrt(m^2 + Q X0 / N) and m > 0 of u^2 - 1 = 4 mu^2 F^2 / X0^4 - 1, whose
     roots with F < 0 are dropped. One sign change is one root; two powers of
-    u have one turning point and at most one root on each side of it. Other
-    cases scan the interval that holds every root in half-decade steps, and
-    return None unless that finds s roots.
+    u have one turning point and at most one root on each side of it. Massive
+    kinematics with s >= 2 returns None.
     """
     n, m = spec.n, spec.identical_mass
     log_qn = math.log(qq / n)
@@ -388,6 +419,8 @@ def _power_law_roots(
     sign_changes = _sign_changes(count)
     if sign_changes == 0:
         return []
+    if massive and sign_changes > 1:
+        return None  # no turning-point rule for u^2 - 1: the grid decides
     pos = [(e, a) for e, s, a in u_terms if s > 0.0]
     neg = [(e, a) for e, s, a in u_terms if s < 0.0]
     z0 = log_qn - log_m2 if massive else 0.0
@@ -404,6 +437,8 @@ def _power_law_roots(
             return lp - _softplus(ln)  # ln P - ln(N + 1)
         return ln - _softplus(lp)  # ln N - ln(P + 1)
 
+    # h finishes a root in X0 where tolerance is below the float spacing of t
+    h = _scale_residual(spec, qq) if tolerance < _T_FLOOR else None
     found: list[float] = []
     beyond = False
 
@@ -413,16 +448,16 @@ def _power_law_roots(
         if bracket is None:
             beyond = True
         else:
-            found.append(_zero(residual, *bracket, tolerance))
+            found.append(_zero(residual, *bracket, tolerance, h))
 
     if sign_changes == 1:
         t0 = min(max(_switch_point(count), _T_MIN), _T_MAX)
         r0 = residual(t0)
         if r0 == 0.0:
-            found.append(t0)
+            found.append(_zero(residual, t0, t0, r0, r0, tolerance, h))
         else:
             walk(t0, r0, 1.0 if (r0 > 0.0) == (count[0][1] > 0.0) else -1.0)
-    elif not massive:
+    else:
         # two powers, s = 2: u' vanishes at most once, at t*; u is monotone
         # on either side, with a root on each side if u(t*) - 1 has the other sign
         (e1, s1, a1), (e2, s2, a2) = [term for term in u_terms if term[0] != 0.0]
@@ -431,34 +466,16 @@ def _power_law_roots(
             t_star = min(max(t_star, _T_MIN), _T_MAX)
             r_star = residual(t_star)
             if r_star == 0.0:
-                found.append(t_star)
+                found.append(_zero(residual, t_star, t_star, r_star, r_star, tolerance, h))
             elif (r_star > 0.0) != (count[0][1] > 0.0):
                 walk(t_star, r_star, -1.0)
                 walk(t_star, r_star, 1.0)
-    else:
-        t_lo, t_hi = _tail_bounds(count)
-        t_lo, t_hi = max(t_lo, _T_MIN), min(t_hi, _T_MAX)
-        if not t_lo < t_hi:
-            return None
-        steps = math.ceil((t_hi - t_lo) / _STEP)
-        t_prev = r_prev = None
-        for i in range(steps + 1):
-            t = t_lo + (t_hi - t_lo) * i / steps
-            r = residual(t)
-            if r == 0.0:
-                found.append(t)
-            elif r_prev and (r > 0.0) != (r_prev > 0.0):
-                found.append(_zero(residual, t_prev, t, r_prev, r, tolerance))
-            if len(found) == sign_changes:
-                break
-            t_prev, r_prev = t, r
-        if len(found) < sign_changes:
-            return None
     if massive and neg:  # drop the roots of u = -1, where F < 0
-        found = [t for t, (lp, ln) in zip(found, map(u_logs, found)) if lp > ln]
+        logs = [u_logs(math.log(x)) for x in found]
+        found = [x for x, (lp, ln) in zip(found, logs) if lp > ln]
     if not found and beyond:
         raise DomainError("the scale equation's roots lie outside the float range of X0")
-    return sorted(math.exp(t) for t in found)
+    return sorted(found)
 
 
 def _field_sum(spec: SystemSpec, qq: float) -> Callable[[float], float]:
@@ -533,7 +550,10 @@ def afm_mass(
     Descartes' rule of signs (_power_law_roots); gaussian wells, and the
     power-law cases that count leaves open, scan a log grid. Each root is
     polished by Brent's zero in t until its bracket is at most tolerance wide
-    relative to X0, or a few float spacings wide; tolerance must be finite and
+    relative to X0. A tolerance below the float spacing of t, 4 eps
+    max(1, |t|), is met by bisecting in X0 down to adjacent floats, where
+    2 mu F / X0 - X0 is a finite float around the root; elsewhere (e.g. where
+    F overflows) that spacing is the floor. tolerance must be finite and
     positive (else ValidationError). A mass that leaves the float range raises
     NumericalError, and roots that all lie outside it raise DomainError.
     """

@@ -540,10 +540,31 @@ def test_structured_solve_matches_grid(case):
     assert result.x0 == pytest.approx(grid_result.x0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        power_system(3, 1e150, NR, pair=(1.0, 1.0)),
+        power_system(3, 1e140, NR, pair=(1.0, 0.5)),
+        power_system(3, 1e100, SR, pair=(1.0, 1.0)),
+        gaussian_system(3, 1.0, 2.0, 0.5),
+    ],
+    ids=["nr-x0-1e100", "nr-x0-7e111", "sr-x0-7e66", "gaussian-grid"],
+)
+def test_tiny_tolerance_resolves_x0_to_adjacent_floats(spec):
+    # t = ln X0 is ~230 at X0 = 1e100, so its float spacing is ~230 times
+    # coarser than that of X0: below it the root is bisected in X0 itself
+    q = ground(3)
+    x0 = afm_mass(spec, q, tolerance=1e-20).x0
+    h = engine._scale_residual(spec, q.q)
+    below, above = math.nextafter(x0, 0.0), math.nextafter(x0, math.inf)
+    assert (h(below) > 0.0) != (h(above) > 0.0)
+    assert x0 == pytest.approx(afm_mass(spec, q).x0, rel=1e-12)
+
+
 def test_unreached_sign_change_bound_falls_back_to_the_grid():
     # massive kinematics with a repulsive term: u^2 - 1 has more sign changes
-    # than the equation has roots, so the scan cannot certify the count and
-    # the grid decides, as it did for every spec before
+    # than the equation has roots, and no turning-point rule settles the
+    # count, so the grid decides, as it did for every spec before
     spec = power_system(3, 1.0, SR, one=(0.5, 1.0), pair=(-0.1, 0.5))
     q = ground(3)
     assert engine._power_law_roots(spec, q.q, engine._power_terms(spec, q.q), 1e-12) is None
