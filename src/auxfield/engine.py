@@ -5,9 +5,11 @@ field-dependent offset V(I(nu)) - nu I(nu)^2, where K(r) = V'(r) / (r^2)' and
 I = K^(-1). With identical particles the optimal fields coincide term by term,
 everything collapses to a single positive scale X0 = sqrt(2 mu0 (nu0 + N
 nubar0)), and the mass follows from one scalar equation for X0. Closed forms
-for specific interactions live in dedicated functions; afm_mass always solves
-the X0 equation numerically so the two routes stay independent checks of each
-other.
+for specific interactions live in dedicated functions; afm_mass has no
+closed-form branch and always solves the X0 equation numerically, so the two
+routes stay independent checks of each other. equal_power_mass hands a spec to
+afm_mass only where it has no closed form: massive kinematics at exponents
+outside {-1, 1, 2}, or a massive amplitude that is not a positive float.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ from .errors import (
     DomainError,
     NonPositiveSlope,
     NoPositiveRoot,
-    NumericalError,
     UnsupportedCombination,
     UnsupportedForm,
     require_finite,
@@ -35,6 +36,7 @@ from .model import (
     QuantumNumbers,
     Scope,
     SystemSpec,
+    _exp,
     _tangency_radii,
     validate,
 )
@@ -251,16 +253,16 @@ def _solve_x0_roots(
 ) -> list[float]:
     """All positive roots of h by a log-grid scan.
 
-    The grid runs from min(scales) 1e-10 to max(scales) 1e10 at 24 points per
-    decade; each sign change is polished by _zero in t = ln X0.
+    The grid runs from min(scales) 1e-10 to max(scales) 1e10, clamped to the
+    normal floats [DBL_MIN, DBL_MAX] (all of them when no scale is given), at
+    24 points per decade; each sign change is polished by _zero in t = ln X0.
     """
-    lo = min(scales, default=0.0) * 1e-10
-    hi = max(scales, default=0.0) * 1e10
-    if lo == 0.0 or not math.isfinite(hi / lo):
-        raise DomainError(f"root-scan grid [{lo}, {hi}] leaves the floating-point range")
-    decades = math.log10(hi / lo)
+    lo = max(min(scales, default=0.0) * 1e-10, sys.float_info.min)
+    hi = min(max(scales, default=math.inf) * 1e10, sys.float_info.max)
+    span = hi / lo  # inf only for a window wider than 308 decades
+    decades = math.log10(span) if span < math.inf else math.log10(hi) - math.log10(lo)
     points = max(int(decades * 24), 48) + 1
-    ratio = (hi / lo) ** (1.0 / (points - 1))
+    ratio = span ** (1.0 / (points - 1)) if span < math.inf else 10.0 ** (decades / (points - 1))
 
     def h_of_t(t: float) -> float:
         return h(math.exp(t))
@@ -270,7 +272,7 @@ def _solve_x0_roots(
     h_prev = h(x_prev)
     x = lo
     for _ in range(points - 1):
-        x *= ratio
+        x = min(x * ratio, hi)
         h_cur = h(x)
         if h_prev == 0.0:
             roots.append(x_prev)
@@ -478,9 +480,15 @@ def _power_law_roots(
     return sorted(found)
 
 
-def _field_sum(spec: SystemSpec, qq: float) -> Callable[[float], float]:
-    """F(X0) = K(r_one) + N Kbar(r_pair) at the tangency radii of X0."""
-    n = spec.n
+def _scale_residual(spec: SystemSpec, qq: float) -> Callable[[float], float]:
+    """h(X0) = 2 mu F(X0) / X0 - X0, mu = sqrt(m^2 + Q X0 / N) or m.
+
+    F(X0) = K(r_one) + N Kbar(r_pair) at the tangency radii of X0. h has the
+    sign of 2 mu F - X0^2 for X0 > 0, and no X0^2 to overflow into a false
+    sign change near sqrt(DBL_MAX); where 2 mu F overflows, F / X0 is formed
+    first.
+    """
+    n, m = spec.n, spec.identical_mass
     k_one = auxiliary_k(spec.one_body[0]) if spec.one_body else None
     k_pair = auxiliary_k(spec.pairwise[0]) if spec.pairwise else None
 
@@ -493,26 +501,15 @@ def _field_sum(spec: SystemSpec, qq: float) -> Callable[[float], float]:
             total += n * k_pair(r2)
         return total
 
-    return field_sum
+    relativistic = spec.kinematics is Kinematics.SEMIRELATIVISTIC
 
-
-def _scale_residual(spec: SystemSpec, qq: float) -> Callable[[float], float]:
-    """h(X0) = 2 mu F(X0) / X0 - X0, mu = sqrt(m^2 + Q X0 / N) or m.
-
-    h has the sign of 2 mu F - X0^2 for X0 > 0, and no X0^2 to overflow into
-    a false sign change near sqrt(DBL_MAX).
-    """
-    n, m = spec.n, spec.identical_mass
-    field_sum = _field_sum(spec, qq)
-    if spec.kinematics is Kinematics.SEMIRELATIVISTIC:
-
-        def h(x0: float) -> float:
-            return 2.0 * math.sqrt(m * m + qq * x0 / n) * field_sum(x0) / x0 - x0
-
-    else:
-
-        def h(x0: float) -> float:
-            return 2.0 * m * field_sum(x0) / x0 - x0
+    def h(x0: float) -> float:
+        mu = math.sqrt(m * m + qq * x0 / n) if relativistic else m
+        f = field_sum(x0)
+        y = 2.0 * mu * f / x0
+        if abs(y) == math.inf:
+            y = 2.0 * mu * (f / x0)
+        return y - x0
 
     return h
 
@@ -554,35 +551,22 @@ def afm_mass(
     max(1, |t|), is met by bisecting in X0 down to adjacent floats, where
     2 mu F / X0 - X0 is a finite float around the root; elsewhere (e.g. where
     F overflows) that spacing is the floor. tolerance must be finite and
-    positive (else ValidationError). A mass that leaves the float range raises
-    NumericalError, and roots that all lie outside it raise DomainError.
+    positive (else ValidationError). A non-finite mass raises NumericalError,
+    and roots that all lie outside the float range raise DomainError.
     """
     validate(spec, q)
     require_tolerance(tolerance)
     if not spec.terms:
         raise UnsupportedCombination("need at least one potential term")
-    n = spec.n
-    m = spec.identical_mass
     qq = q.q
-    if spec.kinematics is Kinematics.NONRELATIVISTIC and all(
-        isinstance(t.form, PowerLaw) and t.form.exponent == 2.0 for t in spec.terms
-    ):
-        kappa = _field_sum(spec, qq)(1.0)  # constant for quadratic terms
-        if kappa <= 0.0:
-            raise NoPositiveRoot(f"net spring constant {kappa} <= 0")
-        x0 = math.sqrt(2.0 * m * kappa)
-        if not 0.0 < x0 < math.inf:
-            raise DomainError(f"auxiliary scale X0 = {x0} is not a positive float")
-        mass = _mass_at_x0(spec, qq, x0)
-    else:
-        roots = _scale_roots(spec, qq, tolerance)
-        if not roots:
-            raise NoPositiveRoot("the auxiliary-scale equation has no positive root")
-        candidates = [(_mass_at_x0(spec, qq, r), r) for r in roots]
-        mass, x0 = min([c for c in candidates if math.isfinite(c[0])] or candidates)
-    if not math.isfinite(mass):
-        raise NumericalError(f"mass {mass} at X0 = {x0} is not a finite float")
-    return AFMSolution.at_scale(n, m, qq, x0, mass, bound_character(spec))
+    roots = _scale_roots(spec, qq, tolerance)
+    if not roots:
+        raise NoPositiveRoot("the auxiliary-scale equation has no positive root")
+    candidates = [(_mass_at_x0(spec, qq, r), r) for r in roots]
+    mass, x0 = min([c for c in candidates if math.isfinite(c[0])] or candidates)
+    return AFMSolution.at_scale(
+        spec.n, spec.identical_mass, qq, x0, mass, bound_character(spec)
+    )
 
 
 def _extract_equal_powers(spec: SystemSpec) -> tuple[float, float, float]:
@@ -608,22 +592,19 @@ def _extract_equal_powers(spec: SystemSpec) -> tuple[float, float, float]:
     return a, b, lams.pop()
 
 
-def _m00_mass(n: int, m: float, qq: float, lam: float, x0: float) -> float:
-    return (n * lam * m * m + qq * (lam + 1.0) * x0) / (
-        lam * math.sqrt(m * m + qq * x0 / n)
-    )
-
-
 def equal_power_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
     """Closed-form mass when the one-body and pairwise exponents coincide.
 
     The scale equation collapses to X0^(lam+2) = C^2 (m^2 + Q X0 / N) with
     C the combined amplitude; the mass is then
     (N lam m^2 + Q (lam+1) X0) / (lam sqrt(m^2 + Q X0/N)). Nonrelativistic
-    kinematics and the massless limit are closed for every exponent; with a
-    finite mass the equation is algebraic for lam in {-1, 1, 2}, and other
-    exponents fall back to the numeric solve of afm_mass, as does an
-    amplitude C past the float range.
+    kinematics and the massless limit are closed for every exponent: ln C,
+    ln X0 and the log of the mass's binding part are formed from the logs of
+    their factors, and X0 and the mass are exponentiated once, past the float
+    range as inf (which AFMSolution.at_scale rejects). With a finite mass the
+    equation is algebraic for lam in {-1, 1, 2}; other exponents, and an
+    amplitude C that is not a positive float, take the numeric solve of
+    afm_mass.
     """
     validate(spec, q)
     a, b, lam = _extract_equal_powers(spec)
@@ -631,37 +612,27 @@ def equal_power_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
     m = spec.identical_mass
     qq = q.q
 
-    try:
-        amp_one = a * abs(lam) * (n / qq) ** ((2.0 - lam) / 2.0)
-        amp_pair = b * abs(lam) * n * ((n - 1) / (2.0 * qq)) ** ((2.0 - lam) / 2.0)
-        c = amp_one + amp_pair
-    except OverflowError:
-        c = math.inf
-    if c <= 0.0:
-        raise NoPositiveRoot(f"combined amplitude {c} <= 0: no binding")
-    if not c < math.inf:  # the amplitude left the float range, X0 need not
-        return afm_mass(spec, q)
-
-    if spec.kinematics is Kinematics.NONRELATIVISTIC:
-        # one power per factor: m**lam and c * c overflow where X0 and M need not
-        g = 2.0 / (lam + 2.0)
-        try:
-            x0 = m**g * c**g
-            mass = n * m + (lam + 2.0) / (2.0 * lam) * qq * c**g * m ** (-lam / (lam + 2.0))
-        except OverflowError:  # a power left the float range; X0 and M need not
-            return afm_mass(spec, q)
-    elif m == 0.0:
-        if lam == -1.0:
-            raise NoPositiveRoot(
-                "massless pure inverse-distance systems have no scale; the mass"
-                " tends to zero"
+    # C = a |lam| (N/Q)^((2-lam)/2) + b |lam| N ((N-1)/(2Q))^((2-lam)/2)
+    half = 0.5 * (2.0 - lam)
+    log_lam = math.log(abs(lam))
+    amplitude = _merge(
+        [
+            (0.0, math.copysign(1.0, coef), math.log(abs(coef)) + log_lam + log_base)
+            for coef, log_base in (
+                (a, half * math.log(n / qq)),
+                (b, math.log(n) + half * math.log((n - 1) / (2.0 * qq))),
             )
-        try:
-            x0 = (qq / n) ** (1.0 / (lam + 1.0)) * c ** (2.0 / (lam + 1.0))
-        except OverflowError:
-            x0 = math.inf  # past the float range; at_scale rejects X0
-        mass = _m00_mass(n, 0.0, qq, lam, x0)
-    else:
+            if coef != 0.0
+        ]
+    )
+    if not amplitude or amplitude[0][1] < 0.0:
+        raise NoPositiveRoot("combined amplitude <= 0: no binding")
+    log_c = amplitude[0][2]
+
+    if spec.kinematics is Kinematics.SEMIRELATIVISTIC and m > 0.0:
+        c = _exp(log_c)
+        if lam not in (2.0, 1.0, -1.0) or not 0.0 < c < math.inf:
+            return afm_mass(spec, q)
         if lam == 2.0:
             s = (c * c * qq / (2.0 * n)) ** (1.0 / 3.0)
             y = 4.0 * c * c * m * m / (3.0 * s**4)
@@ -670,15 +641,32 @@ def equal_power_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
             s = c * math.sqrt(qq / (3.0 * n))
             y = c * c * m * m / (2.0 * s**3)
             x0 = s * cubic_root(y)
-        elif lam == -1.0:
+        else:
             frac = c * c * qq / n
             if frac >= 1.0:
                 raise NoPositiveRoot("attraction beyond the collapse threshold")
             x0 = c * c * m * m / (1.0 - frac)
-        else:
-            return afm_mass(spec, q)
-        mass = _m00_mass(n, m, qq, lam, x0)
-    return AFMSolution.at_scale(n, m, qq, x0, mass, bound_character(spec))
+        mass = (n * lam * m * m + qq * (lam + 1.0) * x0) / (
+            lam * math.sqrt(m * m + qq * x0 / n)
+        )
+        return AFMSolution.at_scale(n, m, qq, x0, mass, bound_character(spec))
+    if spec.kinematics is Kinematics.NONRELATIVISTIC:
+        # X0 = (m C)^g, M = N m + (lam+2)/(2 lam) Q C^g m^(-lam/(lam+2)), g = 2/(lam+2)
+        g = 2.0 / (lam + 2.0)
+        log_x0 = g * (math.log(m) + log_c)
+        rest, factor = n * m, (lam + 2.0) / (2.0 * lam)
+        log_binding = math.log(qq) + g * log_c - lam / (lam + 2.0) * math.log(m)
+    elif lam == -1.0:
+        raise NoPositiveRoot(
+            "massless pure inverse-distance systems have no scale; the mass tends to zero"
+        )
+    else:
+        # X0 = (Q C^2 / N)^(1/(lam+1)), M = (lam+1)/lam sqrt(Q N X0)
+        log_x0 = (math.log(qq / n) + 2.0 * log_c) / (lam + 1.0)
+        rest, factor = 0.0, (lam + 1.0) / lam
+        log_binding = 0.5 * (math.log(qq) + math.log(n) + log_x0)
+    mass = rest + math.copysign(_exp(math.log(abs(factor)) + log_binding), factor)
+    return AFMSolution.at_scale(n, m, qq, _exp(log_x0), mass, bound_character(spec))
 
 
 def linear_mass(n: int, m: float, a: float, b: float, q: float) -> AFMSolution:

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 from .errors import (
     NoRestoringForce,
     NotClosedShell,
+    NumericalError,
     SingularMasses,
     ValidationError,
     require_finite,
@@ -121,7 +122,8 @@ def ho_energies_general(
     omega_i = sqrt(2 d_i / m_ref); the level energy is
     sum_i omega_i (2 n_i + l_i + 3/2). Eigenvalues are sorted ascending and
     paired with the caller's mode list in order, so the caller controls which
-    mode is excited.
+    mode is excited. An energy that is not a finite float raises
+    NumericalError.
     """
     n = len(masses)
     if len(modes) != n - 1:
@@ -134,6 +136,8 @@ def ho_energies_general(
     energy = sum(
         w * (2 * ni + li + 1.5) for w, (ni, li) in zip(omegas, modes)
     )
+    if not math.isfinite(energy):
+        raise NumericalError(f"energy {energy} is not a finite float")
     return HOSpectrumEntry(omegas=omegas, energy=energy)
 
 

@@ -16,6 +16,7 @@ from .errors import (
     DomainError,
     InvalidCoefficient,
     InvalidExponent,
+    NumericalError,
     SingularMasses,
     UnsupportedCombination,
     UnsupportedForm,
@@ -25,6 +26,11 @@ from .errors import (
 )
 
 _LOG_MAX = math.log(sys.float_info.max)
+
+
+def _exp(x: float) -> float:
+    """e^x, read as inf past the float range (and for NaN)."""
+    return math.exp(x) if x <= _LOG_MAX else math.inf
 
 
 class Kinematics(Enum):
@@ -79,8 +85,7 @@ class PowerLaw:
             # r**exponent leaves the float range; the product may not
             if self.coefficient == 0.0:
                 return 0.0
-            log_mag = math.log(abs(self.coefficient)) + self.exponent * math.log(r)
-            mag = math.exp(log_mag) if log_mag <= _LOG_MAX else math.inf
+            mag = _exp(math.log(abs(self.coefficient)) + self.exponent * math.log(r))
             return math.copysign(mag, self.coefficient * sign)
 
 
@@ -200,10 +205,13 @@ class AFMSolution:
         so mu0^2 - m^2 = Q X0 / N holds by construction, and the tangency
         radii are r0_one = sqrt(Q / (N X0)) and r0_pair = sqrt(2Q / ((N-1) X0)).
         An X0 that is not a positive float (it under- or overflowed) raises
-        DomainError.
+        DomainError, and a mass that is not a finite float (inf or NaN) raises
+        NumericalError, so no solver returns either.
         """
         if not 0.0 < x0 < math.inf:
             raise DomainError(f"auxiliary scale X0 = {x0} is not a positive float")
+        if not math.isfinite(mass):
+            raise NumericalError(f"mass {mass} at X0 = {x0} is not a finite float")
         r_one, r_pair = _tangency_radii(n, q, x0)
         mu0 = math.sqrt(m * m + q * x0 / n)
         if mu0 == math.inf:  # m * m overflowed

@@ -350,6 +350,22 @@ def test_invalid_exponent_exits_2(tmp_path, change, error):
     assert json.loads(text)["error"]["type"] == error
 
 
+@pytest.mark.parametrize("coefficient", [1e27, 2e27], ids=["parts-overflow", "mass-overflows"])
+def test_solve_mass_past_the_float_range_exits_3(tmp_path, coefficient):
+    # X0 = 3.2e296 and 3.4e302 are floats; the kinetic and potential parts of
+    # the mass are not, and at 2e27 neither is the mass, -2.7e313
+    doc = dict(
+        LINEAR_SPEC,
+        mass=1e-12,
+        kinematics="nonrelativistic",
+        pairwise=[_power(coefficient, -1.9)],
+    )
+    path = write_spec(tmp_path, doc)
+    code, text = run_cli(["solve", "--spec", path, "--format", "json"])
+    assert code == EXIT_NUMERICAL
+    assert json.loads(text)["error"]["type"] == "NumericalError"
+
+
 def test_steep_pairwise_power_solves(tmp_path):
     steep = dict(
         LINEAR_SPEC,

@@ -34,7 +34,7 @@ from auxfield.model import (
     Scope,
 )
 from auxfield.oracles import _field_term, numeric_afm_minimize
-from auxfield.systems import baryonic_ur
+from auxfield.systems import baryonic_ur, gaussian_spectrum
 from conftest import gaussian_system, ground, power_system
 
 NR = Kinematics.NONRELATIVISTIC
@@ -255,6 +255,24 @@ def test_root_below_the_grid_window():
 
 
 @pytest.mark.parametrize(
+    "m,depth,range_",
+    [(1e150, 2.0, 0.5), (1e300, 1e300, 1.0)],
+    ids=["window-past-dbl-max", "no-finite-scale"],
+)
+def test_grid_window_clamped_to_the_float_range(m, depth, range_):
+    # 1e10 m^2 leaves the float range, and with m^2 and 2 m N depth range^2
+    # both past it no scale is finite: the grid scans the normal floats. In
+    # the second well 2 m F overflows near the root, where 2 m F / X0 does not
+    spec = gaussian_system(3, m, depth, range_)
+    q = ground(3)
+    sol = afm_mass(spec, q)
+    closed = 3.0 * m + gaussian_spectrum(3, m, depth, range_, q.q).energy
+    assert sol.mass == pytest.approx(closed, rel=1e-12, abs=1e-12 * 3.0 * m)
+    # a deep well holds each pair at its bottom: X0^2 = 2 m N depth range^2
+    assert sol.x0 == pytest.approx(math.sqrt(6.0 * depth) * range_ * math.sqrt(m), rel=1e-12)
+
+
+@pytest.mark.parametrize(
     "kinematics,mass,one,pair",
     [
         (SR, 0.0, None, (5.0, -0.999)),
@@ -278,6 +296,26 @@ def test_equal_power_massless_overflowing_scale_is_domain_error():
     spec = power_system(3, 0.0, SR, pair=(5.0, -0.999))
     with pytest.raises(DomainError):
         equal_power_mass(spec, ground(3))
+
+
+def test_mass_past_the_float_range_raises():
+    # X0 = 3.4e302 is a float, the mass -2.7e313 is not
+    spec = power_system(3, 1e-12, NR, pair=(2e27, -1.9))
+    for solve in (afm_mass, equal_power_mass):
+        with pytest.raises(NumericalError):
+            solve(spec, ground(3))
+
+
+def test_mass_whose_parts_overflow():
+    # the kinetic and potential parts, 4.8e308 and -5.1e308, leave the float
+    # range but their sum does not: afm_mass adds the parts and raises rather
+    # than return NaN; the closed form takes the sum in logs (50-digit value)
+    spec = power_system(3, 1e-12, NR, pair=(1e27, -1.9))
+    with pytest.raises(NumericalError):
+        afm_mass(spec, ground(3))
+    sol = equal_power_mass(spec, ground(3))
+    assert sol.mass == pytest.approx(-2.5533234713086065e307, rel=1e-13)
+    assert sol.x0 == pytest.approx(3.2342097303242318e296, rel=1e-12)
 
 
 def test_mass_monotone_in_pair_strength():
@@ -353,9 +391,11 @@ def test_equal_power_sr_linear_matches_linear_mass():
     assert sol.mass == pytest.approx(closed.mass, rel=1e-13)
 
 
-@pytest.mark.parametrize(
-    "lam,mode", [(60.0, (2000, 0)), (150.0, (2000, 0)), (300.0, (2000, 0)), (300.0, (55, 1))]
-)
+STEEP_MASSLESS = [(60.0, (2000, 0)), (150.0, (2000, 0)), (300.0, (2000, 0)), (300.0, (55, 1))]
+STEEP_NR = [(1e3, 150.0, 3000.0051475), (1e-3, 150.0, 4291.8976507), (1e-5, 60.0, 335416.11193)]
+
+
+@pytest.mark.parametrize("lam,mode", STEEP_MASSLESS)
 def test_equal_power_massless_steep_excited_matches_afm_mass(lam, mode):
     # X0 and the mass are finite although c*c (lam 60, 150) or the amplitude
     # itself (lam 300: its power overflows, or at Q = 114 its product) leaves
@@ -366,16 +406,39 @@ def test_equal_power_massless_steep_excited_matches_afm_mass(lam, mode):
     assert sol.mass == pytest.approx(afm_mass(spec, q).mass, rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "m,lam,expected",
-    [(1e3, 150.0, 3000.0051475), (1e-3, 150.0, 4291.8976507), (1e-5, 60.0, 335416.11193)],
-)
+@pytest.mark.parametrize("m,lam,expected", STEEP_NR)
 def test_equal_power_nonrelativistic_steep_power_is_finite(m, lam, expected):
     # m**lam and c * c leave the float range where X0 and the mass do not
     spec = power_system(3, m, NR, pair=(0.2, lam))
     sol = equal_power_mass(spec, ground(3))
     assert sol.mass == pytest.approx(afm_mass(spec, ground(3)).mass, rel=1e-12)
     assert sol.mass == pytest.approx(expected, rel=1e-10)
+
+
+def test_equal_power_nonrelativistic_and_massless_never_call_afm_mass():
+    # otherwise the two steep tests above would compare afm_mass with itself
+    cases = [
+        (power_system(3, 0.0, SR, pair=(0.2, lam)), QuantumNumbers(((0, 0), mode)))
+        for lam, mode in STEEP_MASSLESS
+    ]
+    cases += [(power_system(3, m, NR, pair=(0.2, lam)), ground(3)) for m, lam, _ in STEEP_NR]
+    with mock.patch.object(engine, "afm_mass", side_effect=AssertionError("afm_mass called")):
+        for spec, q in cases:
+            assert math.isfinite(equal_power_mass(spec, q).mass)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        power_system(3, 1.0, NR, one=(0.1, 1.0), pair=(-1.0, 1.0)),
+        power_system(3, 0.0, SR, pair=(0.5, -1.0)),
+        power_system(3, 1.0, SR, one=(5.0, -1.0), pair=(5.0, -1.0)),
+    ],
+    ids=["non-binding-amplitude", "massless-inverse-distance", "massive-beyond-collapse"],
+)
+def test_equal_power_no_positive_root(spec):
+    with pytest.raises(NoPositiveRoot):
+        equal_power_mass(spec, ground(3))
 
 
 def test_equal_power_requires_matching_exponents():
@@ -561,6 +624,14 @@ def test_tiny_tolerance_resolves_x0_to_adjacent_floats(spec):
     assert x0 == pytest.approx(afm_mass(spec, q).x0, rel=1e-12)
 
 
+def test_tiny_tolerance_where_h_is_not_finite_keeps_the_float_spacing_of_t():
+    # F overflows at the root X0 = 6.66e164, so bisection in X0 has no finite
+    # h to work with and the floor stays 4 eps |ln X0| relative
+    spec = power_system(3, 1.0, NR, pair=(10.0, -1.99))
+    x0 = afm_mass(spec, ground(3), tolerance=1e-20).x0
+    assert x0 == afm_mass(spec, ground(3)).x0 == 6.660174264961239e164
+
+
 def test_unreached_sign_change_bound_falls_back_to_the_grid():
     # massive kinematics with a repulsive term: u^2 - 1 has more sign changes
     # than the equation has roots, and no turning-point rule settles the
@@ -606,6 +677,15 @@ def _criterion_4_power_draws(rng, count):
         yield power_system(n, m + 0.5, SR, one=(alpha, -1.0), pair=(-alphabar, -1.0)), q
 
 
+def _nr_quadratic_draws(rng, count):
+    """Nonrelativistic oscillators: the srho family of criterion 4 with m > 0."""
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        q = QuantumNumbers(((int(rng.integers(0, 3)), 0),) + ((0, 0),) * (n - 2))
+        m, k = (float(x) for x in rng.uniform(0.05, 3.0, size=2))
+        yield power_system(n, m, NR, one=(k, 2.0), pair=(0.7, 2.0)), q
+
+
 def test_structured_solve_cost_guard():
     # machine-independent cost: evaluations of the scale equation per solve,
     # counted as calls of its two implementations (u_logs in t, h in X0)
@@ -616,7 +696,9 @@ def test_structured_solve_cost_guard():
             if frame.f_code.co_filename == engine.__file__:
                 calls.append(frame.f_code.co_name)
 
-    for spec, q in _criterion_4_power_draws(np.random.default_rng(314), 40):
+    draws = list(_criterion_4_power_draws(np.random.default_rng(314), 40))
+    draws += _nr_quadratic_draws(np.random.default_rng(315), 40)
+    for spec, q in draws:
         calls.clear()
         sys.setprofile(count)
         try:

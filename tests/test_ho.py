@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from auxfield.errors import NoRestoringForce, NotClosedShell
+from auxfield.errors import NoRestoringForce, NotClosedShell, NumericalError
 from auxfield.ho import (
     build_quadratic_form,
     ground_state_q,
@@ -246,6 +246,12 @@ def test_general_beyond_33_particles_matches_library_eigenvalues(n):
     assert np.max(np.abs(np.array(entry.omegas) - omegas)) <= 1e-12 * omegas[-1]
     energy = sum(w * (2 * ni + li + 1.5) for w, (ni, li) in zip(omegas, modes))
     assert entry.energy == pytest.approx(energy, rel=1e-12)
+
+
+def test_general_energy_past_the_float_range_raises():
+    # a subnormal mass makes every frequency sqrt(2 d / m) inf
+    with pytest.raises(NumericalError):
+        ho_energies_general([2.2e-309] * 3, [2.0] * 3, pair_matrix(3, 0.0), [(0, 0)] * 2)
 
 
 def test_identical_energy_requires_restoring_force():
