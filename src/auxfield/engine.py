@@ -112,18 +112,28 @@ def bound_character(spec: SystemSpec) -> BoundCharacter:
     return BoundCharacter.EXACT
 
 
-def _mass_at_x0(spec: SystemSpec, q: float, x0: float) -> float:
+def _binding_at_x0(spec: SystemSpec, q: float, x0: float) -> float:
+    """Binding E = M - N m of the AFM mass at the scale X0.
+
+    The kinetic part is Q X0 / (2m) (NR) or N (mu - m) = Q X0 / (mu + m)
+    with mu = sqrt(m^2 + Q X0 / N) (SR), so no rest mass swamps it. Both
+    parts are formed in quarters and summed before they are scaled back, so
+    neither overflows on its own where their sum is finite.
+    """
     n = spec.n
     m = spec.identical_mass
     r1, r2 = _tangency_radii(n, q, x0)
-    pot = 0.0
+    quarter = 0.0
     if spec.one_body:
-        pot += n * spec.one_body[0].evaluate(r1)
+        quarter += 0.25 * n * spec.one_body[0].evaluate(r1)
     if spec.pairwise:
-        pot += n * (n - 1) / 2.0 * spec.pairwise[0].evaluate(r2)
+        quarter += 0.125 * n * (n - 1) * spec.pairwise[0].evaluate(r2)
     if spec.kinematics is Kinematics.SEMIRELATIVISTIC:
-        return n * math.sqrt(m * m + q * x0 / n) + pot
-    return n * m + q * x0 / (2.0 * m) + pot
+        p = math.sqrt(q / n) * math.sqrt(x0)  # mu^2 - m^2 = p^2
+        quarter += 0.25 * n * p * (p / (math.hypot(m, p) + m))
+    else:
+        quarter += 0.125 * q * x0 / m
+    return 4.0 * quarter
 
 
 def _scale_candidates(spec: SystemSpec, q: float) -> list[float]:
@@ -538,11 +548,12 @@ def afm_mass(
     X0^2 = 2 sqrt(m^2 + Q X0 / N) [K(r_one) + N Kbar(r_pair)] with the
     tangency radii r_one = sqrt(Q/(N X0)), r_pair = sqrt(2Q/((N-1) X0))
     (the square root pinned to m for nonrelativistic kinematics), then
-    assembles M = N mu0 + N V(r_one) + N(N-1)/2 Vbar(r_pair). Accepts at most
-    one term per scope. When several positive roots exist (e.g. gaussian
-    wells) the one minimizing the assembled mass wins, ties toward smaller X0;
-    a root whose mass leaves the float range loses to any root with a finite
-    mass.
+    assembles the binding E = N (mu0 - m) + N V(r_one) + N(N-1)/2 Vbar(r_pair)
+    and returns M = N m + E. Accepts at most one term per scope. When several
+    positive roots exist (e.g. gaussian wells) the one with the lowest binding
+    wins, ties toward smaller X0, so a rest mass that swamps E cannot pick the
+    root; a root whose binding leaves the float range loses to any root with
+    a finite one.
     Power-law specs find their roots in t = ln X0 with a count certified by
     Descartes' rule of signs (_power_law_roots); gaussian wells, and the
     power-law cases that count leaves open, scan a log grid. Each root is
@@ -562,8 +573,9 @@ def afm_mass(
     roots = _scale_roots(spec, qq, tolerance)
     if not roots:
         raise NoPositiveRoot("the auxiliary-scale equation has no positive root")
-    candidates = [(_mass_at_x0(spec, qq, r), r) for r in roots]
-    mass, x0 = min([c for c in candidates if math.isfinite(c[0])] or candidates)
+    candidates = [(_binding_at_x0(spec, qq, r), r) for r in roots]
+    binding, x0 = min([c for c in candidates if math.isfinite(c[0])] or candidates)
+    mass = spec.n * spec.identical_mass + binding
     return AFMSolution.at_scale(
         spec.n, spec.identical_mass, qq, x0, mass, bound_character(spec)
     )

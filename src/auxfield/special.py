@@ -5,9 +5,16 @@ against linear and quadratic interactions; the Lambert function appears for
 gaussian wells. Closed forms are evaluated first and then polished with a few
 Newton steps, because the quartic expression cancels badly for large
 arguments while Newton converges in one or two steps from it.
+
+The eigenvalue routine is round-robin Jacobi: each sweep visits the pairs in
+the circle-method ordering of Brent and Luk (SIAM J. Sci. Stat. Comput. 6
+(1985) 69-84), whose rounds hold disjoint pairs and so rotate as one block.
+Luk and Park (SIAM J. Sci. Stat. Comput. 10 (1989) 18-26) prove the ordering
+equivalent to the cyclic-by-rows one, so it converges in the same way.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING
 
@@ -119,14 +126,55 @@ def quartic_root(y: float) -> float:
     return x
 
 
+@functools.lru_cache(maxsize=64)
+def _round_robin(d: int) -> list[np.ndarray]:
+    """Flat indices of the circle-method rounds for a d x d matrix.
+
+    The circle method pads an odd d with one idle index, keeps index 0 fixed
+    and turns the others one place per round, so d - 1 rounds (d rounds for
+    odd d) pair every index with every other exactly once; the pairs of a
+    round are disjoint. Each round is a 4 x k array holding the flat
+    positions of (p,p), (q,q), (p,q) and (q,p) for its k pairs p < q.
+    """
+    import numpy as np
+
+    width = d + d % 2
+    ring = list(range(1, width))
+    rounds = []
+    for _ in range(width - 1):
+        order = [0] + ring
+        pairs = [
+            (min(i, j), max(i, j))
+            for i, j in zip(order[: width // 2], reversed(order[width // 2 :]))
+            if j < d and i < d
+        ]
+        ring = ring[-1:] + ring[:-1]
+        if pairs:
+            p, q = np.array(pairs, dtype=np.intp).T
+            rounds.append(np.stack([p * (d + 1), q * (d + 1), p * d + q, q * d + p]))
+    return rounds
+
+
 def symmetric_eigen(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a dense symmetric matrix by cyclic Jacobi rotations.
+    """Ascending eigenvalues of a dense symmetric matrix by round-robin Jacobi.
+
+    Each sweep visits the d(d-1)/2 off-diagonal pairs in the round-robin
+    (circle-method) ordering of Brent and Luk, SIAM J. Sci. Stat. Comput. 6
+    (1985) 69-84: d - 1 rounds of disjoint pairs (d rounds for odd d). The
+    rotations of one round commute, so each round is applied as one
+    orthogonal block, w <- J^T w J. Luk and Park, SIAM J. Sci. Stat. Comput.
+    10 (1989) 18-26, show this ordering is equivalent to the cyclic-by-rows
+    one, so it converges like it. Every rotation takes the minimal angle,
+    |phi| <= pi/4; a pair whose |a_pq| is below about 1e-300 of the largest
+    entry is left alone. The matrix is scaled by a power of two, so entries
+    anywhere in the float range are solved; an eigenvalue outside it raises
+    DomainError.
 
     Only the eigenvalues are formed: the rotations act on the matrix alone
-    and no eigenvector matrix is accumulated. Row-major sweep order and a
-    fixed convergence threshold (off-diagonal Frobenius mass below
-    1e-14 * ||a||) keep the result reproducible; a matrix that misses the
-    threshold after 100 sweeps raises NonConvergence.
+    and no eigenvector matrix is accumulated. A fixed ordering and a fixed
+    convergence threshold (off-diagonal Frobenius mass below 1e-14 * ||a||)
+    keep the result reproducible; a matrix that misses the threshold after
+    100 sweeps raises NonConvergence.
     """
     import numpy as np
 
@@ -135,37 +183,44 @@ def symmetric_eigen(a: np.ndarray) -> np.ndarray:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     d = a.shape[0]
     scale = np.max(np.abs(a)) if d else 0.0
-    if scale > 0.0 and np.max(np.abs(a - a.T)) > 1e-12 * scale:
+    # Work in units of the power of two at or just below the largest entry:
+    # the scaling is exact, and the squares inside the norms neither
+    # overflow nor underflow to 0 (which ended the sweeps before the first).
+    unit = math.ldexp(1.0, math.frexp(scale)[1] - 1) if 0.0 < scale < math.inf else 1.0
+    a = a / unit
+    if scale > 0.0 and np.max(np.abs(a - a.T)) > 1e-12 * (scale / unit):
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
 
     w = 0.5 * (a + a.T)
     norm = np.linalg.norm(w)
+    rounds = _round_robin(d)
     for sweep in range(101):
-        if np.linalg.norm(w - np.diag(np.diag(w))) <= 1e-14 * max(norm, 1e-300):
+        if np.linalg.norm(w - np.diag(np.diag(w))) <= 1e-14 * norm:
             break
         if sweep == 100:
             raise NonConvergence(
                 "off-diagonal mass above 1e-14 relative after 100 Jacobi sweeps"
             )
-        for p in range(d - 1):
-            for qi in range(p + 1, d):
-                apq = w[p, qi]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (w[qi, qi] - w[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:  # theta**2 would overflow
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * w[:, p] - s * w[:, qi]
-                rot_q = s * w[:, p] + c * w[:, qi]
-                w[:, p], w[:, qi] = rot_p, rot_q
-                rot_p = c * w[p, :] - s * w[qi, :]
-                rot_q = s * w[p, :] + c * w[qi, :]
-                w[p, :], w[qi, :] = rot_p, rot_q
+        for index in rounds:
+            app, aqq, apq = w.ravel()[index[:3]]
+            skip = np.abs(apq) <= 1e-300
+            # t = tan(phi) = sign(theta) / (|theta| + sqrt(theta^2 + 1)) with
+            # theta = h / apq, multiplied through by |apq|: hypot keeps theta^2
+            # from overflowing, so the large-|theta| form t = 1 / (2 theta)
+            # needs no branch of its own.
+            h = 0.5 * (aqq - app)
+            den = h + np.copysign(np.hypot(h, apq), h)
+            den[skip] = 1.0
+            t = apq / den
+            t[skip] = 0.0
+            c = 1.0 / np.hypot(t, 1.0)
+            s = t * c
+            j = np.eye(d)
+            j.ravel()[index[:2]] = c
+            j.ravel()[index[2:]] = np.stack([s, -s])
+            w = j.T @ w @ j
 
-    return np.sort(np.diag(w))
+    evals = np.sort(np.diag(w))
+    if d and float(np.max(np.abs(evals))) * unit == math.inf:
+        raise DomainError("an eigenvalue lies outside the float range")
+    return evals * unit

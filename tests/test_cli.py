@@ -350,20 +350,31 @@ def test_invalid_exponent_exits_2(tmp_path, change, error):
     assert json.loads(text)["error"]["type"] == error
 
 
-@pytest.mark.parametrize("coefficient", [1e27, 2e27], ids=["parts-overflow", "mass-overflows"])
-def test_solve_mass_past_the_float_range_exits_3(tmp_path, coefficient):
-    # X0 = 3.2e296 and 3.4e302 are floats; the kinetic and potential parts of
-    # the mass are not, and at 2e27 neither is the mass, -2.7e313
-    doc = dict(
+def _steep_nr_spec(coefficient):
+    return dict(
         LINEAR_SPEC,
         mass=1e-12,
         kinematics="nonrelativistic",
         pairwise=[_power(coefficient, -1.9)],
     )
-    path = write_spec(tmp_path, doc)
+
+
+@pytest.mark.parametrize("coefficient", [2e27], ids=["mass-overflows"])
+def test_solve_mass_past_the_float_range_exits_3(tmp_path, coefficient):
+    # X0 = 3.4e302 is a float; the mass, -2.7e313, is not
+    path = write_spec(tmp_path, _steep_nr_spec(coefficient))
     code, text = run_cli(["solve", "--spec", path, "--format", "json"])
     assert code == EXIT_NUMERICAL
     assert json.loads(text)["error"]["type"] == "NumericalError"
+
+
+def test_solve_mass_whose_parts_overflow(tmp_path):
+    # X0 = 3.2e296; the kinetic and potential parts of the mass, 4.8e308 and
+    # -5.1e308, are not floats, but their sum is
+    path = write_spec(tmp_path, _steep_nr_spec(1e27))
+    code, text = run_cli(["solve", "--spec", path, "--format", "json"])
+    assert code == 0
+    assert json.loads(text)["mass"] == pytest.approx(-2.5533234713086065e307, rel=1e-13)
 
 
 def test_steep_pairwise_power_solves(tmp_path):
@@ -648,6 +659,8 @@ def _shaped_example(n, mass, kinematics, one_body=(), pairwise=()):
 @example(
     _shaped_example(5, 2.05, "nonrelativistic", pairwise=[_gaussian(0.15, 8.3e-177)])
 )
+# a spring whose oscillator matrix squared leaves the float range
+@example(_shaped_example(2, 1.0, "nonrelativistic", pairwise=[_power(1e200, 2.0)]))
 def test_command_exit_code_is_always_0_2_or_3(tmp_path, command, document):
     path = write_spec(tmp_path, document)
     code, _ = run_cli([command, "--spec", path, "--format", "json"])

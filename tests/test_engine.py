@@ -308,14 +308,27 @@ def test_mass_past_the_float_range_raises():
 
 def test_mass_whose_parts_overflow():
     # the kinetic and potential parts, 4.8e308 and -5.1e308, leave the float
-    # range but their sum does not: afm_mass adds the parts and raises rather
-    # than return NaN; the closed form takes the sum in logs (50-digit value)
+    # range but their sum does not: the binding is summed in quarters and
+    # scaled back; the closed form takes the sum in logs (50-digit value)
     spec = power_system(3, 1e-12, NR, pair=(1e27, -1.9))
-    with pytest.raises(NumericalError):
-        afm_mass(spec, ground(3))
-    sol = equal_power_mass(spec, ground(3))
-    assert sol.mass == pytest.approx(-2.5533234713086065e307, rel=1e-13)
+    sol = afm_mass(spec, ground(3))
+    closed = equal_power_mass(spec, ground(3))
+    assert sol.mass == pytest.approx(closed.mass, rel=1e-13)
+    assert closed.mass == pytest.approx(-2.5533234713086065e307, rel=1e-13)
     assert sol.x0 == pytest.approx(3.2342097303242318e296, rel=1e-12)
+    assert closed.x0 == pytest.approx(3.2342097303242318e296, rel=1e-12)
+
+
+def test_gaussian_tie_picks_the_deep_well():
+    # both roots give masses that round to 3 m = 3e300; their bindings,
+    # about -3e10 in the well and ~0 far apart, are not tied. The well's
+    # root is X0 = sqrt(2 m N depth) range = 2.45e155
+    m, depth = 1e300, 1e10
+    spec = gaussian_system(3, m, depth, 1.0)
+    sol = afm_mass(spec, ground(3))
+    assert sol.x0 == pytest.approx(math.sqrt(6.0 * depth) * math.sqrt(m), rel=1e-12)
+    closed = 3.0 * m + gaussian_spectrum(3, m, depth, 1.0, ground(3).q).energy
+    assert sol.mass == pytest.approx(closed, rel=1e-12)
 
 
 def test_mass_monotone_in_pair_strength():
@@ -596,8 +609,9 @@ def test_structured_solve_matches_grid(case):
     assert len(roots) == len(grid_roots)
     for x, x_grid in zip(roots, grid_roots):
         assert x == pytest.approx(x_grid, rel=1e-12)
-        mass = engine._mass_at_x0(spec, q.q, x)
-        grid_mass = engine._mass_at_x0(spec, q.q, x_grid)
+        rest = spec.n * spec.identical_mass
+        mass = rest + engine._binding_at_x0(spec, q.q, x)
+        grid_mass = rest + engine._binding_at_x0(spec, q.q, x_grid)
         # a mass that cancels its parts is known to their rounding only
         assert mass == pytest.approx(grid_mass, rel=1e-13, abs=1e-13 * _mass_parts(spec, q, x))
     assert result.x0 == pytest.approx(grid_result.x0, rel=1e-12)

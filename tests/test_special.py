@@ -198,12 +198,85 @@ def test_eigen_raises_when_sweeps_run_out():
 
 
 def test_eigen_matches_library_solver():
+    # even and odd sizes take different round-robin schedules (odd ones
+    # leave one index idle per round)
     rng = np.random.default_rng(3)
-    for dim in (2, 3, 6, 12):
+    for dim in range(1, 65):
         a = rng.normal(size=(dim, dim))
         a = 0.5 * (a + a.T)
         w = symmetric_eigen(a)
         assert w == pytest.approx(np.linalg.eigvalsh(a), rel=1e-10, abs=1e-10)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-12 * np.linalg.norm(a), dim
+
+
+def _assert_matches_library(a):
+    w = symmetric_eigen(a)
+    assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-12 * np.linalg.norm(a)
+
+
+def test_eigen_block_diagonal():
+    # pairs across blocks are exact zeros with equal diagonal entries, which
+    # the skip mask must leave alone rather than divide 0 by 0
+    rng = np.random.default_rng(12)
+    blocks = [rng.normal(size=(k, k)) for k in (2, 3, 4, 3)]
+    a = np.zeros((12, 12))
+    start = 0
+    for b in blocks:
+        k = b.shape[0]
+        a[start : start + k, start : start + k] = b + b.T
+        start += k
+    np.fill_diagonal(a, 1.0)
+    _assert_matches_library(a)
+
+
+def test_eigen_identity_plus_rank_one():
+    # d - 1 equal eigenvalues 1 and one 1 + |v|^2
+    rng = np.random.default_rng(13)
+    for dim in (5, 8, 17):
+        v = rng.normal(size=dim)
+        a = np.eye(dim) + np.outer(v, v)
+        _assert_matches_library(a)
+        w = symmetric_eigen(a)
+        assert w[:-1] == pytest.approx(np.ones(dim - 1), abs=1e-12 * np.linalg.norm(a))
+        assert w[-1] == pytest.approx(1.0 + v @ v, rel=1e-12)
+
+
+def test_eigen_pair_with_huge_theta():
+    # the pair (0, 1) has theta = (a11 - a00) / (2 a01) = 5e159, past the
+    # 1e150 where theta^2 + 1 would overflow; the pair (0, 2) keeps the
+    # sweeps going
+    a = np.array([[0.0, 1e-160, 1.0], [1e-160, 1.0, 0.0], [1.0, 0.0, 2.0]])
+    _assert_matches_library(a)
+    rng = np.random.default_rng(14)
+    b = rng.normal(size=(6, 6))
+    b = b + b.T
+    b[0, 1] = b[1, 0] = 1e-158 * (b[1, 1] - b[0, 0])
+    _assert_matches_library(b)
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-200, 1e160, 1e307])
+def test_eigen_entries_near_the_float_range(scale):
+    # the squares inside the norms would under- or overflow: a tiny matrix
+    # came back unrotated, its diagonal read as the eigenvalues
+    rng = np.random.default_rng(16)
+    b = rng.normal(size=(5, 5))
+    a = scale * (b + b.T)
+    w = symmetric_eigen(a)
+    ref = np.linalg.eigvalsh(a)
+    assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_eigen_past_the_float_range_is_domain_error():
+    with pytest.raises(DomainError):
+        symmetric_eigen(np.full((2, 2), 1.5e308))
+
+
+def test_eigen_is_reproducible():
+    rng = np.random.default_rng(15)
+    for dim in (7, 32, 33):
+        a = rng.normal(size=(dim, dim))
+        a = a + a.T
+        assert symmetric_eigen(a).tobytes() == symmetric_eigen(a.copy()).tobytes()
 
 
 def test_eigen_similarity_invariance():
