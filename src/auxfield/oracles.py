@@ -2,7 +2,10 @@
 
 numeric_afm_minimize extremizes the three-field mass function directly, never
 touching the scale equation the closed forms come from, so agreement between
-the two routes is a genuine cross-check. gaussian_trial_bound evaluates a
+the two routes is a genuine cross-check. Its line searches use function values
+only, except along fields whose stationary point is a maximum: there Newton
+steps on the analytic derivatives of its own mass function come first, and
+Brent's search stays as the safeguard. gaussian_trial_bound evaluates a
 one-parameter correlated-Gaussian variational state analytically and is a true
 upper bound on the exact ground level of nonrelativistic pairwise systems.
 """
@@ -28,6 +31,7 @@ from .model import (
     QuantumNumbers,
     Scope,
     SystemSpec,
+    _exp,
     validate,
 )
 
@@ -43,6 +47,7 @@ _LINE_TOL = 1e-9
 # relative (4 ulp), no further evaluation can move the minimum.
 _LEVEL_SPAN = 1e-6
 _LEVEL_RTOL = 4.0 * sys.float_info.epsilon
+_FLOAT_MIN = sys.float_info.min  # smallest normal float
 _LOG_LO = -700.0  # fields confined to roughly [1e-304, 1e304], where exp is finite
 _LOG_HI = 700.0
 # A field starts at its |K| at unit radius, clamped to [e^-40, e^40]: from
@@ -57,6 +62,15 @@ _STEP_MAX = 0.5
 _STEP_MIN = 1e-4
 _WARM_GROWTH = 4.0
 _KAPPA_SPAN = 34.5  # trial widths confined to roughly [1e-15, 1e15]
+# Newton steps toward a max-sense field's maximum are clamped to _NEWTON_STEP
+# in log space and stop once shorter than _NEWTON_TOL or after
+# _NEWTON_ITERS steps. The point is accepted only if the mass there is not
+# below the mass _NEWTON_DELTA away on either side (inside _LEVEL_SPAN, so
+# the Brent polish that follows still meets its level stop).
+_NEWTON_STEP = 1.0
+_NEWTON_TOL = 1e-9
+_NEWTON_ITERS = 40
+_NEWTON_DELTA = 2.5e-7
 # Field extremization ends after two passes in a row that move the mass by
 # at most this much relative to max(1, |M|).
 _PASS_TOL = 1e-12
@@ -196,6 +210,16 @@ def _bracket_min(
     return ul, fl, u0, f0, uh, fh
 
 
+def _log_objective(f: Callable[[float], float], sense: int) -> Callable[[float], float]:
+    """u -> sense f(e^u), with non-finite values read as +inf, a barrier."""
+
+    def g(u: float) -> float:
+        v = f(math.exp(u))
+        return sense * v if math.isfinite(v) else math.inf
+
+    return g
+
+
 def _extremize_log_line(
     f: Callable[[float], float], x0: float, sense: int, step: float = _STEP_MAX
 ) -> tuple[float, float]:
@@ -206,11 +230,7 @@ def _extremize_log_line(
     start at `step`. Returns the extremum and how far it lies from x0 in log
     space.
     """
-
-    def g(u: float) -> float:
-        v = f(math.exp(u))
-        return sense * v if math.isfinite(v) else math.inf
-
+    g = _log_objective(f, sense)
     u_start = u0 = min(max(math.log(x0), _LOG_LO), _LOG_HI)
     f0 = g(u0)
     if not math.isfinite(f0):
@@ -242,6 +262,7 @@ class _FieldTerm:
     sense: int           # +1: stationary point is a minimum along this field
     offset: Callable[[float], float]  # V(I) - nu I^2 as a function of |field|
     init: float          # |K| at unit radius
+    power: float | None  # d ln|offset| / d ln|field| of a power law, else None
 
 
 def _field_term(term) -> _FieldTerm:
@@ -255,16 +276,29 @@ def _field_term(term) -> _FieldTerm:
         scale = coef * math.copysign(1.0, lam) * (1.0 - lam / 2.0)
         power = lam / (lam - 2.0)
 
+        # Where t/mag or its power leaves the float range, the product is
+        # formed in logs: a tiny scale times a huge power stays finite, and a
+        # product past the float range reads as inf, a barrier. Elsewhere the
+        # direct power keeps every digit; the log form would carry an error of
+        # about eps times its exponent.
         def offset(t: float, mag=mag, scale=scale, power=power):
-            try:
-                return scale * (t / mag) ** power
-            except (OverflowError, ZeroDivisionError):  # past the float range
-                return math.copysign(math.inf, scale)  # a barrier
+            y = t / mag
+            if y >= _FLOAT_MIN:
+                try:
+                    v = scale * y**power
+                    if v and v * 0.0 == 0.0:  # finite and nonzero
+                        return v
+                except OverflowError:
+                    pass
+            if not scale:  # coef (1 - lam/2) underflowed
+                return 0.0
+            log_v = math.log(abs(scale)) + power * (math.log(t) - math.log(mag))
+            return math.copysign(_exp(log_v), scale)
 
         # Along a binding concave direction the stationary point is a
         # minimum; repulsion or convex growth flips it to a maximum.
         sense = +1 if coef * (2.0 - lam) > 0.0 else -1
-        return _FieldTerm(term.scope, sign, sense, offset, mag)
+        return _FieldTerm(term.scope, sign, sense, offset, mag, power)
     if isinstance(form, GaussianWell):
         depth, rng = form.depth, form.range_
         cap = depth * rng * rng
@@ -275,9 +309,76 @@ def _field_term(term) -> _FieldTerm:
             return t / (rng * rng) * (math.log(t / cap) - 1.0)
 
         return _FieldTerm(
-            term.scope, 1.0, +1, offset, cap * math.exp(-(rng * rng))
+            term.scope, 1.0, +1, offset, cap * math.exp(-(rng * rng)), None
         )
     raise UnsupportedForm(f"no field term for {form!r}")
+
+
+def _newton_log_max(
+    offset: Callable[[float], float],
+    weight: float,
+    power: float,
+    base: float,
+    c: float,
+    mu: float,
+    qq: float,
+    u: float,
+) -> float | None:
+    """Newton steps toward the maximum of one power-law field, in u = ln t.
+
+    Along one field the mass is weight offset(t) + qq sqrt(2 s / mu) plus a
+    constant, with s = base + c t. Since offset = scale (t/mag)^power, its
+    first and second u-derivatives are power offset and power^2 offset; those
+    of the kinetic root K = qq sqrt(2 s / mu) are K r and K r (1 - r), with
+    r = c t / (2 s). Every
+    iterate must give finite values and a negative second derivative; steps
+    are clamped to _NEWTON_STEP and stop once shorter than _NEWTON_TOL or
+    after _NEWTON_ITERS. Returns the last iterate, or None where a safeguard
+    fails.
+    """
+    weight_power, two_over_mu = weight * power, 2.0 / mu
+    for _ in range(_NEWTON_ITERS):
+        if not _LOG_LO <= u <= _LOG_HI:
+            return None
+        t = math.exp(u)
+        ct = c * t
+        s = base + ct
+        if not s > 0.0:
+            return None
+        r = 0.5 * ct / s
+        k_r = qq * math.sqrt(two_over_mu * s) * r
+        slope = weight_power * offset(t)
+        d1 = slope + k_r
+        d2 = power * slope + k_r * (1.0 - r)
+        if not (-math.inf < d2 < 0.0 and math.isfinite(d1)):
+            return None
+        du = -d1 / d2
+        if du > _NEWTON_STEP:
+            du = _NEWTON_STEP
+        elif du < -_NEWTON_STEP:
+            du = -_NEWTON_STEP
+        u += du
+        if -_NEWTON_TOL <= du <= _NEWTON_TOL:
+            break
+    return u
+
+
+def _certified_max(f: Callable[[float], float], u: float) -> float | None:
+    """Polish a Newton maximum of f(e^u) by Brent's method, if it is one.
+
+    The point is accepted if f is finite there and at u -/+ _NEWTON_DELTA,
+    and not below either neighbour; Brent's search then runs on that bracket
+    with its usual stopping rules. Returns the field, or None if the point is
+    refused.
+    """
+    g = _log_objective(f, -1)
+    lo, hi = u - _NEWTON_DELTA, u + _NEWTON_DELTA
+    if not _LOG_LO <= lo < hi <= _LOG_HI:
+        return None
+    gu = g(u)
+    if not (gu < math.inf and gu <= g(lo) < math.inf and gu <= g(hi) < math.inf):
+        return None
+    return math.exp(_brent_min(g, lo, u, gu, hi)[0])
 
 
 def numeric_afm_minimize(
@@ -290,12 +391,17 @@ def numeric_afm_minimize(
     The function
     M = N/2 (mu + m^2/mu) + N [V(I(nu)) - nu I^2] + N(N-1)/2 [Vbar(...)]
       + sqrt(2 (nu + N nubar) / mu) Q
-    is extremized by nested Brent line searches in the logs of the
-    positive fields: directions whose stationary point is a maximum (repulsive
-    or convex terms) are solved innermost, the rest are cyclically minimized
-    until two passes in a row change the mass by at most 1e-12 max(1, |M|).
-    Quadratic terms pin their field to the spring constant; nonrelativistic
-    kinematics pins mu to the particle mass. Deterministic for fixed input.
+    is extremized by nested line searches in the logs of the positive
+    fields: directions whose stationary point is a maximum (repulsive or
+    convex power terms) are solved innermost, the rest are cyclically
+    minimized by Brent's method until two passes in a row change the mass by
+    at most 1e-12 max(1, |M|). Each innermost maximum is found by safeguarded
+    Newton steps on the analytic derivatives of M along that field, checked
+    against its neighbours and polished by Brent's method within 2.5e-7 in
+    the log; where that is refused, Brent's search from a grown bracket runs
+    instead. Quadratic terms pin their field to the spring constant;
+    nonrelativistic kinematics pins mu to the particle mass. Every mass
+    evaluation counts toward max_evals. Deterministic for fixed input.
     """
     validate(spec, q)
     if not spec.terms:
@@ -357,6 +463,9 @@ def numeric_afm_minimize(
                 ts[j] *= 0.5
 
     max_idx = [j for j, ft in enumerate(field_terms) if ft.sense < 0]
+    # s = nu + N nubar is s0 plus each field times its spring weight
+    s0 = nu0 + n * nubar0
+    springs = [sign * (n if pair else 1) for pair, sign, _, _ in kernel]
     min_idx = [j for j, ft in enumerate(field_terms) if ft.sense > 0]
     steps = [_STEP_MAX] * (len(field_terms) + 1)  # field j, then mu at -1
 
@@ -366,7 +475,12 @@ def numeric_afm_minimize(
         return x
 
     def hull(mu_: float, ts_: list[float]) -> float:
-        """Resolve the max-sense fields for fixed minimized ones (in place)."""
+        """Resolve the max-sense fields for fixed minimized ones (in place).
+
+        Each is a power-law field: Newton steps on the mass along it, then a
+        Brent polish around the point they reach; where either is refused,
+        the derivative-free search runs as for every other field.
+        """
         for j in max_idx:
 
             def fj(t: float, j=j) -> float:
@@ -376,7 +490,14 @@ def numeric_afm_minimize(
                 ts_[j] = prev
                 return v
 
-            ts_[j] = search(fj, ts_[j], -1, j)
+            _, _, weight, offset = kernel[j]
+            base = s0 + sum(c * t for k, (c, t) in enumerate(zip(springs, ts_)) if k != j)
+            u = _newton_log_max(
+                offset, weight, field_terms[j].power, base, springs[j],
+                mu_ if semirel else m, qq, math.log(ts_[j]),
+            )
+            t = None if u is None else _certified_max(fj, u)
+            ts_[j] = t if t is not None else search(fj, ts_[j], -1, j)
         return mass(mu_, ts_)
 
     cur = hull(mu, ts)
@@ -462,10 +583,7 @@ def gaussian_trial_bound(spec: SystemSpec) -> float:
     def energy(kappa: float) -> float:
         return 3.0 * n * (n - 1.0) * kappa / (2.0 * m) + npair * pair_term(kappa * n)
 
-    def g(u: float) -> float:
-        v = energy(math.exp(u))
-        return v if math.isfinite(v) else math.inf
-
+    g = _log_objective(energy, +1)
     ul, fl, u0, f0, uh, fh = _bracket_min(g, 0.0, g(0.0), -_KAPPA_SPAN, _KAPPA_SPAN)
     if fl < f0 or fh < f0:  # still descending at the domain edge
         edge = fl if fl < f0 else fh

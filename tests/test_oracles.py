@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -18,7 +19,10 @@ from auxfield.oracles import (
     Verdict,
     _bracket_min,
     _brent_min,
+    _certified_max,
+    _extremize_log_line,
     _field_term,
+    _newton_log_max,
     compare,
     compare_ordering,
     gaussian_trial_bound,
@@ -154,6 +158,121 @@ def test_power_offset_overflow_reads_as_barrier(coef, lam, t, expected):
     assert offset(t) == expected
 
 
+def test_power_offset_past_float_range_stays_finite():
+    # t/mag = 1.8e308 overflows, but the tiny coefficient keeps the offset
+    # finite: the two-power form, taken in logs, gives about -4.77e137
+    coef, lam, t = 1.54e-175, 300.0, 4.1e135
+    offset = _field_term(PotentialTerm(Scope.PAIRWISE, PowerLaw(coef, lam))).offset
+    log_x = (math.log(t) - math.log(coef * lam / 2.0)) / (lam - 2.0)
+    two_power = math.exp(math.log(coef) + lam * log_x) - math.exp(math.log(t) + 2.0 * log_x)
+    assert offset(t) == pytest.approx(two_power, rel=1e-12)
+    assert offset(t) == pytest.approx(-4.7716e137, rel=1e-4)
+    # a scale that underflows to zero leaves no log to take
+    tiny = _field_term(PotentialTerm(Scope.PAIRWISE, PowerLaw(5e-324, 3.0))).offset
+    assert tiny(1e300) == 0.0
+
+
+def test_oracle_power_past_float_range():
+    # the field sits where t/mag leaves the float range; reading the offset
+    # as a barrier there gave 6.0e148 against the closed form's 1.5e160
+    spec = power_system(5, 2.06e-156, NR, pair=(1.54e-175, 300.0))
+    q = QuantumNumbers(((124, 32), (53, 390), (475, 120), (791, 1095)))
+    closed = equal_power_mass(spec, q).mass
+    assert closed == pytest.approx(1.5375441142344256e160, rel=1e-12)
+    assert numeric_afm_minimize(spec, q) == pytest.approx(closed, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Newton steps along a max-sense field
+
+
+def _max_sense_line(rng, scope, kinematics, lam):
+    """One power field whose stationary point is a maximum, with the mass
+    along it (a rest part, weight offset(t) and the kinetic root of
+    s = base + c t, inf where s <= 0 as in the oracle's mass function) and
+    the exact maximizer, by bisection on the t-derivative."""
+    coef = float(rng.uniform(0.1, 2.0)) * (1.0 if lam > 2.0 else -1.0)
+    ft = _field_term(PotentialTerm(scope, PowerLaw(coef, lam)))
+    assert ft.sense < 0
+    n = int(rng.integers(2, 7))
+    pair = scope is Scope.PAIRWISE
+    weight = n * (n - 1) / 2.0 if pair else float(n)
+    c = ft.sign * (n if pair else 1)
+    m = float(rng.uniform(0.5, 3.0))
+    qq = float(rng.uniform(1.5, 8.0)) * n
+    base = float(rng.uniform(0.1, 3.0))  # springs of the other fields
+    if kinematics is NR:
+        mu, rest = m, n * m
+    else:
+        mu = float(rng.uniform(0.5, 2.0)) * math.sqrt(m * m + qq)
+        rest = n / 2.0 * (mu + m * m / mu)
+
+    def f(t):
+        s = base + c * t
+        if s <= 0.0:
+            return math.inf
+        return rest + weight * ft.offset(t) + qq * math.sqrt(2.0 * s / mu)
+
+    def rising(u):  # df/dt > 0, with d offset/dt = power offset / t
+        t = math.exp(u)
+        kinetic = math.sqrt(2.0 * (base + c * t) / mu)
+        return weight * ft.power * ft.offset(t) / t + qq * c / (mu * kinetic) > 0.0
+
+    lo, hi = -60.0, (math.log(base / -c) if c < 0 else 60.0)
+    assert rising(lo) and not rising(hi - 1e-9)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+    args = (ft.offset, weight, ft.power, base, c, mu, qq)
+    return f, args, lo
+
+
+@pytest.mark.parametrize("lam", [-1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.5, 3.0, 36.97])
+@pytest.mark.parametrize("kinematics", [NR, SR])
+@pytest.mark.parametrize("scope", [Scope.ONE_BODY, Scope.PAIRWISE])
+def test_newton_max_matches_brent_line_search(scope, kinematics, lam):
+    # from a warm start, as inside the oracle: Newton lands on the exact
+    # maximizer, and its Brent polish on the mass the line search finds;
+    # a refused start leaves the oracle with the line search itself
+    rng = np.random.default_rng([int(abs(lam) * 100), scope is Scope.PAIRWISE, kinematics is SR])
+    accepted = 0
+    for _ in range(8):
+        f, args, u_max = _max_sense_line(rng, scope, kinematics, lam)
+        u0 = u_max + float(rng.uniform(-0.25, 0.25))
+        t_ref = _extremize_log_line(f, math.exp(u0), -1)[0]
+        u = _newton_log_max(*args, u0)
+        t = None if u is None else _certified_max(f, u)
+        if t is None:
+            continue
+        accepted += 1
+        assert u == pytest.approx(u_max, abs=1e-8)
+        # values place a maximum only to within their rounding plateau, and
+        # round to the largest of the terms they sum
+        assert math.log(t) == pytest.approx(math.log(t_ref), abs=1e-6)
+        offset, weight = args[:2]
+        size = abs(f(t_ref) - weight * offset(t_ref)) + abs(weight * offset(t_ref))
+        assert abs(f(t) - f(t_ref)) <= 4.0 * sys.float_info.epsilon * size
+    assert accepted >= 4
+
+
+def test_newton_max_refuses_a_start_past_the_barrier():
+    # a repulsive pair field started where s = base + c t <= 0: Newton has no
+    # finite value to step from, so the caller falls back on the Brent search,
+    # which probes back into the valid region and finds the same maximum
+    rng = np.random.default_rng(7)
+    f, args, u_max = _max_sense_line(rng, Scope.PAIRWISE, SR, -1.0)
+    base, c = args[3], args[4]
+    t_bad = 4.0 * base / abs(c)
+    assert f(t_bad) == math.inf
+    assert _newton_log_max(*args, math.log(t_bad)) is None
+    t_fallback = _extremize_log_line(f, t_bad, -1)[0]
+    t_newton = _certified_max(f, _newton_log_max(*args, u_max - 0.1))
+    assert math.log(t_fallback) == pytest.approx(math.log(t_newton), abs=1e-6)
+    assert abs(f(t_fallback) - f(t_newton)) <= 4.0 * sys.float_info.epsilon * abs(f(t_newton))
+
+
 # ---------------------------------------------------------------------------
 # field extremization against closed forms
 
@@ -199,10 +318,17 @@ def test_oracle_handles_convex_growth():
 
 
 def test_oracle_is_deterministic():
-    spec = power_system(3, 1.0, SR, one=(0.3, 1.0), pair=(0.2, -1.0))
-    first = numeric_afm_minimize(spec, ground(3))
-    second = numeric_afm_minimize(spec, ground(3))
-    assert first == second  # bitwise
+    specs = (
+        power_system(3, 1.0, SR, one=(0.3, 1.0), pair=(0.2, -1.0)),
+        # atomic: the pairwise repulsion is a max-sense field
+        power_system(4, 2.3, SR, one=(0.9, -1.0), pair=(-0.15, -1.0)),
+        # convex growth in both scopes: two max-sense fields
+        power_system(3, 1.0, NR, one=(0.3, 3.0), pair=(0.4, 3.0)),
+    )
+    for spec in specs:
+        first = numeric_afm_minimize(spec, ground(spec.n))
+        second = numeric_afm_minimize(spec, ground(spec.n))
+        assert first == second  # bitwise
 
 
 def test_oracle_warm_state_is_deterministic():
@@ -291,6 +417,22 @@ def test_oracle_atomic_cost_warm():
             n * (n - 1) / 2.0
         ) ** 1.5
         _atomic_check(n, m, alpha, alphabar, q, max_evals=4_800)
+
+
+def test_oracle_atomic_cost_newton():
+    # the draws of test_oracle_atomic_cost_guard under a budget that only
+    # holds when the repulsive field's maximum is reached by Newton steps
+    rng = np.random.default_rng(2718)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        m = float(rng.uniform(0.5, 5.0))
+        band = int(rng.integers(0, 2))
+        q = QuantumNumbers(((band, 0),) + ((0, 0),) * (n - 2))
+        alpha = float(rng.uniform(0.1, 0.8)) * q.q / n
+        alphabar = float(rng.uniform(0.1, 0.6)) * alpha * n * n / (
+            n * (n - 1) / 2.0
+        ) ** 1.5
+        _atomic_check(n, m, alpha, alphabar, q, max_evals=2_600)
 
 
 def test_oracle_rejects_empty_system():
