@@ -10,6 +10,10 @@ closed-form branch and always solves the X0 equation numerically, so the two
 routes stay independent checks of each other. equal_power_mass hands a spec to
 afm_mass only where it has no closed form: massive kinematics at exponents
 outside {-1, 1, 2}, or a massive amplitude that is not a positive float.
+
+The scale equation has one solver for every spec: in t' = -ln r_one^2 it is a
+sum of terms s exp(a + e t' - c e^(-t')), whose roots _isolate counts and
+brackets by Rolle's theorem, so no root is left to a scan.
 """
 from __future__ import annotations
 
@@ -47,7 +51,9 @@ _LN2 = math.log(2.0)
 _T_MIN = math.log(math.ulp(0.0))  # t = ln X0 of the least positive float
 _T_MAX = math.log(sys.float_info.max)
 _STEP = 0.5 * math.log(10.0)  # half a decade of X0: first bracketing step
-_T_FLOOR = 4.0 * _EPS * -_T_MIN  # _zero's floor 4 eps max(1, |t|) at its widest
+_T_FLOOR = 4.0 * _EPS * -_T_MIN  # _x0's floor 4 eps max(1, |t|) at its widest
+# (e, sign, ln magnitude, ln c): the term sign exp(ln magnitude + e t' - c e^(-t'))
+_Term = tuple[float, float, float, float]
 
 
 def auxiliary_k(term: PotentialTerm) -> Callable[[float], float]:
@@ -136,59 +142,14 @@ def _binding_at_x0(spec: SystemSpec, q: float, x0: float) -> float:
     return 4.0 * quarter
 
 
-def _scale_candidates(spec: SystemSpec, q: float) -> list[float]:
-    """Rough magnitudes of X0 used to center the root-scan grid."""
-    n = spec.n
-    m = spec.identical_mass
-    out = [max(1.0, m * m, q)]
-    for term in spec.terms:
-        form = term.form
-        if isinstance(form, PowerLaw):
-            lam = form.exponent
-            coef = abs(form.coefficient)
-            if coef == 0.0:
-                continue
-            try:
-                if term.scope is Scope.ONE_BODY:
-                    amp = coef * abs(lam) * (n / q) ** ((2.0 - lam) / 2.0)
-                else:
-                    amp = coef * abs(lam) * n * ((n - 1) / (2.0 * q)) ** ((2.0 - lam) / 2.0)
-            except OverflowError:
-                continue  # no finite magnitude from this term
-            powers = []
-            if m > 0.0:
-                powers.append((m * amp, 2.0 / (lam + 2.0)))
-            if lam + 1.0 > 0.0:
-                powers.append(((q / n) * amp * amp, 1.0 / (lam + 1.0)))
-            for base, exponent in powers:
-                try:
-                    out.append(base**exponent)
-                except OverflowError:
-                    pass  # this candidate has no finite magnitude
-        else:
-            cap = form.depth * form.range_ * form.range_  # inf past the float range
-            m_eff = m if m > 0.0 else 1.0
-            out.append(math.sqrt(2.0 * m_eff * n * cap))
-    return [s for s in out if math.isfinite(s) and s > 0.0]
-
-
 def _zero(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    fa: float,
-    fb: float,
-    tolerance: float,
-    h: Callable[[float], float] | None,
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, tolerance: float
 ) -> float:
-    """Root X0 = e^t of f by Brent's zero (1973, ch. 4) on [a, b] in t = ln X0.
+    """Root of f by Brent's zero (1973, ch. 4) on [a, b] in t = ln X0 + const.
 
-    fa and fb differ in sign, or a = b and fa = fb = 0 for an exact zero. A
-    bracket width in t is a relative width in X0, so Brent stops once its
-    bracket is at most tolerance wide, or as narrow as the float spacing of t
-    allows, 4 eps max(1, |t|) wide. A tolerance below that floor goes on with
-    _bisect on h, if given, which has the sign of f as a function of X0, from
-    the best point widened by that floor either side, down to adjacent floats.
+    fa and fb differ in sign; either may be infinite. A bracket width in t is
+    a relative width in X0, so Brent stops once its bracket is at most
+    tolerance wide, or as narrow as the float spacing of t allows.
     """
     c, fc = a, fa
     d = e = b - a
@@ -199,10 +160,7 @@ def _zero(
         tol = max(2.0 * _EPS * max(1.0, abs(b)), 0.5 * tolerance)
         half = 0.5 * (c - b)
         if abs(half) <= tol or fb == 0.0:
-            floor = 4.0 * _EPS * max(1.0, abs(b))
-            if h is None or floor <= tolerance:
-                return math.exp(b)
-            return _bisect(h, math.exp(b), math.exp(b - floor), math.exp(b + floor), tolerance)
+            return b
         if abs(e) >= tol and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:  # secant
@@ -258,82 +216,48 @@ def _bisect(
     return 0.5 * (a + b)
 
 
-def _solve_x0_roots(
-    h: Callable[[float], float], scales: list[float], tolerance: float
-) -> list[float]:
-    """All positive roots of h by a log-grid scan.
-
-    The grid runs from min(scales) 1e-10 to max(scales) 1e10, clamped to the
-    normal floats [DBL_MIN, DBL_MAX] (all of them when no scale is given), at
-    24 points per decade; each sign change is polished by _zero in t = ln X0.
-    """
-    lo = max(min(scales, default=0.0) * 1e-10, sys.float_info.min)
-    hi = min(max(scales, default=math.inf) * 1e10, sys.float_info.max)
-    span = hi / lo  # inf only for a window wider than 308 decades
-    decades = math.log10(span) if span < math.inf else math.log10(hi) - math.log10(lo)
-    points = max(int(decades * 24), 48) + 1
-    ratio = span ** (1.0 / (points - 1)) if span < math.inf else 10.0 ** (decades / (points - 1))
-
-    def h_of_t(t: float) -> float:
-        return h(math.exp(t))
-
-    roots = []
-    x_prev = lo
-    h_prev = h(x_prev)
-    x = lo
-    for _ in range(points - 1):
-        x = min(x * ratio, hi)
-        h_cur = h(x)
-        if h_prev == 0.0:
-            roots.append(x_prev)
-        elif (h_prev > 0.0) != (h_cur > 0.0):
-            roots.append(_zero(h_of_t, math.log(x_prev), math.log(x), h_prev, h_cur, tolerance, h))
-        x_prev, h_prev = x, h_cur
-    return roots
-
-
-def _merge(terms: list[tuple[float, float, float]]) -> list[tuple[float, float, float]]:
-    """Sum signed terms (exponent, sign, ln magnitude) of equal exponent; sort by exponent."""
-    merged: dict[float, tuple[float, float]] = {}
-    for e, s, l in terms:
-        if e not in merged:
-            merged[e] = (s, l)
+def _merge(terms: list[_Term]) -> list[_Term]:
+    """Sum terms of equal (e, ln c); sort by (e, ln c)."""
+    merged: dict[tuple[float, float], tuple[float, float]] = {}
+    for e, s, l, lc in terms:
+        key = (e, lc)
+        if key not in merged:
+            merged[key] = (s, l)
             continue
-        s0, l0 = merged.pop(e)
+        s0, l0 = merged.pop(key)
         if l < l0:
             s, l, s0, l0 = s0, l0, s, l
         d = l0 - l  # s e^l + s0 e^l0 = s e^l (1 + s s0 e^d), d <= 0
         if s == s0:
-            merged[e] = (s, l + math.log1p(math.exp(d)))
+            merged[key] = (s, l + math.log1p(math.exp(d)))
         elif d < 0.0:
-            merged[e] = (s, l + math.log(-math.expm1(d)))
-    return [(e, s, l) for e, (s, l) in sorted(merged.items())]
+            merged[key] = (s, l + math.log(-math.expm1(d)))
+    return [(e, s, l, lc) for (e, lc), (s, l) in sorted(merged.items())]
 
 
-def _power_terms(spec: SystemSpec, qq: float) -> list[tuple[float, float, float]] | None:
-    """The field sum F(X0) = sum w X0^p as merged (p, sign w, ln|w|) terms.
+def _field_terms(spec: SystemSpec) -> list[_Term]:
+    """The field sum F = K(r_one) + N Kbar(r_pair) as terms in t' = -ln r_one^2.
 
-    K(r) = coefficient |lam| / 2 r^(lam-2) at r^2 = rho / X0 gives
-    p = (2 - lam) / 2. None when a term is not a power law.
+    A term (e, s, a, ln c) is s exp(a + e t' - c e^(-t')) (_Term). With
+    r_one^2 = e^(-t') and r_pair^2 = rho e^(-t'), rho = 2N / (N-1), a power
+    law gives e = 1 - lam/2 and c = 0, and a gaussian well e = 0 and
+    c = range^2 rho; a is finite for every finite coefficient and exponent.
     """
     n = spec.n
+    log_rho = math.log(2.0 * n / (n - 1))
     out = []
     for term in spec.terms:
         form = term.form
-        if not isinstance(form, PowerLaw):
-            return None
-        coef, lam = form.coefficient, form.exponent
-        if coef == 0.0:
-            continue
-        log_w = math.log(abs(coef)) + math.log(abs(lam)) - _LN2
-        if term.scope is Scope.ONE_BODY:
-            log_w += 0.5 * (lam - 2.0) * math.log(qq / n)
-        else:
-            log_w += math.log(n) + 0.5 * (lam - 2.0) * math.log(2.0 * qq / (n - 1))
-        if not math.isfinite(log_w):
-            return None  # the amplitude's log overflows at a huge exponent
-        out.append((1.0 - 0.5 * lam, math.copysign(1.0, coef), log_w))
-    return _merge(out)
+        if isinstance(form, GaussianWell):  # pairwise only
+            l_r2 = 2.0 * math.log(form.range_)
+            out.append((0.0, 1.0, math.log(n) + math.log(form.depth) + l_r2, l_r2 + log_rho))
+        elif form.coefficient != 0.0:
+            lam = form.exponent
+            a = math.log(abs(form.coefficient)) + math.log(abs(lam)) - _LN2
+            if term.scope is Scope.PAIRWISE:
+                a += math.log(n) + 0.5 * (lam - 2.0) * log_rho
+            out.append((1.0 - 0.5 * lam, math.copysign(1.0, form.coefficient), a, -math.inf))
+    return out
 
 
 def _softplus(x: float) -> float:
@@ -341,22 +265,30 @@ def _softplus(x: float) -> float:
     return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
 
 
-def _log_sum(terms: list[tuple[float, float]], t: float) -> float:
-    """ln of sum e^(a + e t) over (e, a) terms; -inf for none."""
-    if not terms:
-        return -math.inf
-    xs = [a + e * t for e, a in terms]
-    top = max(xs)
-    if len(xs) == 1:
-        return top
-    return top + math.log(sum([math.exp(x - top) for x in xs]))
+def _part_logs(terms: list[_Term], tp: float) -> list[float]:
+    """ln of the positive and of the negative part of a sum of terms at t' = tp."""
+    parts = []
+    for sign in (1.0, -1.0):
+        xs = [a + e * tp - _exp(lc - tp) for e, s, a, lc in terms if s == sign]
+        top = max(xs, default=-math.inf)
+        if len(xs) > 1 and math.isfinite(top):
+            top += math.log(sum([math.exp(x - top) for x in xs]))
+        parts.append(top)
+    return parts
 
 
-def _sign_changes(terms: list[tuple[float, float, float]]) -> int:
-    return sum(a[1] != b[1] for a, b in zip(terms, terms[1:]))
+def _slope(terms: list[_Term]) -> list[_Term]:
+    """Terms of the derivative in t' of a sum: each term times e + c e^(-t')."""
+    out = []
+    for e, s, a, lc in terms:
+        if e != 0.0:
+            out.append((e, s if e > 0.0 else -s, a + math.log(abs(e)), lc))
+        if lc > -math.inf:
+            out.append((e - 1.0, s, a + lc, lc))
+    return out
 
 
-def _switch_point(terms: list[tuple[float, float, float]]) -> float:
+def _switch_point(terms: list[_Term]) -> float:
     """Where the largest term of the leading sign gives way to one of the other.
 
     terms are sorted by exponent with one sign change; the root lies within
@@ -364,130 +296,142 @@ def _switch_point(terms: list[tuple[float, float, float]]) -> float:
     """
     k = next(i for i, term in enumerate(terms) if term[1] != terms[0][1])
     return max(
-        min((la - lb) / (eb - ea) for eb, _, lb in terms[k:]) for ea, _, la in terms[:k]
+        min((la - lb) / (eb - ea) for eb, _, lb, _ in terms[k:]) for ea, _, la, _ in terms[:k]
     )
 
 
 def _bracket(
-    f: Callable[[float], float], t: float, ft: float, direction: float
+    f: Callable[[float], float],
+    t: float,
+    ft: float,
+    direction: float,
+    span: tuple[float, float],
 ) -> tuple[float, float, float, float] | None:
     """Step from t with doubling steps until f changes sign: (a, b, f(a), f(b)).
 
-    None when the walk leaves the float range of X0 = e^t first.
+    None when the walk leaves span, the float range of X0, first.
     """
     step = _STEP
     while True:
-        nxt = min(max(t + direction * step, _T_MIN), _T_MAX)
+        nxt = min(max(t + direction * step, span[0]), span[1])
         fn = f(nxt)
         if fn == 0.0 or (fn > 0.0) != (ft > 0.0):
             return t, nxt, ft, fn
-        if nxt in (_T_MIN, _T_MAX):
+        if nxt in span:
             return None
         t, ft = nxt, fn
         step *= 2.0
 
 
-def _power_law_roots(
-    spec: SystemSpec, qq: float, f_terms: list[tuple[float, float, float]], tolerance: float
-) -> list[float] | None:
-    """Roots X0 of the scale equation of a power-law spec; None if not certified.
+def _polish(
+    f: Callable[[float], float],
+    splits: list[tuple[float, float]],
+    signs: tuple[float, float],
+    span: tuple[float, float],
+    tolerance: float,
+) -> list[float]:
+    """Roots of f, ascending, where f is monotone between and beyond the splits.
 
-    In t = ln X0 the scale equation X0^2 = 2 mu F(X0) reads u(t) = 1 with
-    u = 2 mu F / X0^2 a sum of signed terms e^(a + e t), times mu / m for
-    massive semirelativistic kinematics. Each term is formed in logs, and the
-    residual compares the logs of the positive and the negative part, so it is
-    finite wherever X0 is. Descartes' rule of signs, which holds for real
-    exponents (Jameson, Math. Gazette 90 (2006) 223), bounds the roots by the
-    sign changes s of the coefficients, ordered by exponent, of u - 1, or with
-    mu = sqrt(m^2 + Q X0 / N) and m > 0 of u^2 - 1 = 4 mu^2 F^2 / X0^4 - 1, whose
-    roots with F < 0 are dropped. One sign change is one root; two powers of
-    u have one turning point and at most one root on each side of it. Massive
-    kinematics with s >= 2 returns None.
+    splits are points (t', f(t')) in ascending t' within span, and f tends to
+    the signs below and above them. Each piece whose ends differ in sign holds
+    one root; an outer piece is walked with _bracket when its sign at infinity
+    differs, and its root reads as -inf or inf past span.
     """
-    n, m = spec.n, spec.identical_mass
-    log_qn = math.log(qq / n)
-    massive = spec.kinematics is Kinematics.SEMIRELATIVISTIC and m > 0.0
-    if spec.kinematics is Kinematics.SEMIRELATIVISTIC and not massive:
-        shift, de = _LN2 + 0.5 * log_qn, -1.5  # u = 2 sqrt(Q / N) F / X0^(3/2)
-    else:
-        shift, de = _LN2 + math.log(m), -2.0  # u = 2 m F / X0^2 (times mu / m)
-    u_terms = [(p + de, s, l + shift) for p, s, l in f_terms]
-    if massive:
-        log_m2 = 2.0 * math.log(m)
-        square = [(0.0, -1.0, 0.0)]
-        for i, (pi, si, li) in enumerate(f_terms):
-            for j in range(i, len(f_terms)):
-                pj, sj, lj = f_terms[j]
-                l = 2.0 * _LN2 + li + lj + (_LN2 if j > i else 0.0)
-                square.append((pi + pj - 4.0, si * sj, l + log_m2))
-                square.append((pi + pj - 3.0, si * sj, l + log_qn))
-        count = _merge(square)
-    else:
-        count = _merge(u_terms + [(0.0, -1.0, 0.0)])
-    if not count:
-        return None  # u = 1 identically
-    if not all(math.isfinite(abs(l) - _T_MIN * abs(e)) for e, _, l in u_terms + count):
-        return None  # a term's log a + e t can overflow within the float range of X0
-    sign_changes = _sign_changes(count)
-    if sign_changes == 0:
+    roots = [t for t, ft in splits if ft == 0.0]
+    for (a, fa), (b, fb) in zip(splits, splits[1:]):
+        if fa and fb and (fa > 0.0) != (fb > 0.0):
+            roots.append(_zero(f, a, b, fa, fb, tolerance))
+    for (t, ft), sign, direction in zip((splits[0], splits[-1]), signs, (-1.0, 1.0)):
+        if ft and (ft > 0.0) != (sign > 0.0):
+            bracket = _bracket(f, t, ft, direction, span)
+            beyond = direction * math.inf
+            roots.append(beyond if bracket is None else _zero(f, *bracket, tolerance))
+    return sorted(roots)
+
+
+def _isolate(terms: list[_Term], span: tuple[float, float], tolerance: float) -> list[float]:
+    """Roots t' of a sum of terms, ascending; -inf or inf past span.
+
+    Rolle's theorem counts them, as in the proof of Descartes' rule for real
+    exponents (Jameson, Math. Gazette 90 (2006) 223; Polya-Szego II, Part V):
+    divided by one of its plain terms (c = 0), the sum has the same roots, and
+    its derivative, a sum of the same kind with one plain term fewer, vanishes
+    between any two of them. The divisor is the plain term of least |e|, so
+    that no huge exponent absorbs the others when it is subtracted from them.
+    The derivative's roots, found the same way, split t' into pieces on which
+    the sum is monotone; a sum left with no plain term drops its common factor
+    e^(-c e^(-t')) > 0, and a plain sum with one sign change has one root,
+    walked to from its switch point.
+    """
+    terms = _merge(terms)
+    if all(lc > -math.inf for *_, lc in terms):
+        terms = [(e, s, a, -math.inf) for e, s, a, _ in terms]  # one gaussian: one c
+    if len({s for _, s, _, _ in terms}) < 2:
         return []
-    if massive and sign_changes > 1:
-        return None  # no turning-point rule for u^2 - 1: the grid decides
-    pos = [(e, a) for e, s, a in u_terms if s > 0.0]
-    neg = [(e, a) for e, s, a in u_terms if s < 0.0]
-    z0 = log_qn - log_m2 if massive else 0.0
-
-    def u_logs(t: float) -> tuple[float, float]:
-        """ln of the positive and of the negative part of u(t)."""
-        k = 0.5 * _softplus(t + z0) if massive else 0.0  # ln(mu / m)
-        return _log_sum(pos, t) + k, _log_sum(neg, t) + k
-
-    def residual(t: float) -> float:
-        """Has the sign of u - 1, or of |u| - 1 for massive kinematics."""
-        lp, ln = u_logs(t)  # u = P - N
-        if lp >= ln or not massive:
-            return lp - _softplus(ln)  # ln P - ln(N + 1)
-        return ln - _softplus(lp)  # ln N - ln(P + 1)
-
-    # h finishes a root in X0 where tolerance is below the float spacing of t
-    h = _scale_residual(spec, qq) if tolerance < _T_FLOOR else None
-    found: list[float] = []
-    beyond = False
-
-    def walk(t: float, rt: float, direction: float) -> None:
-        nonlocal beyond
-        bracket = _bracket(residual, t, rt, direction)
-        if bracket is None:
-            beyond = True
-        else:
-            found.append(_zero(residual, *bracket, tolerance, h))
-
-    if sign_changes == 1:
-        t0 = min(max(_switch_point(count), _T_MIN), _T_MAX)
-        r0 = residual(t0)
-        if r0 == 0.0:
-            found.append(_zero(residual, t0, t0, r0, r0, tolerance, h))
-        else:
-            walk(t0, r0, 1.0 if (r0 > 0.0) == (count[0][1] > 0.0) else -1.0)
+    plain = [term for term in terms if term[3] == -math.inf]
+    if len(plain) == len(terms) and sum(a[1] != b[1] for a, b in zip(terms, terms[1:])) == 1:
+        cuts = [_switch_point(terms)]
     else:
-        # two powers, s = 2: u' vanishes at most once, at t*; u is monotone
-        # on either side, with a root on each side if u(t*) - 1 has the other sign
-        (e1, s1, a1), (e2, s2, a2) = [term for term in u_terms if term[0] != 0.0]
-        if s1 * e1 * s2 * e2 < 0.0:
-            t_star = (a1 - a2 + math.log(abs(e1 / e2))) / (e2 - e1)
-            t_star = min(max(t_star, _T_MIN), _T_MAX)
-            r_star = residual(t_star)
-            if r_star == 0.0:
-                found.append(_zero(residual, t_star, t_star, r_star, r_star, tolerance, h))
-            elif (r_star > 0.0) != (count[0][1] > 0.0):
-                walk(t_star, r_star, -1.0)
-                walk(t_star, r_star, 1.0)
-    if massive and neg:  # drop the roots of u = -1, where F < 0
-        logs = [u_logs(math.log(x)) for x in found]
-        found = [x for x, (lp, ln) in zip(found, logs) if lp > ln]
-    if not found and beyond:
-        raise DomainError("the scale equation's roots lie outside the float range of X0")
-    return sorted(found)
+        e0, s0, a0, _ = min(plain, key=lambda term: abs(term[0]))
+        quotient = [(e - e0, s * s0, a - a0, lc) for e, s, a, lc in terms]
+        cuts = _isolate(_slope(quotient), span, tolerance) or [0.0]
+
+    def residual(tp: float) -> float:
+        """Has the sign of the sum at t' = tp: ln P - ln N of its parts."""
+        lp, ln = _part_logs(terms, tp)
+        return lp - ln if lp != ln else 0.0
+
+    splits = [(t, residual(t)) for t in (min(max(t, span[0]), span[1]) for t in cuts)]
+    # plain terms dominate as t' -> -inf, the largest exponent as t' -> inf
+    hi = max(terms, key=lambda term: (term[0], term[2]))[1]
+    return _polish(residual, splits, (plain[0][1], hi), span, tolerance)
+
+
+def _massive_roots(
+    a_terms: list[_Term],
+    log_qn: float,
+    log_m: float,
+    span: tuple[float, float],
+    tolerance: float,
+) -> list[float]:
+    """Roots t' of |u| = 1 with F > 0 for massive semirelativistic kinematics.
+
+    u = mu A with A = 2F / X0^2, a merged power sum, and
+    mu = m sqrt(1 + w), w = e^(t' + z), z = 2 ln(Q/N) - 2 ln m. |u| is
+    monotone between the roots of F and those of u' = m D / (2 sqrt(1 + w)),
+    D = 2 A' (1 + w) + A w, both plain sums isolated as such; u^2 - 1 is never
+    expanded, since near a root of F that cancels every digit. Each root is
+    polished on the log residual of |u| - 1, which reads -inf at a root of F.
+    F's sign on each piece follows from its sign at the low end of span and
+    the parity of its roots below, since one can lie below the float range.
+    """
+    if not a_terms:
+        return []
+    z = 2.0 * (log_qn - log_m)
+    slope = [(e, s, a + _LN2, lc) for e, s, a, lc in _slope(a_terms)]
+    d_terms = slope + [(e + 1.0, s, a + z, lc) for e, s, a, lc in slope + a_terms]
+    f_roots = _isolate(a_terms, span, tolerance)
+    zeros = [t for t in f_roots if math.isfinite(t)]
+
+    def u_residual(tp: float) -> float:
+        """Has the sign of |u| - 1: ln(mu |P - N|) against ln(mu min(P, N) + 1)."""
+        big, small = sorted(_part_logs(a_terms, tp), reverse=True)
+        k = log_m + 0.5 * _softplus(tp + z)  # ln mu
+        return big + k - _softplus(small + k) if big != small else -math.inf
+
+    cuts = [t for t in _isolate(d_terms, span, tolerance) + f_roots if t not in zeros]
+    if not cuts and not zeros:
+        cuts = [-z]  # w = 1, where the walk starts when |u| is monotone throughout
+    cuts = [min(max(t, span[0]), span[1]) for t in cuts]
+    splits = sorted([(t, -math.inf) for t in zeros] + [(t, u_residual(t)) for t in cuts])
+    # |u| -> inf as t' -> -inf; as t' -> inf, |u| ~ e^(ln(Q/N) + a + (e + 1/2) t')
+    # for A's top term
+    e_top, _, a_top, _ = a_terms[-1]
+    hi = 1.0 if e_top == -0.5 and log_qn + a_top > 0.0 else -1.0
+    roots = _polish(u_residual, splits, (1.0, hi), span, tolerance)
+    lp, ln = _part_logs(a_terms, span[0])
+    f_low = lp > ln  # F > 0 at the low end of span
+    return [t for t in roots if not math.isfinite(t) or f_low != sum(r < t for r in zeros) % 2]
 
 
 def _scale_residual(spec: SystemSpec, qq: float) -> Callable[[float], float]:
@@ -496,7 +440,8 @@ def _scale_residual(spec: SystemSpec, qq: float) -> Callable[[float], float]:
     F(X0) = K(r_one) + N Kbar(r_pair) at the tangency radii of X0. h has the
     sign of 2 mu F - X0^2 for X0 > 0, and no X0^2 to overflow into a false
     sign change near sqrt(DBL_MAX); where 2 mu F overflows, F / X0 is formed
-    first.
+    first. It bisects a root in X0 where the tolerance is below the float
+    spacing of t = ln X0.
     """
     n, m = spec.n, spec.identical_mass
     k_one = auxiliary_k(spec.one_body[0]) if spec.one_body else None
@@ -524,19 +469,50 @@ def _scale_residual(spec: SystemSpec, qq: float) -> Callable[[float], float]:
     return h
 
 
+def _x0(t: float, tolerance: float, h: Callable[[float], float] | None) -> float:
+    """X0 = e^t of a root polished in t.
+
+    A tolerance below the float spacing of t, 4 eps max(1, |t|), goes on with
+    _bisect on h, if given, from e^t widened by that spacing either side, down
+    to adjacent floats.
+    """
+    floor = 4.0 * _EPS * max(1.0, abs(t))
+    if h is None or floor <= tolerance:
+        return math.exp(t)
+    return _bisect(h, math.exp(t), math.exp(t - floor), math.exp(t + floor), tolerance)
+
+
 def _scale_roots(spec: SystemSpec, qq: float, tolerance: float) -> list[float]:
     """Positive roots X0 of the scale equation, ascending.
 
-    Power-law specs take the structured solve of _power_law_roots; gaussian
-    wells, whose roots have no such bound, and the cases it leaves open scan
-    the log grid of _solve_x0_roots.
+    The equation reads u = 1 with u = 2 mu F / X0^2, in t' = ln(X0 N / Q).
+    For nonrelativistic (mu = m) and massless (mu = sqrt(Q X0 / N)) kinematics
+    u - 1 is a sum of terms, isolated by _isolate; massive kinematics takes
+    _massive_roots. Roots that all lie outside the float range of X0 raise
+    DomainError.
     """
-    f_terms = _power_terms(spec, qq)
-    roots = None if f_terms is None else _power_law_roots(spec, qq, f_terms, tolerance)
-    if roots is None:
-        h = _scale_residual(spec, qq)
-        roots = _solve_x0_roots(h, _scale_candidates(spec, qq), tolerance)
-    return roots
+    n, m = spec.n, spec.identical_mass
+    log_qn = math.log(qq / n)
+    relativistic = spec.kinematics is Kinematics.SEMIRELATIVISTIC
+    # X0^2 = e^(2 t' + 2 ln(Q/N)); massless mu = e^((t' + 2 ln(Q/N)) / 2)
+    if relativistic and m > 0.0:
+        de, da = -2.0, _LN2 - 2.0 * log_qn
+    elif relativistic:
+        de, da = -1.5, _LN2 - log_qn
+    else:
+        de, da = -2.0, _LN2 + math.log(m) - 2.0 * log_qn
+    u_terms = [(e + de, s, a + da, lc) for e, s, a, lc in _field_terms(spec)]
+    span = (_T_MIN - log_qn, _T_MAX - log_qn)  # the float range of X0 in t'
+    if relativistic and m > 0.0:
+        roots = _massive_roots(_merge(u_terms), log_qn, math.log(m), span, tolerance)
+    else:
+        roots = _isolate(u_terms + [(0.0, -1.0, 0.0, -math.inf)], span, tolerance)
+    inside = [t for t in roots if math.isfinite(t)]
+    if roots and not inside:
+        raise DomainError("the scale equation's roots lie outside the float range of X0")
+    # h finishes a root in X0 where tolerance is below the float spacing of t
+    h = _scale_residual(spec, qq) if tolerance < _T_FLOOR else None
+    return [_x0(t + log_qn, tolerance, h) for t in inside]
 
 
 def afm_mass(
@@ -554,10 +530,9 @@ def afm_mass(
     wins, ties toward smaller X0, so a rest mass that swamps E cannot pick the
     root; a root whose binding leaves the float range loses to any root with
     a finite one.
-    Power-law specs find their roots in t = ln X0 with a count certified by
-    Descartes' rule of signs (_power_law_roots); gaussian wells, and the
-    power-law cases that count leaves open, scan a log grid. Each root is
-    polished by Brent's zero in t until its bracket is at most tolerance wide
+    Every root is isolated with a certified count (_scale_roots: Rolle's
+    theorem on the equation as a sum of exponential terms) and polished by
+    Brent's zero in ln X0 until its bracket is at most tolerance wide
     relative to X0. A tolerance below the float spacing of t, 4 eps
     max(1, |t|), is met by bisecting in X0 down to adjacent floats, where
     2 mu F / X0 - X0 is a finite float around the root; elsewhere (e.g. where
@@ -629,7 +604,7 @@ def equal_power_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
     log_lam = math.log(abs(lam))
     amplitude = _merge(
         [
-            (0.0, math.copysign(1.0, coef), math.log(abs(coef)) + log_lam + log_base)
+            (0.0, math.copysign(1.0, coef), math.log(abs(coef)) + log_lam + log_base, -math.inf)
             for coef, log_base in (
                 (a, half * math.log(n / qq)),
                 (b, math.log(n) + half * math.log((n - 1) / (2.0 * qq))),

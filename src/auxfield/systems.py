@@ -282,10 +282,21 @@ def gaussian_spectrum(
 
 
 def gaussian_energy_alt(n: int, m: float, alpha: float, beta: float, q: float) -> float:
-    """Same level through the equivalent form -N(N-1)/2 alpha Y^2 (1+2W)/W^2."""
+    """Same level through the equivalent form -N(N-1)/2 alpha Y^2 (1+2W)/W^2.
+
+    No critical-coupling check: above the zero crossing the level is positive.
+    """
+    require_finite(n=n, m=m, alpha=alpha, beta=beta, q=q)
+    if m <= 0.0:
+        raise SingularMasses("gaussian wells are nonrelativistic: need m > 0")
+    if alpha <= 0.0 or beta <= 0.0:
+        raise InvalidCoefficient("need well depth alpha > 0 and range beta > 0")
     y = -beta * q / ((n - 1.0) * math.sqrt(2.0 * n * m * alpha))
     w0 = lambert_w0(y)
-    return -n * (n - 1.0) / 2.0 * alpha * y * y * (1.0 + 2.0 * w0) / (w0 * w0)
+    if w0 == 0.0:  # Y underflowed; W0(Y) ~ Y leaves every pair at the well bottom
+        return -n * (n - 1.0) / 2.0 * alpha
+    ratio = y / w0  # finite where Y^2 and W0^2 underflow
+    return -n * (n - 1.0) / 2.0 * alpha * ratio * ratio * (1.0 + 2.0 * w0)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +403,11 @@ def two_body_linear_mass(sigma: float, m: float, slope: float, q2: float) -> flo
     Same cubic-root structure as the N-body linear system with sigma in place
     of N; massless particles give M^2 = 4 sigma slope Q.
     """
+    require_finite(sigma=sigma, m=m, slope=slope, q2=q2)
     if slope <= 0.0:
         raise InvalidCoefficient(f"slope {slope} must be positive")
+    if m < 0.0:
+        raise SingularMasses(f"mass must be non-negative, got {m}")
     if m == 0.0:
         return math.sqrt(4.0 * sigma * slope * q2)
     y = 3.0**1.5 * sigma * m * m / (2.0 * q2 * slope)
@@ -403,6 +417,9 @@ def two_body_linear_mass(sigma: float, m: float, slope: float, q2: float) -> flo
 
 def two_body_funnel_ur(sigma: float, a: float, b: float, q2: float) -> float:
     """Massless funnel mass 2 sqrt(a (sigma Q - b)) for sigma sqrt(p^2) + ar - b/r."""
+    require_finite(sigma=sigma, a=a, b=b, q2=q2)
+    if a <= 0.0:
+        raise InvalidCoefficient(f"slope a = {a} must be positive")
     arg = a * (sigma * q2 - b)
     if arg <= 0.0:
         raise OverCritical(f"Coulomb part b = {b} beyond sigma Q = {sigma * q2}")
@@ -411,6 +428,9 @@ def two_body_funnel_ur(sigma: float, a: float, b: float, q2: float) -> float:
 
 def two_body_coulomb_ground(sigma: float, m: float, b: float, q_c: float = 1.0) -> float:
     """Ground-state mass sigma m sqrt(1 - b^2/(sigma^2 q_c^2)) of a Coulomb pair."""
+    require_finite(sigma=sigma, m=m, b=b, q_c=q_c)
+    if m <= 0.0:
+        raise SingularMasses("coulomb systems need massive particles")
     arg = 1.0 - b * b / (sigma * sigma * q_c * q_c)
     if arg < 0.0:
         raise OverCritical(f"coupling {b} beyond collapse at sigma = {sigma}")

@@ -289,6 +289,22 @@ def test_verify_matches_oracle(tmp_path):
     assert data["relative_gap"] <= 1e-8
 
 
+def test_verify_massive_spec_whose_root_lies_below_the_grid(tmp_path):
+    # a repulsive one-body term with massive kinematics: the one root,
+    # X0 = 8.2e-26, lies below the log grid, which ended in NoPositiveRoot
+    payload = {
+        "N": 2,
+        "mass": 4.508873961551444,
+        "kinematics": "semirelativistic",
+        "one_body": [_power(-1.6611889449875474, -0.539082270107401)],
+        "pairwise": [_power(1.1675940407044259, -0.4889100041740698)],
+        "modes": [[3, 0]],
+    }
+    code, text = run_cli(["verify", "--spec", write_spec(tmp_path, payload), "--format", "json"])
+    assert code == EXIT_OK
+    assert json.loads(text)["verdict"] == "match"
+
+
 def test_verify_overflow_document_exits_cleanly(tmp_path):
     # the oracle's offsets and kinetic term leave the float range on the
     # way to this stationary point; they must read as barriers, not raise

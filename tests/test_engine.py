@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import sys
 from unittest import mock
@@ -34,7 +35,7 @@ from auxfield.model import (
     Scope,
 )
 from auxfield.oracles import _field_term, numeric_afm_minimize
-from auxfield.systems import baryonic_ur, gaussian_spectrum
+from auxfield.systems import baryonic_ur, gaussian_critical_coupling, gaussian_spectrum
 from conftest import gaussian_system, ground, power_system
 
 NR = Kinematics.NONRELATIVISTIC
@@ -212,8 +213,8 @@ def test_steep_power_overflow_reads_as_infinite_field(lam, scope, kinematics):
 
 
 def test_excited_steep_power_skips_overflowing_scale_candidate():
-    # at Q ~ 2000 the grid-centering magnitude of a lam = 299 term overflows;
-    # the other candidates still bracket the root
+    # at Q ~ 2000 the grid-centering magnitude of a lam = 299 term overflowed,
+    # and the old grid relied on the other candidates to bracket the root
     spec = power_system(3, 1.0, SR, pair=(0.2, 299.0))
     q = QuantumNumbers(((0, 0), (2000, 0)))
     sol = afm_mass(spec, q)
@@ -261,8 +262,9 @@ def test_root_below_the_grid_window():
 )
 def test_grid_window_clamped_to_the_float_range(m, depth, range_):
     # 1e10 m^2 leaves the float range, and with m^2 and 2 m N depth range^2
-    # both past it no scale is finite: the grid scans the normal floats. In
-    # the second well 2 m F overflows near the root, where 2 m F / X0 does not
+    # both past it no scale is finite: the old grid had to scan all normal
+    # floats. In the second well 2 m F overflows near the root, where
+    # 2 m F / X0 does not
     spec = gaussian_system(3, m, depth, range_)
     q = ground(3)
     sol = afm_mass(spec, q)
@@ -530,16 +532,90 @@ def test_afm_mass_rejects_unusable_tolerance(tolerance):
 
 
 # ---------------------------------------------------------------------------
-# structured scale-equation solve against the log-grid scan
+# isolated scale-equation roots against the log-grid scan
+
+
+def _scale_candidates(spec, q: float) -> list[float]:
+    """Rough magnitudes of X0 used to center the root-scan grid."""
+    n = spec.n
+    m = spec.identical_mass
+    out = [max(1.0, m * m, q)]
+    for term in spec.terms:
+        form = term.form
+        if isinstance(form, PowerLaw):
+            lam = form.exponent
+            coef = abs(form.coefficient)
+            if coef == 0.0:
+                continue
+            try:
+                if term.scope is Scope.ONE_BODY:
+                    amp = coef * abs(lam) * (n / q) ** ((2.0 - lam) / 2.0)
+                else:
+                    amp = coef * abs(lam) * n * ((n - 1) / (2.0 * q)) ** ((2.0 - lam) / 2.0)
+            except OverflowError:
+                continue  # no finite magnitude from this term
+            powers = []
+            if m > 0.0:
+                powers.append((m * amp, 2.0 / (lam + 2.0)))
+            if lam + 1.0 > 0.0:
+                powers.append(((q / n) * amp * amp, 1.0 / (lam + 1.0)))
+            for base, exponent in powers:
+                try:
+                    out.append(base**exponent)
+                except OverflowError:
+                    pass  # this candidate has no finite magnitude
+        else:
+            cap = form.depth * form.range_ * form.range_  # inf past the float range
+            m_eff = m if m > 0.0 else 1.0
+            out.append(math.sqrt(2.0 * m_eff * n * cap))
+    return [s for s in out if math.isfinite(s) and s > 0.0]
+
+
+def _solve_x0_roots(h, scales: list[float], tolerance: float) -> list[float]:
+    """All positive roots of h by a log-grid scan.
+
+    The grid runs from min(scales) 1e-10 to max(scales) 1e10, clamped to the
+    normal floats [DBL_MIN, DBL_MAX] (all of them when no scale is given), at
+    24 points per decade; each sign change is polished by _zero in t = ln X0.
+    """
+    lo = max(min(scales, default=0.0) * 1e-10, sys.float_info.min)
+    hi = min(max(scales, default=math.inf) * 1e10, sys.float_info.max)
+    span = hi / lo  # inf only for a window wider than 308 decades
+    decades = math.log10(span) if span < math.inf else math.log10(hi) - math.log10(lo)
+    points = max(int(decades * 24), 48) + 1
+    ratio = span ** (1.0 / (points - 1)) if span < math.inf else 10.0 ** (decades / (points - 1))
+
+    def h_of_t(t: float) -> float:
+        return h(math.exp(t))
+
+    roots = []
+    x_prev = lo
+    h_prev = h(x_prev)
+    x = lo
+    for _ in range(points - 1):
+        x = min(x * ratio, hi)
+        h_cur = h(x)
+        if h_prev == 0.0:
+            roots.append(x_prev)
+        elif (h_prev > 0.0) != (h_cur > 0.0):
+            t = engine._zero(h_of_t, math.log(x_prev), math.log(x), h_prev, h_cur, tolerance)
+            roots.append(engine._x0(t, tolerance, h))
+        x_prev, h_prev = x, h_cur
+    return roots
+
+
+def _grid_scale_roots(spec, qq, tolerance):
+    """The log-grid scan that afm_mass ran before the isolator: the reference."""
+    h = engine._scale_residual(spec, qq)
+    return _solve_x0_roots(h, _scale_candidates(spec, qq), tolerance)
 
 
 def _grid_only():
-    # without power terms _scale_roots falls back to the grid, as every spec did
-    return mock.patch.object(engine, "_power_terms", lambda spec, qq: None)
+    return mock.patch.object(engine, "_scale_roots", _grid_scale_roots)
 
 
 def _solve_routes(spec, q):
-    """(roots, solution or error type) by the structured solve, then by the grid."""
+    """(roots, solution or error type) by the isolator, then by the grid."""
     out = []
     for route in (contextlib.nullcontext(), _grid_only()):
         with route:
@@ -565,12 +641,22 @@ def _mass_parts(spec, q, x0):
 
 
 @st.composite
-def _power_specs(draw):
-    """One- and two-power specs: NR, massless and massive SR, either sign."""
-    kind = draw(st.sampled_from(["nr", "massless", "massive"]))
+def _scale_specs(draw):
+    """One- and two-power specs (NR, massless and massive SR, either sign),
+    gaussian wells, and gaussian wells beside a one-body power."""
+    kind = draw(st.sampled_from(["nr", "massless", "massive", "gaussian", "gaussian+power"]))
+    n = draw(st.integers(2, 6))
+    q = QuantumNumbers(((draw(st.integers(0, 3)), 0),) + ((0, 0),) * (n - 2))
+    if kind.startswith("gaussian"):
+        depth, range_ = 10.0 ** draw(st.floats(-3.0, 4.0)), 10.0 ** draw(st.floats(-2.0, 2.0))
+        spec = gaussian_system(n, 10.0 ** draw(st.floats(-2.0, 2.0)), depth, range_)
+        if kind == "gaussian+power":
+            lam = draw(st.one_of(st.floats(-1.5, -0.1), st.floats(0.1, 3.0)))
+            form = PowerLaw(10.0 ** draw(st.floats(-2.0, 1.0)), lam)
+            spec = dataclasses.replace(spec, one_body=(PotentialTerm(Scope.ONE_BODY, form),))
+        return spec, q
     m = 0.0 if kind == "massless" else draw(st.floats(0.1, 5.0))
     lam_min = -1.5 if kind == "nr" else -0.8
-    n = draw(st.integers(2, 6))
     layout = draw(st.sampled_from(["one", "pair", "both"]))
     signs = (1.0, 1.0) if layout != "both" else draw(
         st.sampled_from([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)])
@@ -585,16 +671,15 @@ def _power_specs(draw):
     one = terms[0] if layout != "pair" else None
     pair = terms[1] if layout != "one" else None
     spec = power_system(n, m, NR if kind == "nr" else SR, one=one, pair=pair)
-    q = QuantumNumbers(((draw(st.integers(0, 3)), 0),) + ((0, 0),) * (n - 2))
     return spec, q
 
 
 @settings(max_examples=300, deadline=None)
-@given(_power_specs())
+@given(_scale_specs())
 def test_structured_solve_matches_grid(case):
     spec, q = case
     (roots, result), (grid_roots, grid_result) = _solve_routes(spec, q)
-    scales = engine._scale_candidates(spec, q.q)
+    scales = _scale_candidates(spec, q.q)
     # the grid spans 1e-10 min(scales) to 1e10 max(scales) at 24 points per
     # decade: compare where it sees every root and resolves each one, and
     # where its field terms do not underflow into false sign changes
@@ -625,7 +710,7 @@ def test_structured_solve_matches_grid(case):
         power_system(3, 1e100, SR, pair=(1.0, 1.0)),
         gaussian_system(3, 1.0, 2.0, 0.5),
     ],
-    ids=["nr-x0-1e100", "nr-x0-7e111", "sr-x0-7e66", "gaussian-grid"],
+    ids=["nr-x0-1e100", "nr-x0-7e111", "sr-x0-7e66", "gaussian"],
 )
 def test_tiny_tolerance_resolves_x0_to_adjacent_floats(spec):
     # t = ln X0 is ~230 at X0 = 1e100, so its float spacing is ~230 times
@@ -646,26 +731,101 @@ def test_tiny_tolerance_where_h_is_not_finite_keeps_the_float_spacing_of_t():
     assert x0 == afm_mass(spec, ground(3)).x0 == 6.660174264961239e164
 
 
-def test_unreached_sign_change_bound_falls_back_to_the_grid():
+def test_massive_repulsive_spec_matches_the_grid():
     # massive kinematics with a repulsive term: u^2 - 1 has more sign changes
-    # than the equation has roots, and no turning-point rule settles the
-    # count, so the grid decides, as it did for every spec before
+    # than the equation has roots, which took the grid before the isolator
     spec = power_system(3, 1.0, SR, one=(0.5, 1.0), pair=(-0.1, 0.5))
     q = ground(3)
-    assert engine._power_law_roots(spec, q.q, engine._power_terms(spec, q.q), 1e-12) is None
     (roots, sol), (grid_roots, grid_sol) = _solve_routes(spec, q)
-    assert roots == grid_roots
-    assert sol.mass == grid_sol.mass == pytest.approx(5.272585800226621, rel=1e-13)
+    assert roots == pytest.approx(grid_roots, rel=1e-12)
+    assert sol.mass == pytest.approx(grid_sol.mass, rel=1e-13)
+    assert sol.mass == pytest.approx(5.272585800226621, rel=1e-13)
     assert sol.x0 == pytest.approx(0.6889831181056407, rel=1e-12)
 
 
-def test_exponent_whose_logs_overflow_takes_the_grid():
-    # (lam - 2)/2 ln(Q/N) overflows at lam = 1.7e308: the log-space terms are
-    # not floats, so the grid decides, as for every spec before
+def test_exponent_whose_logs_overflow_in_ln_x0():
+    # (lam - 2)/2 ln(Q/N) overflows at lam = 1.7e308, which took the grid
+    # before the isolator; measured from t' = -ln r_one^2 the amplitude is finite
     spec = power_system(8, 1.467229365877803e-08, SR, one=(2.0, 1.7e308))
     q = QuantumNumbers(((0, 1000), (1, 0), (1, 0), (5, 3), (2000, 3), (2000, 1000), (2000, 0)))
-    assert engine._power_terms(spec, q.q) is None
     assert afm_mass(spec, q).mass == pytest.approx(14030.5, rel=1e-12)
+
+
+def _mp_scale_residual(mpmath, spec, qq, x0):
+    """h(X0) = 2 mu F(X0) / X0 - X0 at the working precision of mpmath."""
+    n, x0 = spec.n, mpmath.mpf(x0)
+    total = mpmath.mpf(0)
+    for terms, weight, r2 in (
+        (spec.one_body, 1, mpmath.mpf(qq) / (n * x0)),
+        (spec.pairwise, n, 2 * mpmath.mpf(qq) / ((n - 1) * x0)),
+    ):
+        for term in terms:
+            form = term.form
+            if isinstance(form, PowerLaw):
+                lam = mpmath.mpf(form.exponent)
+                total += weight * form.coefficient * abs(lam) / 2 * r2 ** ((lam - 2) / 2)
+            else:
+                c = mpmath.mpf(form.range_) ** 2
+                total += weight * form.depth * c * mpmath.exp(-c * r2)
+    m = mpmath.mpf(spec.identical_mass)
+    mu = mpmath.sqrt(m * m + qq * x0 / n) if spec.kinematics is SR else m
+    return 2 * mu * total / x0 - x0
+
+
+def _is_certified_root(spec, qq, x0):
+    """h changes sign at 50 digits between X0 (1 -+ 1e-10)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x0 = mpmath.mpf(x0)
+        below, above = (
+            _mp_scale_residual(mpmath, spec, qq, x0 * (1 + d * mpmath.mpf("1e-10")))
+            for d in (-1, 1)
+        )
+        return (below > 0) != (above > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scale_specs())
+def test_every_isolated_root_is_a_sign_change_at_50_digits(case):
+    pytest.importorskip("mpmath")
+    spec, q = case
+    try:
+        roots = engine._scale_roots(spec, q.q, 1e-12)
+    except NumericalError:
+        return
+    for x0 in roots:
+        assert _is_certified_root(spec, q.q, x0)
+
+
+def test_close_root_pair_beside_a_one_body_power():
+    # a gaussian well beside a one-body power has three roots; the first two
+    # lie 4 % apart, within one step of the grid, which finds only the last
+    power = PowerLaw(1.7285312896822957, -0.10523548515602554)
+    spec = dataclasses.replace(
+        gaussian_system(4, 0.03412957965935609, 860.7051709043824, 0.10181443976904277),
+        one_body=(PotentialTerm(Scope.ONE_BODY, power),),
+    )
+    q = QuantumNumbers(((1, 0), (0, 0), (0, 0)))
+    roots = engine._scale_roots(spec, q.q, 1e-12)
+    assert roots == pytest.approx([2.8792e-3, 3.0063e-3, 1.5401], rel=1e-4)
+    assert all(_is_certified_root(spec, q.q, x0) for x0 in roots)
+    assert _grid_scale_roots(spec, q.q, 1e-12) == pytest.approx(roots[-1:], rel=1e-12)
+
+
+def test_massive_root_below_the_grid_window():
+    # a repulsive one-body term with massive kinematics: the one root,
+    # X0 = 8.2e-26, lies below the grid, which found none (NoPositiveRoot)
+    spec = power_system(
+        2, 4.508873961551444, SR,
+        one=(-1.6611889449875474, -0.539082270107401),
+        pair=(1.1675940407044259, -0.4889100041740698),
+    )
+    q = QuantumNumbers(((3, 0),))
+    sol = afm_mass(spec, q)
+    assert _is_certified_root(spec, q.q, sol.x0)
+    assert sol.mass == pytest.approx(numeric_afm_minimize(spec, q), rel=1e-12)
+    assert sol.mass == pytest.approx(9.01774788182434, rel=1e-13)
+    assert _grid_scale_roots(spec, q.q, 1e-12) == []
 
 
 def _criterion_4_power_draws(rng, count):
@@ -700,18 +860,31 @@ def _nr_quadratic_draws(rng, count):
         yield power_system(n, m, NR, one=(k, 2.0), pair=(0.7, 2.0)), q
 
 
+def _gaussian_draws(rng, count):
+    """Gaussian wells of the verify family: depth 2-50 times the critical coupling."""
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        q = QuantumNumbers(((int(rng.integers(0, 3)), 0),) + ((0, 0),) * (n - 2))
+        m, beta = (float(x) for x in rng.uniform([0.5, 0.3], [3.0, 2.0]))
+        g = float(rng.uniform(2.0, 50.0)) * gaussian_critical_coupling(n, q.q)
+        yield gaussian_system(n, m, g * beta * beta / m, beta), q
+
+
 def test_structured_solve_cost_guard():
-    # machine-independent cost: evaluations of the scale equation per solve,
-    # counted as calls of its two implementations (u_logs in t, h in X0)
+    # machine-independent cost: evaluations of the scale equation and of the
+    # derivatives that split it per solve, counted as calls of the residuals
+    # in t; h, in X0, only bisects below the float spacing of t
+    names = ("residual", "u_residual", "h")
     calls = []
 
     def count(frame, event, arg):
-        if event == "call" and frame.f_code.co_name in ("u_logs", "h"):
+        if event == "call" and frame.f_code.co_name in names:
             if frame.f_code.co_filename == engine.__file__:
                 calls.append(frame.f_code.co_name)
 
     draws = list(_criterion_4_power_draws(np.random.default_rng(314), 40))
     draws += _nr_quadratic_draws(np.random.default_rng(315), 40)
+    draws += _gaussian_draws(np.random.default_rng(316), 40)
     for spec, q in draws:
         calls.clear()
         sys.setprofile(count)
@@ -719,5 +892,5 @@ def test_structured_solve_cost_guard():
             afm_mass(spec, q)
         finally:
             sys.setprofile(None)
-        assert "h" not in calls  # no grid scan
-        assert len(calls) <= 60
+        assert "h" not in calls
+        assert 0 < len(calls) <= 60

@@ -236,6 +236,8 @@ def test_gaussian_alternative_form_agrees():
         (2, 1.0, 10.0, 1.0, 1.5),
         (3, 1.7, 5.0, 0.4, 3.0),
         (5, 0.8, 30.0, 1.3, 6.0),
+        (3, 1.0, 1e300, 1e-150, 1.5),  # Y^2 and W0^2 underflow
+        (3, 1.0, 1e300, 1e-300, 1.5),  # Y underflows
     ):
         level = gaussian_spectrum(n, m, alpha, beta, q)
         assert level.energy == pytest.approx(
@@ -424,6 +426,11 @@ NAN, INF = math.nan, math.inf
         pytest.param(coulomb_nbody, (3, INF, 0.1), id="coulomb-m"),
         pytest.param(funnel_nbody_ur, (3, 0.2, NAN, 3.0), id="funnel-b"),
         pytest.param(funnel_nbody_ur, (3, 0.2, 0.1, INF), id="funnel-q"),
+        pytest.param(gaussian_energy_alt, (3, 1.0, NAN, 0.5, 3.0), id="gaussian-alt-alpha"),
+        pytest.param(gaussian_energy_alt, (3, 1.0, 2.0, 0.5, INF), id="gaussian-alt-q"),
+        pytest.param(two_body_linear_mass, (2.0, NAN, 0.2, 1.5), id="two-body-linear-m"),
+        pytest.param(two_body_funnel_ur, (2.0, 0.2, NAN, 1.5), id="two-body-funnel-b"),
+        pytest.param(two_body_coulomb_ground, (2.0, 1.0, NAN), id="two-body-coulomb-b"),
     ],
 )
 def test_closed_forms_reject_non_finite_arguments(fn, args):
