@@ -387,6 +387,26 @@ def _isolate(terms: list[_Term], span: tuple[float, float], tolerance: float) ->
     return _polish(residual, splits, (plain[0][1], hi), span, tolerance)
 
 
+def _walk_start(a_terms: list[_Term], log_m: float, z: float) -> float:
+    """Where the walk to the one root of |u| = 1 starts, for massive kinematics.
+
+    For a one-term A, u^2 - 1 = m^2 A^2 (1 + w) - 1 is a sum of three plain
+    terms (_massive_roots has the notation). Where two of them merge, as for
+    a Coulomb A (e = -1/2), the switch point of the two left is their root,
+    so the walk starts on the root up to rounding; elsewhere it starts at
+    w = 1.
+    """
+    if len(a_terms) == 1:
+        e, _, a, lc = a_terms[0]
+        l2 = 2.0 * (a + log_m)  # ln (m A)^2 at t' = 0
+        terms = _merge(
+            [(2.0 * e, 1.0, l2, lc), (2.0 * e + 1.0, 1.0, l2 + z, lc), (0.0, -1.0, 0.0, lc)]
+        )
+        if len(terms) == 2 and terms[0][1] != terms[1][1]:
+            return _switch_point(terms)
+    return -z
+
+
 def _massive_roots(
     a_terms: list[_Term],
     log_qn: float,
@@ -408,7 +428,11 @@ def _massive_roots(
     if not a_terms:
         return []
     z = 2.0 * (log_qn - log_m)
-    slope = [(e, s, a + _LN2, lc) for e, s, a, lc in _slope(a_terms)]
+    # 2 A' with ln(2 |e|) in one log, so that D's w terms cancel exactly
+    # where 2 e + 1 = 0 (a Coulomb A) and leave no false root of D
+    slope = [
+        (e, s if e > 0.0 else -s, a + math.log(2.0 * abs(e)), lc) for e, s, a, lc in a_terms if e
+    ]
     d_terms = slope + [(e + 1.0, s, a + z, lc) for e, s, a, lc in slope + a_terms]
     f_roots = _isolate(a_terms, span, tolerance)
     zeros = [t for t in f_roots if math.isfinite(t)]
@@ -421,7 +445,7 @@ def _massive_roots(
 
     cuts = [t for t in _isolate(d_terms, span, tolerance) + f_roots if t not in zeros]
     if not cuts and not zeros:
-        cuts = [-z]  # w = 1, where the walk starts when |u| is monotone throughout
+        cuts = [_walk_start(a_terms, log_m, z)]  # |u| is monotone throughout
     cuts = [min(max(t, span[0]), span[1]) for t in cuts]
     splits = sorted([(t, -math.inf) for t in zeros] + [(t, u_residual(t)) for t in cuts])
     # |u| -> inf as t' -> -inf; as t' -> inf, |u| ~ e^(ln(Q/N) + a + (e + 1/2) t')

@@ -4,10 +4,12 @@ numeric_afm_minimize extremizes the three-field mass function directly, never
 touching the scale equation the closed forms come from, so agreement between
 the two routes is a genuine cross-check. Its line searches use function values
 only, except along fields whose stationary point is a maximum: there Newton
-steps on the analytic derivatives of its own mass function come first, and
-Brent's search stays as the safeguard. gaussian_trial_bound evaluates a
-one-parameter correlated-Gaussian variational state analytically and is a true
-upper bound on the exact ground level of nonrelativistic pairwise systems.
+steps on the analytic derivatives of its own mass function come first, the
+point they converge to is accepted on three mass values (itself and its two
+neighbours), and Brent's search stays as the safeguard. gaussian_trial_bound
+evaluates a one-parameter correlated-Gaussian variational state analytically
+and is a true upper bound on the exact ground level of nonrelativistic
+pairwise systems.
 """
 from __future__ import annotations
 
@@ -63,10 +65,11 @@ _STEP_MIN = 1e-4
 _WARM_GROWTH = 4.0
 _KAPPA_SPAN = 34.5  # trial widths confined to roughly [1e-15, 1e15]
 # Newton steps toward a max-sense field's maximum are clamped to _NEWTON_STEP
-# in log space and stop once shorter than _NEWTON_TOL or after
-# _NEWTON_ITERS steps. The point is accepted only if the mass there is not
-# below the mass _NEWTON_DELTA away on either side (inside _LEVEL_SPAN, so
-# the Brent polish that follows still meets its level stop).
+# in log space; they converge once a step is at most _NEWTON_TOL and give up
+# after _NEWTON_ITERS steps. The point is accepted only if the mass there is
+# not below the mass _NEWTON_DELTA away on either side. A converged point lies
+# within _NEWTON_TOL of the maximizer, far inside the ~sqrt(eps) ~ 1.5e-8
+# rounding plateau where values cannot place it any closer.
 _NEWTON_STEP = 1.0
 _NEWTON_TOL = 1e-9
 _NEWTON_ITERS = 40
@@ -228,7 +231,9 @@ def _extremize_log_line(
     sense +1 minimizes, -1 maximizes; non-finite values act as a barrier for
     either sense. The bracket is grown outward from x0 by doubling steps that
     start at `step`. Returns the extremum and how far it lies from x0 in log
-    space.
+    space. A minimizing search whose bracket grows to _LOG_LO or _LOG_HI and
+    still descends there, or meets a non-finite value only there, raises
+    UnboundedBelow: f falls until the field leaves the float range.
     """
     g = _log_objective(f, sense)
     u_start = u0 = min(max(math.log(x0), _LOG_LO), _LOG_HI)
@@ -250,7 +255,12 @@ def _extremize_log_line(
             break
         if not math.isfinite(f0):
             return x0, 0.0  # no valid point anywhere along this line
-    ul, _, u0, f0, uh, _ = _bracket_min(g, u0, f0, _LOG_LO, _LOG_HI, step)
+    ul, fl, u0, f0, uh, fh = _bracket_min(g, u0, f0, _LOG_LO, _LOG_HI, step)
+    if sense > 0 and (
+        (ul == _LOG_LO and not f0 <= fl < math.inf)
+        or (uh == _LOG_HI and not f0 <= fh < math.inf)
+    ):
+        raise UnboundedBelow("the mass still falls at the edge of the field range")
     u = _brent_min(g, ul, u0, f0, uh)[0]
     return math.exp(u), abs(u - u_start)
 
@@ -332,9 +342,9 @@ def _newton_log_max(
     of the kinetic root K = qq sqrt(2 s / mu) are K r and K r (1 - r), with
     r = c t / (2 s). Every
     iterate must give finite values and a negative second derivative; steps
-    are clamped to _NEWTON_STEP and stop once shorter than _NEWTON_TOL or
-    after _NEWTON_ITERS. Returns the last iterate, or None where a safeguard
-    fails.
+    are clamped to _NEWTON_STEP. Returns the iterate that ends with a step of
+    at most _NEWTON_TOL, or None where a safeguard fails or _NEWTON_ITERS
+    steps do not converge.
     """
     weight_power, two_over_mu = weight * power, 2.0 / mu
     for _ in range(_NEWTON_ITERS):
@@ -359,17 +369,18 @@ def _newton_log_max(
             du = -_NEWTON_STEP
         u += du
         if -_NEWTON_TOL <= du <= _NEWTON_TOL:
-            break
-    return u
+            return u
+    return None
 
 
-def _certified_max(f: Callable[[float], float], u: float) -> float | None:
-    """Polish a Newton maximum of f(e^u) by Brent's method, if it is one.
+def _certified_max(
+    f: Callable[[float], float], u: float
+) -> tuple[float, float] | None:
+    """Accept a converged Newton point as a maximum of f(e^u), if it is one.
 
     The point is accepted if f is finite there and at u -/+ _NEWTON_DELTA,
-    and not below either neighbour; Brent's search then runs on that bracket
-    with its usual stopping rules. Returns the field, or None if the point is
-    refused.
+    and not below either neighbour: three evaluations. Returns the field and
+    f there, or None if the point is refused.
     """
     g = _log_objective(f, -1)
     lo, hi = u - _NEWTON_DELTA, u + _NEWTON_DELTA
@@ -378,7 +389,32 @@ def _certified_max(f: Callable[[float], float], u: float) -> float | None:
     gu = g(u)
     if not (gu < math.inf and gu <= g(lo) < math.inf and gu <= g(hi) < math.inf):
         return None
-    return math.exp(_brent_min(g, lo, u, gu, hi)[0])
+    return math.exp(u), -gu
+
+
+def _newton_max(
+    f: Callable[[float], float],
+    offset: Callable[[float], float],
+    weight: float,
+    power: float,
+    base: float,
+    c: float,
+    mu: float,
+    qq: float,
+    t: float,
+) -> tuple[float, float] | None:
+    """Maximum of f along one power-law field, by Newton steps from the field t.
+
+    f is the mass along the field, as in _newton_log_max. Where t lies past
+    the kinetic barrier (s = base + c t <= 0, with c < 0 < base), the steps
+    start halfway to it instead, at t = base / (2 |c|). The point they
+    converge to is accepted by _certified_max. Returns the field and f there,
+    or None where either refuses.
+    """
+    if c < 0.0 < base and base + c * t <= 0.0:
+        t = base / (-2.0 * c)
+    u = _newton_log_max(offset, weight, power, base, c, mu, qq, math.log(t))
+    return None if u is None else _certified_max(f, u)
 
 
 def numeric_afm_minimize(
@@ -396,12 +432,15 @@ def numeric_afm_minimize(
     convex power terms) are solved innermost, the rest are cyclically
     minimized by Brent's method until two passes in a row change the mass by
     at most 1e-12 max(1, |M|). Each innermost maximum is found by safeguarded
-    Newton steps on the analytic derivatives of M along that field, checked
-    against its neighbours and polished by Brent's method within 2.5e-7 in
-    the log; where that is refused, Brent's search from a grown bracket runs
-    instead. Quadratic terms pin their field to the spring constant;
-    nonrelativistic kinematics pins mu to the particle mass. Every mass
-    evaluation counts toward max_evals. Deterministic for fixed input.
+    Newton steps on the analytic derivatives of M along that field, started
+    halfway to the kinetic barrier where the warm field lies past it; the
+    point they converge to is accepted when M there is not below M 2.5e-7
+    away in the log on either side, three mass evaluations in all. Where that
+    is refused, Brent's search from a grown bracket runs instead. Quadratic
+    terms pin their field to the spring constant; nonrelativistic kinematics
+    pins mu to the particle mass. Every mass evaluation counts toward
+    max_evals. A minimizing search that still descends where a field leaves
+    the float range raises UnboundedBelow. Deterministic for fixed input.
     """
     validate(spec, q)
     if not spec.terms:
@@ -477,10 +516,11 @@ def numeric_afm_minimize(
     def hull(mu_: float, ts_: list[float]) -> float:
         """Resolve the max-sense fields for fixed minimized ones (in place).
 
-        Each is a power-law field: Newton steps on the mass along it, then a
-        Brent polish around the point they reach; where either is refused,
-        the derivative-free search runs as for every other field.
+        Each is a power-law field: Newton steps on the mass along it
+        (_newton_max); where they are refused, the derivative-free search runs
+        as for every other field. Returns the mass at the resolved fields.
         """
+        value = None
         for j in max_idx:
 
             def fj(t: float, j=j) -> float:
@@ -492,13 +532,15 @@ def numeric_afm_minimize(
 
             _, _, weight, offset = kernel[j]
             base = s0 + sum(c * t for k, (c, t) in enumerate(zip(springs, ts_)) if k != j)
-            u = _newton_log_max(
-                offset, weight, field_terms[j].power, base, springs[j],
-                mu_ if semirel else m, qq, math.log(ts_[j]),
+            found = _newton_max(
+                fj, offset, weight, field_terms[j].power, base, springs[j],
+                mu_ if semirel else m, qq, ts_[j],
             )
-            t = None if u is None else _certified_max(fj, u)
-            ts_[j] = t if t is not None else search(fj, ts_[j], -1, j)
-        return mass(mu_, ts_)
+            if found is None:
+                ts_[j], value = search(fj, ts_[j], -1, j), None
+            else:
+                ts_[j], value = found
+        return mass(mu_, ts_) if value is None else value
 
     cur = hull(mu, ts)
     small_steps = 0

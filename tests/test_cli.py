@@ -488,6 +488,25 @@ def test_numerical_failure_exits_3(tmp_path):
     assert json.loads(text)["error"]["type"] == "NoPositiveRoot"
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"N": 3, "mass": 2.223, "one_body": [_power(0.2111, -1.0)],
+         "pairwise": [_power(-0.3962, 0.5)]},
+        {"N": 2, "mass": 2.094, "one_body": [_power(0.3319, 1.0)],
+         "pairwise": [_power(-0.3984, 1.0)]},
+    ],
+    ids=["coulomb+pair-sqrt", "linear+pair-linear"],
+)
+def test_verify_unbound_spec_exits_3(tmp_path, payload):
+    # no bound state: neither route may print a mass (the oracle returned
+    # -8.3e100 and -9.0e301 on these specs)
+    document = dict(payload, kinematics="nonrelativistic", modes=[[0, 0]] * (payload["N"] - 1))
+    code, text = run_cli(["verify", "--spec", write_spec(tmp_path, document), "--format", "json"])
+    assert code == EXIT_NUMERICAL
+    assert json.loads(text)["error"]["type"] == "NoPositiveRoot"
+
+
 def test_gaussian_below_critical_exits_3(tmp_path):
     weak = dict(GAUSS_SPEC, pairwise=[{"type": "gaussian", "depth": 0.1, "range": 0.5}])
     path = write_spec(tmp_path, weak)

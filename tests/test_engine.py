@@ -870,10 +870,9 @@ def _gaussian_draws(rng, count):
         yield gaussian_system(n, m, g * beta * beta / m, beta), q
 
 
-def test_structured_solve_cost_guard():
-    # machine-independent cost: evaluations of the scale equation and of the
-    # derivatives that split it per solve, counted as calls of the residuals
-    # in t; h, in X0, only bisects below the float spacing of t
+def _residual_calls(spec, q):
+    """Names of the residual closures called by one solve of the scale
+    equation, in order, and the roots it returns."""
     names = ("residual", "u_residual", "h")
     calls = []
 
@@ -882,15 +881,42 @@ def test_structured_solve_cost_guard():
             if frame.f_code.co_filename == engine.__file__:
                 calls.append(frame.f_code.co_name)
 
+    sys.setprofile(count)
+    try:
+        roots = engine._scale_roots(spec, q.q, 1e-12)
+    finally:
+        sys.setprofile(None)
+    return calls, roots
+
+
+def test_structured_solve_cost_guard():
+    # machine-independent cost: evaluations of the scale equation and of the
+    # derivatives that split it per solve, counted as calls of the residuals
+    # in t; h, in X0, only bisects below the float spacing of t
     draws = list(_criterion_4_power_draws(np.random.default_rng(314), 40))
     draws += _nr_quadratic_draws(np.random.default_rng(315), 40)
     draws += _gaussian_draws(np.random.default_rng(316), 40)
     for spec, q in draws:
-        calls.clear()
-        sys.setprofile(count)
-        try:
-            afm_mass(spec, q)
-        finally:
-            sys.setprofile(None)
+        calls, _ = _residual_calls(spec, q)
         assert "h" not in calls
         assert 0 < len(calls) <= 60
+
+
+def test_massive_walk_starts_on_the_root_where_it_can():
+    # massive srho, linear and atomic draws have no split point: |u| is
+    # monotone, and one walk finds its root. From the root of u^2 - 1 where
+    # that is two terms (atomic), it costs at most 3 evaluations (the walk
+    # from w = 1 took up to 18), and never more than from w = 1; the roots
+    # agree to the solve's tolerance
+    draws = _criterion_4_power_draws(np.random.default_rng(314), 40)
+    for i, (spec, q) in enumerate(draws):
+        if i % 5 not in (0, 1, 4) or spec.identical_mass == 0.0:
+            continue
+        calls, roots = _residual_calls(spec, q)
+        with mock.patch.object(engine, "_walk_start", lambda a_terms, log_m, z: -z):
+            w1_calls, w1_roots = _residual_calls(spec, q)
+        assert len(calls) <= len(w1_calls)
+        if i % 5 == 4:
+            assert len(calls) <= 3
+        assert len(roots) == len(w1_roots) == 1
+        assert roots[0] == pytest.approx(w1_roots[0], rel=1e-12)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from auxfield.engine import equal_power_mass
+from auxfield import oracles
+from auxfield.engine import afm_mass, equal_power_mass
 from auxfield.errors import (
     NonConvergence,
+    NoPositiveRoot,
     UnboundedBelow,
     UnsupportedCombination,
 )
@@ -23,6 +25,7 @@ from auxfield.oracles import (
     _extremize_log_line,
     _field_term,
     _newton_log_max,
+    _newton_max,
     compare,
     compare_ordering,
     gaussian_trial_bound,
@@ -234,7 +237,7 @@ def _max_sense_line(rng, scope, kinematics, lam):
 @pytest.mark.parametrize("scope", [Scope.ONE_BODY, Scope.PAIRWISE])
 def test_newton_max_matches_brent_line_search(scope, kinematics, lam):
     # from a warm start, as inside the oracle: Newton lands on the exact
-    # maximizer, and its Brent polish on the mass the line search finds;
+    # maximizer, and the point it certifies on the mass the line search finds;
     # a refused start leaves the oracle with the line search itself
     rng = np.random.default_rng([int(abs(lam) * 100), scope is Scope.PAIRWISE, kinematics is SR])
     accepted = 0
@@ -243,9 +246,11 @@ def test_newton_max_matches_brent_line_search(scope, kinematics, lam):
         u0 = u_max + float(rng.uniform(-0.25, 0.25))
         t_ref = _extremize_log_line(f, math.exp(u0), -1)[0]
         u = _newton_log_max(*args, u0)
-        t = None if u is None else _certified_max(f, u)
-        if t is None:
+        found = None if u is None else _certified_max(f, u)
+        if found is None:
             continue
+        t, value = found
+        assert value == f(t)
         accepted += 1
         assert u == pytest.approx(u_max, abs=1e-8)
         # values place a maximum only to within their rounding plateau, and
@@ -268,9 +273,46 @@ def test_newton_max_refuses_a_start_past_the_barrier():
     assert f(t_bad) == math.inf
     assert _newton_log_max(*args, math.log(t_bad)) is None
     t_fallback = _extremize_log_line(f, t_bad, -1)[0]
-    t_newton = _certified_max(f, _newton_log_max(*args, u_max - 0.1))
+    t_newton, value = _certified_max(f, _newton_log_max(*args, u_max - 0.1))
+    assert value == f(t_newton)
     assert math.log(t_fallback) == pytest.approx(math.log(t_newton), abs=1e-6)
     assert abs(f(t_fallback) - f(t_newton)) <= 4.0 * sys.float_info.epsilon * abs(f(t_newton))
+
+
+def test_newton_max_restarts_inside_the_barrier():
+    # the start of the refusal test above: the oracle's inner step restarts
+    # Newton halfway to the barrier and reaches the fallback's maximum, with
+    # three evaluations of the mass and no line search
+    rng = np.random.default_rng(7)
+    f, args, u_max = _max_sense_line(rng, Scope.PAIRWISE, SR, -1.0)
+    base, c = args[3], args[4]
+    t_bad = 4.0 * base / abs(c)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return f(t)
+
+    t_newton, value = _newton_max(counted, *args, t_bad)
+    assert len(calls) == 3
+    assert value == f(t_newton)
+    assert math.log(t_newton) == pytest.approx(u_max, abs=1e-8)
+    t_fallback = _extremize_log_line(f, t_bad, -1)[0]
+    assert math.log(t_fallback) == pytest.approx(math.log(t_newton), abs=1e-6)
+    assert abs(f(t_fallback) - value) <= 4.0 * sys.float_info.epsilon * abs(value)
+
+
+def test_newton_max_without_convergence_is_refused(monkeypatch):
+    # a Newton run cut off by its step limit returns no point, so the oracle
+    # falls back on the line search rather than certify an unconverged one
+    rng = np.random.default_rng(11)
+    f, args, u_max = _max_sense_line(rng, Scope.PAIRWISE, NR, -1.0)
+    u0 = u_max + 0.5  # six steps converge from here
+    u = _newton_log_max(*args, u0)
+    assert u == pytest.approx(u_max, abs=1e-8)
+    monkeypatch.setattr(oracles, "_NEWTON_ITERS", 3)
+    assert _newton_log_max(*args, u0) is None
+    assert _newton_max(f, *args, math.exp(u0)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +413,19 @@ def test_oracle_hard_atomic_draw_within_default_budget():
     _atomic_check(6, 4.846, 0.987, 0.0707, ground(6))
 
 
-def test_oracle_atomic_cost_guard():
-    # machine-independent cost bound on criterion-4 atomic draws: nested line
-    # searches must stay well below the 100 000 default budget
+@pytest.mark.parametrize(
+    "budget",
+    [
+        25_000,  # nested line searches stay well below the 100 000 default
+        8_000,  # line searches stop at the rounding floor
+        4_800,  # each search's first bracket step follows its last move
+        2_600,  # the repulsive field's maximum is reached by Newton steps
+        1_300,  # each such maximum costs three mass evaluations
+    ],
+)
+def test_oracle_atomic_cost_guard(budget):
+    # machine-independent cost bound on criterion-4 atomic draws; each budget
+    # holds only with the refinement named beside it and those above it
     rng = np.random.default_rng(2718)
     for _ in range(40):
         n = int(rng.integers(2, 7))
@@ -384,55 +436,26 @@ def test_oracle_atomic_cost_guard():
         alphabar = float(rng.uniform(0.1, 0.6)) * alpha * n * n / (
             n * (n - 1) / 2.0
         ) ** 1.5
-        _atomic_check(n, m, alpha, alphabar, q, max_evals=25_000)
+        _atomic_check(n, m, alpha, alphabar, q, max_evals=budget)
 
 
-def test_oracle_atomic_cost_tight():
-    # the draws of test_oracle_atomic_cost_guard under a budget that only
-    # holds when line searches stop at the rounding floor
-    rng = np.random.default_rng(2718)
-    for _ in range(40):
-        n = int(rng.integers(2, 7))
-        m = float(rng.uniform(0.5, 5.0))
-        band = int(rng.integers(0, 2))
-        q = QuantumNumbers(((band, 0),) + ((0, 0),) * (n - 2))
-        alpha = float(rng.uniform(0.1, 0.8)) * q.q / n
-        alphabar = float(rng.uniform(0.1, 0.6)) * alpha * n * n / (
-            n * (n - 1) / 2.0
-        ) ** 1.5
-        _atomic_check(n, m, alpha, alphabar, q, max_evals=8_000)
-
-
-def test_oracle_atomic_cost_warm():
-    # the draws of test_oracle_atomic_cost_guard under a budget that only
-    # holds when each search's first bracket step follows its last move
-    rng = np.random.default_rng(2718)
-    for _ in range(40):
-        n = int(rng.integers(2, 7))
-        m = float(rng.uniform(0.5, 5.0))
-        band = int(rng.integers(0, 2))
-        q = QuantumNumbers(((band, 0),) + ((0, 0),) * (n - 2))
-        alpha = float(rng.uniform(0.1, 0.8)) * q.q / n
-        alphabar = float(rng.uniform(0.1, 0.6)) * alpha * n * n / (
-            n * (n - 1) / 2.0
-        ) ** 1.5
-        _atomic_check(n, m, alpha, alphabar, q, max_evals=4_800)
-
-
-def test_oracle_atomic_cost_newton():
-    # the draws of test_oracle_atomic_cost_guard under a budget that only
-    # holds when the repulsive field's maximum is reached by Newton steps
-    rng = np.random.default_rng(2718)
-    for _ in range(40):
-        n = int(rng.integers(2, 7))
-        m = float(rng.uniform(0.5, 5.0))
-        band = int(rng.integers(0, 2))
-        q = QuantumNumbers(((band, 0),) + ((0, 0),) * (n - 2))
-        alpha = float(rng.uniform(0.1, 0.8)) * q.q / n
-        alphabar = float(rng.uniform(0.1, 0.6)) * alpha * n * n / (
-            n * (n - 1) / 2.0
-        ) ** 1.5
-        _atomic_check(n, m, alpha, alphabar, q, max_evals=2_600)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        power_system(3, 2.223, NR, one=(0.2111, -1.0), pair=(-0.3962, 0.5)),
+        power_system(2, 2.094, NR, one=(0.3319, 1.0), pair=(-0.3984, 1.0)),
+    ],
+    ids=["coulomb+pair-sqrt", "linear+pair-linear"],
+)
+def test_oracle_on_unbound_spec_raises(spec):
+    # a pairwise attraction that falls without bound at large r: the scale
+    # equation has no root, and the minimizing searches descend until the
+    # fields leave the float range, where they used to stop and return
+    # -8.3e100 and -9.0e301
+    with pytest.raises(NoPositiveRoot):
+        afm_mass(spec, ground(spec.n))
+    with pytest.raises(UnboundedBelow):
+        numeric_afm_minimize(spec, ground(spec.n))
 
 
 def test_oracle_rejects_empty_system():
