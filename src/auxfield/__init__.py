@@ -4,8 +4,10 @@ Exact N-body harmonic-oscillator solutions, closed-form auxiliary-field masses
 for power-law, Coulomb, gaussian and funnel interactions, duality maps to
 two-body problems, and independent numerical oracles that verify every closed
 form.
+
+Importing the package loads only the model and error types. The solver layers
+are imported by name, e.g. ``from auxfield.engine import afm_mass``.
 """
-from . import engine, ho, oracles, special, systems
 from .errors import AuxFieldError, NumericalError, ValidationError
 from .model import (
     AFMSolution,

@@ -21,9 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from . import engine, ho, oracles, systems
 from .errors import (
     AuxFieldError,
     NoRestoringForce,
@@ -45,6 +44,12 @@ from .model import (
     SystemSpec,
     validate,
 )
+
+if TYPE_CHECKING:
+    from .oracles import OracleReport
+
+# Each command handler imports the solver layers it calls, so a cold process
+# compiles and loads only those.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -141,7 +146,7 @@ def solution_from_dict(data: dict) -> AFMSolution:
     )
 
 
-def report_to_dict(report: oracles.OracleReport) -> dict:
+def report_to_dict(report: OracleReport) -> dict:
     return {
         "closed_form": report.closed_form,
         "oracle_value": report.oracle_value,
@@ -182,6 +187,8 @@ def emit(payload: Any, fmt: str, out) -> None:
 
 
 def _cmd_solve(args, out) -> int:
+    from . import engine
+
     spec, q = load_system(args.spec)
     sol = engine.afm_mass(spec, q, tolerance=args.tolerance)
     emit(solution_to_dict(sol), args.format, out)
@@ -189,6 +196,8 @@ def _cmd_solve(args, out) -> int:
 
 
 def _cmd_ho(args, out) -> int:
+    from . import ho
+
     spec, q = load_system(args.spec)
     for term in spec.terms:
         if not (isinstance(term.form, PowerLaw) and term.form.exponent == 2.0):
@@ -220,6 +229,8 @@ def _cmd_ho(args, out) -> int:
 
 
 def _cmd_baryon_table(args, out) -> int:
+    from . import systems
+
     rows = systems.baryon_table(args.lambda_string, args.alphas)
     if args.variant is not None:
         col = {"m0": 2, "m1": 3, "m2": 4}[args.variant]
@@ -245,6 +256,8 @@ def _cmd_baryon_table(args, out) -> int:
 
 
 def _cmd_gaussian(args, out) -> int:
+    from . import systems
+
     spec, q = load_system(args.spec)
     if spec.one_body or len(spec.pairwise) != 1 or not isinstance(
         spec.pairwise[0].form, GaussianWell
@@ -267,6 +280,8 @@ def _cmd_gaussian(args, out) -> int:
 
 
 def _cmd_duality_check(args, out) -> int:
+    from . import oracles, systems
+
     if args.n is not None and args.n < 2:
         raise ValidationError(f"need --n >= 2, got {args.n}")
     ns = [args.n] if args.n is not None else [2, 3, 4, 6]
@@ -282,6 +297,8 @@ def _cmd_duality_check(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from . import engine, oracles
+
     require_tolerance(args.tolerance)
     spec, q = load_system(args.spec)
     closed = engine.afm_mass(spec, q).mass

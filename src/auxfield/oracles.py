@@ -69,7 +69,9 @@ _KAPPA_SPAN = 34.5  # trial widths confined to roughly [1e-15, 1e15]
 # after _NEWTON_ITERS steps. The point is accepted only if the mass there is
 # not below the mass _NEWTON_DELTA away on either side. A converged point lies
 # within _NEWTON_TOL of the maximizer, far inside the ~sqrt(eps) ~ 1.5e-8
-# rounding plateau where values cannot place it any closer.
+# rounding plateau where values cannot place it any closer. The settled point
+# of the whole extremization must likewise have a finite mass _NEWTON_DELTA
+# away along each minimized direction, or it lies against a barrier.
 _NEWTON_STEP = 1.0
 _NEWTON_TOL = 1e-9
 _NEWTON_ITERS = 40
@@ -440,7 +442,11 @@ def numeric_afm_minimize(
     terms pin their field to the spring constant; nonrelativistic kinematics
     pins mu to the particle mass. Every mass evaluation counts toward
     max_evals. A minimizing search that still descends where a field leaves
-    the float range raises UnboundedBelow. Deterministic for fixed input.
+    the float range raises UnboundedBelow, and so does a settled point whose
+    mass is not finite 2.5e-7 away in the log along some minimized direction:
+    the mass fell until it left the float range and read as a barrier there,
+    so the point is a boundary, not a stationary point. Deterministic for
+    fixed input.
     """
     validate(spec, q)
     if not spec.terms:
@@ -542,6 +548,27 @@ def numeric_afm_minimize(
                 ts_[j], value = found
         return mass(mu_, ts_) if value is None else value
 
+    # a max-sense field that adds to s can always lift it above 0
+    lifted = any(springs[j] > 0.0 for j in max_idx)
+
+    def interior() -> bool:
+        """Whether the settled point has a finite mass _NEWTON_DELTA either
+        side in the log along each minimized direction (mu, then each
+        min-sense field). A point where the max-sense fields cannot make
+        s > 0 is past the kinetic barrier and is not counted."""
+        moves = [math.exp(-_NEWTON_DELTA), math.exp(_NEWTON_DELTA)]
+        points = [(mu * r, list(ts)) for r in moves] if semirel else []
+        for j in min_idx:
+            for r in moves:
+                scratch = list(ts)
+                scratch[j] *= r
+                points.append((mu, scratch))
+        for mu_, ts_ in points:
+            s_min = s0 + sum(springs[k] * ts_[k] for k in min_idx)
+            if (lifted or s_min > 0.0) and not math.isfinite(hull(mu_, ts_)):
+                return False
+        return True
+
     cur = hull(mu, ts)
     small_steps = 0
     for _ in range(120):
@@ -564,6 +591,8 @@ def numeric_afm_minimize(
         if abs(prev - cur) <= _PASS_TOL * max(1.0, abs(cur)):
             small_steps += 1
             if small_steps >= 2:
+                if not interior():
+                    raise UnboundedBelow("the mass falls to a barrier, not a stationary point")
                 return cur
         else:
             small_steps = 0

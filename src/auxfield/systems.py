@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .engine import linear_mass
 from .errors import (
     InvalidCoefficient,
     NoBoundState,
@@ -370,6 +369,8 @@ def duality_identities(n: int) -> list[tuple[str, float, float]]:
     (m = 1, a = 0.2, b = 0.15) and the massless funnel (a = 0.2, b = 0.3)
     are taken at Q = 1.5 (N-1); direct and mapped agree to rounding.
     """
+    from .engine import linear_mass  # its only use here: baryon-table never loads engine
+
     q = 1.5 * (n - 1)
     a, b = 0.2, 0.3
     return [

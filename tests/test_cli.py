@@ -495,12 +495,14 @@ def test_numerical_failure_exits_3(tmp_path):
          "pairwise": [_power(-0.3962, 0.5)]},
         {"N": 2, "mass": 2.094, "one_body": [_power(0.3319, 1.0)],
          "pairwise": [_power(-0.3984, 1.0)]},
+        {"N": 3, "mass": 0.6446887959414613, "one_body": [_power(-0.4086620820568579, 1.5)],
+         "pairwise": [_power(0.8974629504068266, -0.5)]},
     ],
-    ids=["coulomb+pair-sqrt", "linear+pair-linear"],
+    ids=["coulomb+pair-sqrt", "linear+pair-linear", "one-body-falls"],
 )
 def test_verify_unbound_spec_exits_3(tmp_path, payload):
     # no bound state: neither route may print a mass (the oracle returned
-    # -8.3e100 and -9.0e301 on these specs)
+    # -8.3e100, -9.0e301 and -5.4e307 on these specs)
     document = dict(payload, kinematics="nonrelativistic", modes=[[0, 0]] * (payload["N"] - 1))
     code, text = run_cli(["verify", "--spec", write_spec(tmp_path, document), "--format", "json"])
     assert code == EXIT_NUMERICAL
@@ -515,13 +517,61 @@ def test_gaussian_below_critical_exits_3(tmp_path):
     assert json.loads(text)["error"]["type"] == "NoBoundState"
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # solve, verify and baryon-table never build arrays, so a cold CLI process
-    # must not pay for importing numpy
+def _fresh_python(*args):
+    """Run a new interpreter that imports auxfield from src; it must exit 0."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    code = "import sys, auxfield.cli; assert 'numpy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    return subprocess.run(
+        [sys.executable, *args], env=env, check=True, capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        ([], {"cli", "errors", "model"}),
+        (["solve", "--spec", "{spec}"], {"cli", "errors", "model", "special", "engine"}),
+        (["verify", "--spec", "{spec}"],
+         {"cli", "errors", "model", "special", "engine", "oracles"}),
+        (["baryon-table", "--lambda", "0.2", "--alphas", "0.4"],
+         {"cli", "errors", "model", "special", "systems"}),
+    ],
+    ids=["import", "solve", "verify", "baryon-table"],
+)
+def test_command_loads_only_its_layers(tmp_path, argv, layers):
+    # a cold CLI process compiles and loads only the layers its command calls;
+    # solve, verify and baryon-table never build arrays, so none of them may
+    # pay for importing numpy either
+    spec = write_spec(tmp_path, LINEAR_SPEC)
+    code = (
+        "import io, json, sys, auxfield.cli\n"
+        "argv = sys.argv[1:]\n"
+        "assert not argv or auxfield.cli.main(argv, out=io.StringIO()) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('auxfield'))))\n"
+    )
+    loaded = json.loads(_fresh_python("-c", code, *(a.format(spec=spec) for a in argv)).stdout)
+    assert loaded == sorted({"auxfield"} | {f"auxfield.{layer}" for layer in layers})
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "from auxfield import engine, ho, oracles, special, systems\n"
+        "assert engine.afm_mass and ho.srho_mass and oracles.numeric_afm_minimize\n"
+        "assert special.lambert_w0 and systems.baryon_table",
+        "import auxfield.engine\nassert auxfield.engine.afm_mass",
+        "import auxfield\nfrom auxfield import *\n"
+        "assert all(name in globals() for name in auxfield.__all__)",
+    ],
+    ids=["from-package", "dotted", "star"],
+)
+def test_public_import_forms_resolve(code):
+    _fresh_python("-c", code)
+
+
+def test_module_help_exits_0():
+    assert "baryon-table" in _fresh_python("-m", "auxfield.cli", "--help").stdout
 
 
 def test_solve_path_leaves_numpy_unloaded():

@@ -444,14 +444,23 @@ def test_oracle_atomic_cost_guard(budget):
     [
         power_system(3, 2.223, NR, one=(0.2111, -1.0), pair=(-0.3962, 0.5)),
         power_system(2, 2.094, NR, one=(0.3319, 1.0), pair=(-0.3984, 1.0)),
+        power_system(3, 0.6446887959414613, NR, one=(-0.4086620820568579, 1.5),
+                     pair=(0.8974629504068266, -0.5)),
+        power_system(5, 1.5549250190665247, NR, one=(0.23956158196246702, 3.0),
+                     pair=(-0.1431486749983486, 3.0)),
     ],
-    ids=["coulomb+pair-sqrt", "linear+pair-linear"],
+    ids=["coulomb+pair-sqrt", "linear+pair-linear", "one-body-falls",
+         "pair-falls-one-body-lifts"],
 )
 def test_oracle_on_unbound_spec_raises(spec):
-    # a pairwise attraction that falls without bound at large r: the scale
-    # equation has no root, and the minimizing searches descend until the
-    # fields leave the float range, where they used to stop and return
-    # -8.3e100 and -9.0e301
+    # a potential that falls without bound at large r: the scale equation
+    # has no root. On the first two specs the minimizing searches descend
+    # until the fields leave the float range, where they used to stop and
+    # return -8.3e100 and -9.0e301. On the last two the max-sense field's
+    # maximum falls without bound along the minimized field, until the mass
+    # leaves the float range and reads as a barrier; the searches used to
+    # settle against it, a log-step of 1e-9 from a mass of +inf, and return
+    # -5.4e307 and -1.5e308
     with pytest.raises(NoPositiveRoot):
         afm_mass(spec, ground(spec.n))
     with pytest.raises(UnboundedBelow):
