@@ -60,12 +60,37 @@ EXIT_NUMERICAL = 3
 # spec file parsing and solution serialization
 
 
+# the keys a spec document may hold, and those of each potential type
+_SPEC_KEYS = frozenset({"N", "mass", "masses", "kinematics", "one_body", "pairwise", "modes"})
+_TERM_KEYS = {"power": ("coefficient", "exponent"), "gaussian": ("depth", "range")}
+
+
+def _number(value: Any) -> int | float:
+    """A JSON number as parsed; true, false, strings and the rest are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"expected a number, got {value!r}")
+    return value
+
+
 def _integer(value: Any) -> int:
     """Integer value of a JSON number; fractions are rejected, not truncated."""
-    whole = int(value)
+    whole = int(_number(value))
     if whole != float(value):
         raise ValidationError(f"expected an integer, got {value!r}")
     return whole
+
+
+def _array(value: Any, key: str) -> list:
+    """The JSON array given for key; anything else is rejected, not iterated."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{key} must be an array, got {value!r}")
+    return value
+
+
+def _known_keys(raw: dict, allowed, where: str) -> None:
+    unknown = sorted(raw.keys() - allowed)
+    if unknown:
+        raise ValidationError(f"unknown keys {unknown} in {where}")
 
 
 def _mode(raw: Any) -> tuple[int, int]:
@@ -79,40 +104,48 @@ def _parse_term(raw: Any, scope: Scope) -> PotentialTerm:
     if not isinstance(raw, dict):
         raise ValidationError(f"potential term must be an object, got {raw!r}")
     kind = raw.get("type")
-    if kind == "power":
-        form = PowerLaw(
-            coefficient=float(raw["coefficient"]), exponent=float(raw["exponent"])
-        )
-    elif kind == "gaussian":
-        form = GaussianWell(depth=float(raw["depth"]), range_=float(raw["range"]))
-    else:
+    names = _TERM_KEYS.get(kind) if isinstance(kind, str) else None
+    if names is None:
         raise ValidationError(f"unknown potential type {kind!r}")
-    return PotentialTerm(scope=scope, form=form)
+    _known_keys(raw, ("type", *names), f"a {kind} term")
+    a, b = (float(_number(raw[key])) for key in names)
+    form = PowerLaw(a, b) if kind == "power" else GaussianWell(a, b)
+    return PotentialTerm(scope, form)
+
+
+def _terms(raw: dict, scope: Scope) -> tuple[PotentialTerm, ...]:
+    """The potential terms listed under the scope's key (none when absent)."""
+    key = scope.value
+    return tuple(_parse_term(t, scope) for t in _array(raw.get(key, []), key))
 
 
 def parse_system(raw: dict) -> tuple[SystemSpec, QuantumNumbers]:
-    """Build and validate a system plus quantum numbers from a JSON document."""
+    """Build and validate a system plus quantum numbers from a JSON document.
+
+    Any key outside the layout in the module docstring, a document with both
+    mass and masses, and a number given as a string or a boolean are
+    rejected, since each would otherwise be read silently wrong.
+    """
+    if not isinstance(raw, dict):
+        raise ValidationError(f"system spec must be an object, got {raw!r}")
+    _known_keys(raw, _SPEC_KEYS, "the system spec")
+    if "mass" in raw and "masses" in raw:
+        raise ValidationError("give either mass or masses, not both")
     try:
         n = _integer(raw["N"])
         kin = Kinematics(raw["kinematics"])
         if "masses" in raw:
-            masses: Any = PerParticle(tuple(float(x) for x in raw["masses"]))
+            masses: Any = PerParticle(
+                tuple(float(_number(x)) for x in _array(raw["masses"], "masses"))
+            )
         else:
-            masses = Identical(float(raw["mass"]))
-        one_body = tuple(
-            _parse_term(t, Scope.ONE_BODY) for t in raw.get("one_body", [])
-        )
-        pairwise = tuple(
-            _parse_term(t, Scope.PAIRWISE) for t in raw.get("pairwise", [])
-        )
-        modes = tuple(_mode(nl) for nl in raw["modes"])
+            masses = Identical(float(_number(raw["mass"])))
+        one_body, pairwise = _terms(raw, Scope.ONE_BODY), _terms(raw, Scope.PAIRWISE)
+        modes = tuple(_mode(nl) for nl in _array(raw["modes"], "modes"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed system spec: {exc}") from exc
-    spec = SystemSpec(
-        n=n, masses=masses, kinematics=kin, one_body=one_body, pairwise=pairwise
-    )
-    q = QuantumNumbers(modes)
-    return validate(spec, q)
+    spec = SystemSpec(n, masses, kin, one_body, pairwise)
+    return validate(spec, QuantumNumbers(modes))
 
 
 def load_system(path: str) -> tuple[SystemSpec, QuantumNumbers]:

@@ -11,7 +11,6 @@ root once the kinetic square roots are replaced by an auxiliary field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     ValidationError,
     require_finite,
 )
-from .model import AFMSolution, BoundCharacter
+from .model import AFMSolution, BoundCharacter, _Value
 from .special import quartic_root, symmetric_eigen
 
 if TYPE_CHECKING:
@@ -31,8 +30,7 @@ if TYPE_CHECKING:
 ModePair = tuple[int, int]
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticForm:
+class QuadraticForm(_Value):
     """Internal-coordinate machinery for one oscillator problem.
 
     u maps particle coordinates to internal ones, b is its inverse, lam holds
@@ -47,9 +45,12 @@ class QuadraticForm:
     g: np.ndarray
     j: np.ndarray
 
+    # arrays have no value equality, so forms compare and hash by identity
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class HOSpectrumEntry:
+
+class HOSpectrumEntry(_Value):
     """Mode frequencies and the resulting level energy."""
 
     omegas: tuple[float, ...]
@@ -106,7 +107,7 @@ def build_quadratic_form(
     f = scale * (bi.T @ (k[:, None] * bi))
     g = scale * (bi.T @ ((np.diag(w.sum(axis=1)) - w) @ bi))
 
-    return QuadraticForm(u=u, b=b, lam=lam, f=f, g=g, j=f + g)
+    return QuadraticForm(u, b, lam, f, g, f + g)
 
 
 def ho_energies_general(
@@ -138,7 +139,7 @@ def ho_energies_general(
     )
     if not math.isfinite(energy):
         raise NumericalError(f"energy {energy} is not a finite float")
-    return HOSpectrumEntry(omegas=omegas, energy=energy)
+    return HOSpectrumEntry(omegas, energy)
 
 
 def ho_energy_3body_closed(

@@ -1,6 +1,9 @@
 """Shared data model: systems, potentials, quantum numbers, solver output.
 
 All types are immutable values; they can be shared freely between threads.
+The value types are slotted records built on `_Value`: equality, hash, repr,
+pickle and copy behave as they always have, and no helper replaces a field,
+so build a new value (a new `SystemSpec`, say) to change one.
 Energies, masses and lengths are carried in one consistent unit system chosen
 by the caller (e.g. GeV and GeV^-1); no unit conversion happens anywhere.
 """
@@ -8,8 +11,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Union
 
 from .errors import (
@@ -31,6 +34,81 @@ _LOG_MAX = math.log(sys.float_info.max)
 def _exp(x: float) -> float:
     """e^x, read as inf past the float range (and for NaN)."""
     return math.exp(x) if x <= _LOG_MAX else math.inf
+
+
+_set_field = object.__setattr__
+
+
+class _ValueType(type):
+    """Metaclass of `_Value`: the annotated names of a class body are its fields.
+
+    They become the class's __slots__, in order, and a value written next to
+    one becomes its default, kept in the class-level dict _defaults.
+    """
+
+    def __new__(mcs, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        namespace["_defaults"] = {f: namespace.pop(f) for f in fields if f in namespace}
+        namespace["__slots__"] = fields
+        if len(fields) == 1:  # attrgetter of one name returns the bare value
+            get = attrgetter(*fields)
+            namespace["_fields"] = staticmethod(lambda value: (get(value),))
+        elif fields:
+            namespace["_fields"] = attrgetter(*fields)  # the fields as a tuple, in C
+        return super().__new__(mcs, name, bases, namespace)
+
+
+class _Value(metaclass=_ValueType):
+    """Immutable slotted record, compared and hashed by class and fields."""
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            _set_field(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Field values in slot order from call arguments, as a def would bind them."""
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(names)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            values[name] = value
+        missing = [n for n in names if n not in values and n not in cls._defaults]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing required arguments {missing!r}")
+        return [values[n] if n in values else cls._defaults[n] for n in names]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash((self.__class__, self._fields(self)))
+
+    def __repr__(self):
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)
 
 
 class Kinematics(Enum):
@@ -64,8 +142,7 @@ class Scope(Enum):
     PAIRWISE = "pairwise"
 
 
-@dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(_Value):
     """V(r) = coefficient * sgn(exponent) * r**exponent.
 
     The sign convention makes a positive coefficient always attractive-binding:
@@ -89,8 +166,7 @@ class PowerLaw:
             return math.copysign(mag, self.coefficient * sign)
 
 
-@dataclass(frozen=True)
-class GaussianWell:
+class GaussianWell(_Value):
     """V(r) = -depth * exp(-(range_ * r)**2), an attractive well of finite depth."""
 
     depth: float
@@ -104,8 +180,7 @@ class GaussianWell:
 PotentialForm = Union[PowerLaw, GaussianWell]
 
 
-@dataclass(frozen=True)
-class PotentialTerm:
+class PotentialTerm(_Value):
     scope: Scope
     form: PotentialForm
 
@@ -113,15 +188,13 @@ class PotentialTerm:
         return self.form.evaluate(r)
 
 
-@dataclass(frozen=True)
-class Identical:
+class Identical(_Value):
     """All N particles share one mass (zero allowed only semirelativistically)."""
 
     m: float
 
 
-@dataclass(frozen=True)
-class PerParticle:
+class PerParticle(_Value):
     """Distinct positive masses; accepted only by the exact-oscillator module."""
 
     values: tuple[float, ...]
@@ -130,8 +203,7 @@ class PerParticle:
 Masses = Union[Identical, PerParticle]
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(_Value):
     """Problem statement: particle count, masses, kinematics, interactions."""
 
     n: int
@@ -151,8 +223,7 @@ class SystemSpec:
         return self.one_body + self.pairwise
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
+class QuantumNumbers(_Value):
     """Per-mode (n_i, l_i) labels for the N-1 internal oscillator modes."""
 
     modes: tuple[tuple[int, int], ...]
@@ -172,8 +243,7 @@ class QuantumNumbers:
         return QuantumNumbers(((0, 0),) * (n - 1))
 
 
-@dataclass(frozen=True)
-class AFMSolution:
+class AFMSolution(_Value):
     """Full output of an auxiliary-field solve.
 
     mu0 is the mean one-particle kinetic energy, tied to the auxiliary scale
@@ -216,14 +286,7 @@ class AFMSolution:
         mu0 = math.sqrt(m * m + q * x0 / n)
         if mu0 == math.inf:  # m * m overflowed
             mu0 = math.hypot(m, math.sqrt(q * x0 / n))
-        return cls(
-            mass=mass,
-            x0=x0,
-            mu0=mu0,
-            r0_one=r_one,
-            r0_pair=r_pair,
-            bound_character=bound,
-        )
+        return cls(mass, x0, mu0, r_one, r_pair, bound)
 
 
 def _tangency_radii(n: int, q: float, x0: float) -> tuple[float, float]:

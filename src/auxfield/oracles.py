@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -34,6 +33,7 @@ from .model import (
     Scope,
     SystemSpec,
     _exp,
+    _Value,
     validate,
 )
 
@@ -86,8 +86,7 @@ class Verdict(Enum):
     VIOLATION = "violation"
 
 
-@dataclass(frozen=True, slots=True)
-class OracleReport:
+class OracleReport(_Value):
     """Closed-form value against an independently computed one."""
 
     closed_form: float
@@ -267,8 +266,7 @@ def _extremize_log_line(
     return math.exp(u), abs(u - u_start)
 
 
-@dataclass
-class _FieldTerm:
+class _FieldTerm(_Value):
     scope: Scope
     sign: float          # sign of the auxiliary field for this term
     sense: int           # +1: stationary point is a minimum along this field

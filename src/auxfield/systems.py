@@ -8,7 +8,6 @@ two-body one with rescaled parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -21,7 +20,7 @@ from .errors import (
     ValidationError,
     require_finite,
 )
-from .model import AFMSolution, BoundCharacter
+from .model import AFMSolution, BoundCharacter, _Value
 from .special import cubic_root, lambert_w0
 
 
@@ -105,8 +104,7 @@ class BaryonVariant(Enum):
     M2 = "m2"
 
 
-@dataclass(frozen=True)
-class BaryonParams:
+class BaryonParams(_Value):
     """String tension (energy^2), strong coupling, and formula variant.
 
     Only the M0 variant is a guaranteed upper bound on the exact masses; M1
@@ -227,8 +225,7 @@ def atomic_mass_nr(n: int, m: float, alpha: float, alphabar: float, q: float) ->
 # gaussian pairwise wells (nonrelativistic)
 
 
-@dataclass(frozen=True)
-class GaussianSpectrum:
+class GaussianSpectrum(_Value):
     """Binding energy of one level of a pairwise-gaussian system.
 
     energy excludes the rest mass m_t = N m (add it back for a total mass).

@@ -96,7 +96,7 @@ def test_solution_dict_round_trip_is_bitwise():
     sol = afm_mass(spec, q)
     data = json.loads(json.dumps(solution_to_dict(sol)))
     back = solution_from_dict(data)
-    assert back == sol  # dataclass equality covers every float bitwise
+    assert back == sol  # record equality compares every field
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +366,47 @@ def test_invalid_exponent_exits_2(tmp_path, change, error):
     assert json.loads(text)["error"]["type"] == error
 
 
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        # without the check, the misspelt one-body term is dropped and solve
+        # prints the pairwise-only mass of another Hamiltonian
+        ({"one_bdy": [_power(0.3, 1.0)]}, "unknown keys ['one_bdy'] in the system spec"),
+        ({"comment": "linear"}, "unknown keys ['comment'] in the system spec"),
+        ({"pairwise": [dict(_power(0.2, 1.0), scale=2.0)]}, "unknown keys ['scale'] in a power term"),
+        ({"pairwise": [dict(_gaussian(1.0, 1.0), exponent=2.0)]},
+         "unknown keys ['exponent'] in a gaussian term"),
+        ({"mass": True}, "expected a number, got True"),
+        ({"pairwise": [_power(True, 1.0)]}, "expected a number, got True"),
+        ({"modes": [[True, 0], [0, 0]]}, "expected a number, got True"),
+        ({"mass": "1.0"}, "expected a number, got '1.0'"),
+        ({"N": "3"}, "expected a number, got '3'"),
+        ({"masses": [1.0, 1.0, 1.0]}, "give either mass or masses, not both"),
+        ({"pairwise": {"type": "power"}}, "pairwise must be an array"),
+    ],
+    ids=[
+        "misspelt-key",
+        "unknown-key",
+        "unknown-power-key",
+        "unknown-gaussian-key",
+        "boolean-mass",
+        "boolean-coefficient",
+        "boolean-mode",
+        "string-mass",
+        "string-N",
+        "mass-and-masses",
+        "object-for-array",
+    ],
+)
+def test_spec_read_silently_wrong_exits_2(tmp_path, change, message):
+    path = write_spec(tmp_path, dict(LINEAR_SPEC, **change))
+    code, text = run_cli(["solve", "--spec", path, "--format", "json"])
+    assert code == EXIT_VALIDATION
+    error = json.loads(text)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith(message)
+
+
 def _steep_nr_spec(coefficient):
     return dict(
         LINEAR_SPEC,
@@ -541,13 +582,16 @@ def _fresh_python(*args):
 def test_command_loads_only_its_layers(tmp_path, argv, layers):
     # a cold CLI process compiles and loads only the layers its command calls;
     # solve, verify and baryon-table never build arrays, so none of them may
-    # pay for importing numpy either
+    # pay for importing numpy either, and the value types are plain slotted
+    # classes, so none pays for dataclasses and the inspect chain it imports
     spec = write_spec(tmp_path, LINEAR_SPEC)
     code = (
         "import io, json, sys, auxfield.cli\n"
         "argv = sys.argv[1:]\n"
         "assert not argv or auxfield.cli.main(argv, out=io.StringIO()) == 0\n"
         "assert 'numpy' not in sys.modules\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses'\n"
+        "assert 'inspect' not in sys.modules, 'inspect'\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('auxfield'))))\n"
     )
     loaded = json.loads(_fresh_python("-c", code, *(a.format(spec=spec) for a in argv)).stdout)

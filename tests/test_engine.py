@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import math
 import sys
 from unittest import mock
@@ -28,11 +27,13 @@ from auxfield.ho import ho_energy_identical, srho_mass
 from auxfield.model import (
     BoundCharacter,
     GaussianWell,
+    Identical,
     Kinematics,
     PotentialTerm,
     PowerLaw,
     QuantumNumbers,
     Scope,
+    SystemSpec,
 )
 from auxfield.oracles import _field_term, numeric_afm_minimize
 from auxfield.systems import baryonic_ur, gaussian_critical_coupling, gaussian_spectrum
@@ -653,7 +654,10 @@ def _scale_specs(draw):
         if kind == "gaussian+power":
             lam = draw(st.one_of(st.floats(-1.5, -0.1), st.floats(0.1, 3.0)))
             form = PowerLaw(10.0 ** draw(st.floats(-2.0, 1.0)), lam)
-            spec = dataclasses.replace(spec, one_body=(PotentialTerm(Scope.ONE_BODY, form),))
+            spec = SystemSpec(
+                spec.n, spec.masses, spec.kinematics,
+                one_body=(PotentialTerm(Scope.ONE_BODY, form),), pairwise=spec.pairwise,
+            )
         return spec, q
     m = 0.0 if kind == "massless" else draw(st.floats(0.1, 5.0))
     lam_min = -1.5 if kind == "nr" else -0.8
@@ -801,9 +805,13 @@ def test_close_root_pair_beside_a_one_body_power():
     # a gaussian well beside a one-body power has three roots; the first two
     # lie 4 % apart, within one step of the grid, which finds only the last
     power = PowerLaw(1.7285312896822957, -0.10523548515602554)
-    spec = dataclasses.replace(
-        gaussian_system(4, 0.03412957965935609, 860.7051709043824, 0.10181443976904277),
+    well = GaussianWell(860.7051709043824, 0.10181443976904277)
+    spec = SystemSpec(
+        n=4,
+        masses=Identical(0.03412957965935609),
+        kinematics=Kinematics.NONRELATIVISTIC,
         one_body=(PotentialTerm(Scope.ONE_BODY, power),),
+        pairwise=(PotentialTerm(Scope.PAIRWISE, well),),
     )
     q = QuantumNumbers(((1, 0), (0, 0), (0, 0)))
     roots = engine._scale_roots(spec, q.q, 1e-12)

@@ -1,6 +1,5 @@
 import math
 import sys
-from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -56,7 +55,7 @@ def test_report_is_a_slotted_frozen_value():
     assert report == compare(1.0, 1.0 + 1e-12, 1e-8)
     assert report != compare(1.0, 1.1, 1e-8)
     assert not hasattr(report, "__dict__")
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         report.tolerance = 1.0
 
 
