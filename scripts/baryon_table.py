@@ -4,7 +4,8 @@ Benchmark column: eigenmasses of the massless three-quark Hamiltonian
 (one-body linear confinement + pairwise Coulomb) from a large
 oscillator-basis diagonalization, for string tension 0.2 GeV^2 and strong
 coupling 0.4. The closed formulas should bracket or track them: M0 from above
-everywhere, M2 within about a percent.
+everywhere, M2 within about a percent. The exit code is 1 if M0 falls below a
+benchmark mass (a WARNING line), else 0.
 
 Usage: python scripts/baryon_table.py [lambda] [alphas]
 """
@@ -27,6 +28,7 @@ def main():
     print(f"{'B':>2} {'L':>2} {'bench':>7} {'M0':>7} {'(err%)':>7} "
           f"{'M1':>7} {'(err%)':>7} {'M2':>7} {'(err%)':>7}")
     worst = 0.0
+    warned = False
     for band, l, m0, m1, m2 in baryon_table(lam, alphas):
         bench = BENCHMARK.get((band, l))
         if bench is None:
@@ -36,9 +38,11 @@ def main():
         print(f"{band:>2} {l:>2} {bench:7.3f} {m0:7.3f} {errs[0]:7.1f} "
               f"{m1:7.3f} {errs[1]:7.1f} {m2:7.3f} {errs[2]:7.1f}")
         if m0 <= bench:
+            warned = True
             print("   WARNING: M0 fell below the benchmark eigenmass")
     print(f"worst |M2 error|: {worst:.2f}%")
+    return 1 if warned else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

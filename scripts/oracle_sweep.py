@@ -1,7 +1,8 @@
 """Sweep every closed-form mass against the direct field-extremization oracle.
 
 Prints the worst relative gap per formula family over randomized parameter
-draws, plus the duality identities. Everything should sit far below 1e-8.
+draws, plus the duality identities. Everything should sit far below 1e-8;
+the exit code is 1 if any line reads VIOLATION, else 0.
 
 Usage: python scripts/oracle_sweep.py [draws per family]
 """
@@ -96,8 +97,10 @@ def sweep(draws):
 def main():
     draws = int(sys.argv[1]) if len(sys.argv) > 1 else 25
     print(f"closed form vs field-extremization oracle, {draws} draws per family")
+    violated = False
     for family, gap in sorted(sweep(draws).items()):
         flag = "ok" if gap < 1e-8 else "VIOLATION"
+        violated |= flag != "ok"
         print(f"  {family:16s} worst relative gap {gap:.2e}  {flag}")
     print("duality identities (direct vs two-body route)")
     worst = 0.0
@@ -107,7 +110,8 @@ def main():
             worst = max(worst, gap)
             print(f"  {name:14s} N={n}  gap {gap:.2e}")
     print("worst duality gap:", f"{worst:.2e}", "ok" if worst < 1e-12 else "VIOLATION")
+    return 1 if violated or not worst < 1e-12 else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

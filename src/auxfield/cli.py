@@ -25,14 +25,12 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import (
     AuxFieldError,
-    NoRestoringForce,
     NumericalError,
     ValidationError,
     require_tolerance,
 )
 from .model import (
     AFMSolution,
-    BoundCharacter,
     GaussianWell,
     Identical,
     Kinematics,
@@ -168,17 +166,6 @@ def solution_to_dict(sol: AFMSolution) -> dict:
     }
 
 
-def solution_from_dict(data: dict) -> AFMSolution:
-    return AFMSolution(
-        mass=data["mass"],
-        x0=data["X0"],
-        mu0=data["mu0"],
-        r0_one=data["r0_one"],
-        r0_pair=data["r0_pair"],
-        bound_character=BoundCharacter(data["bound"]),
-    )
-
-
 def report_to_dict(report: OracleReport) -> dict:
     return {
         "closed_form": report.closed_form,
@@ -241,9 +228,6 @@ def _cmd_ho(args, out) -> int:
         sol = ho.srho_mass(spec.n, spec.identical_mass, k, kbar, q.q)
         emit(solution_to_dict(sol), args.format, out)
         return EXIT_OK
-    kappa = k + spec.n * kbar
-    if kappa <= 0.0:
-        raise NoRestoringForce(f"k + N kbar = {kappa} must be positive")
     if isinstance(spec.masses, PerParticle):
         masses: Sequence[float] = spec.masses.values
     else:

@@ -25,6 +25,7 @@ from .errors import (
     DomainError,
     NonPositiveSlope,
     NoPositiveRoot,
+    SingularMasses,
     UnsupportedCombination,
     UnsupportedForm,
     require_finite,
@@ -693,7 +694,7 @@ def linear_mass(n: int, m: float, a: float, b: float, q: float) -> AFMSolution:
     if c <= 0.0:
         raise NonPositiveSlope(f"combined slope {c} <= 0")
     if m < 0.0:
-        raise NonPositiveSlope(f"mass must be non-negative, got {m}")
+        raise SingularMasses(f"mass must be non-negative, got {m}")
     if m == 0.0:
         mass = math.sqrt(4.0 * n * c * q)
         x0 = c

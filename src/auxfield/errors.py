@@ -48,7 +48,7 @@ class SingularMasses(ValidationError):
 
 
 class NoRestoringForce(ValidationError):
-    """Combined oscillator constant k + N*kbar is not positive."""
+    """An oscillator mode has no restoring force: its spring is not positive."""
 
 
 class NotClosedShell(ValidationError):
@@ -94,11 +94,15 @@ class UnboundedBelow(NumericalError):
 def require_finite(**values: float) -> None:
     """Reject NaN and +-inf arguments of a closed form by name.
 
-    The particle mass ``m`` raises SingularMasses; any other argument raises
-    InvalidCoefficient.
+    The particle count ``n`` must be an int (not a bool) >= 2, or
+    ValidationError is raised. The particle mass ``m`` raises SingularMasses;
+    any other argument raises InvalidCoefficient.
     """
     for name, value in values.items():
-        if not math.isfinite(value):
+        if name == "n":
+            if isinstance(value, bool) or not isinstance(value, int) or value < 2:
+                raise ValidationError(f"need an integer particle count >= 2, got {value!r}")
+        elif not math.isfinite(value):
             error = SingularMasses if name == "m" else InvalidCoefficient
             raise error(f"{name} = {value} is not finite")
 

@@ -11,6 +11,7 @@ root once the kinetic square roots are replaced by an auxiliary field.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
@@ -28,6 +29,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 ModePair = tuple[int, int]
+
+# Jacobi leaves a zero eigenvalue of the quadratic form within about eps of
+# the largest one; up to this multiple of that it is read as zero.
+_FREE_MODE_RTOL = 8.0 * sys.float_info.epsilon
 
 
 class QuadraticForm(_Value):
@@ -123,8 +128,10 @@ def ho_energies_general(
     omega_i = sqrt(2 d_i / m_ref); the level energy is
     sum_i omega_i (2 n_i + l_i + 3/2). Eigenvalues are sorted ascending and
     paired with the caller's mode list in order, so the caller controls which
-    mode is excited. An energy that is not a finite float raises
-    NumericalError.
+    mode is excited. A mode without a restoring force, an eigenvalue at or
+    below zero, raises NoRestoringForce; an eigenvalue up to _FREE_MODE_RTOL
+    times the largest one is rounding of zero and counts as zero. An energy
+    that is not a finite float raises NumericalError.
     """
     n = len(masses)
     if len(modes) != n - 1:
@@ -133,7 +140,9 @@ def ho_energies_general(
         reference_mass = float(masses[0])
     qf = build_quadratic_form(masses, k, kbar, reference_mass)
     evals = symmetric_eigen(qf.j).tolist()
-    omegas = tuple(math.sqrt(max(2.0 * d, 0.0) / reference_mass) for d in evals)
+    if evals[0] <= _FREE_MODE_RTOL * evals[-1]:
+        raise NoRestoringForce(f"an internal mode has spring eigenvalue {evals[0]}, not > 0")
+    omegas = tuple(math.sqrt(2.0 * d / reference_mass) for d in evals)
     energy = sum(
         w * (2 * ni + li + 1.5) for w, (ni, li) in zip(omegas, modes)
     )
@@ -154,7 +163,10 @@ def ho_energy_3body_closed(
     kbar_pairs holds (kbar_12, kbar_13, kbar_23). The result is symmetric
     under any relabeling of the three particles and independent of the
     reference mass (fixed internally to the first mass). mode1 excites the
-    stiffer internal mode (the larger frequency), mode2 the softer one.
+    stiffer internal mode (the larger frequency), mode2 the softer one. A
+    mode without a restoring force raises NoRestoringForce, as in
+    ho_energies_general; an energy that is not a finite float raises
+    NumericalError.
     """
     if len(masses) != 3 or len(k) != 3 or len(kbar_pairs) != 3:
         raise ValidationError("three masses, three one-body and three pairwise constants")
@@ -195,17 +207,24 @@ def ho_energy_3body_closed(
     j12 = math.sqrt(p) * (a3 * (k1 * a2 - k2 * a1) + al * (kb13 * a2 - kb23 * a1)) / a12
     delta = math.sqrt((j11 - j22) ** 2 + 4.0 * j12 * j12)
     stiff = s + delta
-    soft = 4.0 * p * r / stiff if stiff else 0.0  # Vieta: (s - delta) without cancellation
+    # stiff and P r are twice the larger eigenvalue and the determinant
+    if stiff <= 0.0 or r <= 0.0:
+        raise NoRestoringForce("an internal mode has a spring eigenvalue <= 0")
+    soft = 4.0 * p * r / stiff  # Vieta: (s - delta) without cancellation
 
     (n1, l1), (n2, l2) = mode1, mode2
     pref = 1.0 / math.sqrt(mref * p)
-    return pref * (
+    energy = pref * (
         math.sqrt(stiff) * (2 * n1 + l1 + 1.5) + math.sqrt(soft) * (2 * n2 + l2 + 1.5)
     )
+    if not math.isfinite(energy):
+        raise NumericalError(f"energy {energy} is not a finite float")
+    return energy
 
 
 def ho_energy_identical(n: int, m: float, k: float, kbar: float, q: float) -> float:
     """Level energy sqrt(2 (k + N kbar) / m) * Q for N identical particles."""
+    require_finite(n=n, m=m, k=k, kbar=kbar, q=q)
     if m <= 0.0:
         raise SingularMasses(f"mass must be positive, got {m}")
     kappa = k + n * kbar
@@ -224,6 +243,7 @@ def ground_state_q(n: int, symmetry: str = "symmetric", degeneracy: int = 1) -> 
     Q = 3(N-1)(B_f+2)/4. Particle numbers that do not close a shell are
     rejected rather than interpolated.
     """
+    require_finite(n=n)
     if symmetry == "symmetric":
         return 1.5 * (n - 1)
     if symmetry != "antisymmetric":

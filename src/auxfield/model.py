@@ -26,6 +26,7 @@ from .errors import (
     ValidationError,
     WrongModeCount,
     ZeroMassNonrelativistic,
+    require_finite,
 )
 
 _LOG_MAX = math.log(sys.float_info.max)
@@ -339,8 +340,7 @@ def validate(
     UnsupportedCombination. Idempotent: validating an accepted pair again
     accepts identical content.
     """
-    if not isinstance(spec.n, int) or spec.n < 2:
-        raise ValidationError(f"need an integer particle count >= 2, got {spec.n!r}")
+    require_finite(n=spec.n)
 
     if isinstance(spec.masses, Identical):
         m = spec.masses.m

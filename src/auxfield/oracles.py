@@ -2,11 +2,13 @@
 
 numeric_afm_minimize extremizes the three-field mass function directly, never
 touching the scale equation the closed forms come from, so agreement between
-the two routes is a genuine cross-check. Its line searches use function values
-only, except along fields whose stationary point is a maximum: there Newton
-steps on the analytic derivatives of its own mass function come first, the
-point they converge to is accepted on three mass values (itself and its two
-neighbours), and Brent's search stays as the safeguard. gaussian_trial_bound
+the two routes is a genuine cross-check. Each field is one record: its spring
+in s = nu + N nubar, its weight in the mass, the sense of its stationary point
+and its offset V(I) - nu I^2. Line searches use function values only, except
+along fields whose stationary point is a maximum: there one Newton function
+steps on the analytic derivatives of the mass, accepts the point they reach
+on three mass values (itself and its two neighbours), and leaves Brent's
+search as the safeguard. gaussian_trial_bound
 evaluates a one-parameter correlated-Gaussian variational state analytically
 and is a true upper bound on the exact ground level of nonrelativistic
 pairwise systems.
@@ -267,16 +269,18 @@ def _extremize_log_line(
 
 
 class _FieldTerm(_Value):
-    scope: Scope
-    sign: float          # sign of the auxiliary field for this term
+    spring: float        # ds/dt: the field's sign, times N for a pairwise term
+    weight: float        # N, or N(N-1)/2 for a pairwise term
     sense: int           # +1: stationary point is a minimum along this field
     offset: Callable[[float], float]  # V(I) - nu I^2 as a function of |field|
     init: float          # |K| at unit radius
     power: float | None  # d ln|offset| / d ln|field| of a power law, else None
 
 
-def _field_term(term) -> _FieldTerm:
+def _field_term(term, n: int) -> _FieldTerm:
     form = term.form
+    # a pairwise field enters s = nu + N nubar N times, and the mass once per pair
+    weight, fold = (n * (n - 1) / 2.0, n) if term.scope is Scope.PAIRWISE else (n, 1)
     if isinstance(form, PowerLaw):
         coef, lam = form.coefficient, form.exponent
         mag = abs(coef) * abs(lam) / 2.0
@@ -308,7 +312,7 @@ def _field_term(term) -> _FieldTerm:
         # Along a binding concave direction the stationary point is a
         # minimum; repulsion or convex growth flips it to a maximum.
         sense = +1 if coef * (2.0 - lam) > 0.0 else -1
-        return _FieldTerm(term.scope, sign, sense, offset, mag, power)
+        return _FieldTerm(sign * fold, weight, sense, offset, mag, power)
     if isinstance(form, GaussianWell):
         depth, rng = form.depth, form.range_
         cap = depth * rng * rng
@@ -319,34 +323,40 @@ def _field_term(term) -> _FieldTerm:
             return t / (rng * rng) * (math.log(t / cap) - 1.0)
 
         return _FieldTerm(
-            term.scope, 1.0, +1, offset, cap * math.exp(-(rng * rng)), None
+            float(fold), weight, +1, offset, cap * math.exp(-(rng * rng)), None
         )
     raise UnsupportedForm(f"no field term for {form!r}")
 
 
-def _newton_log_max(
-    offset: Callable[[float], float],
-    weight: float,
-    power: float,
+def _newton_max(
+    f: Callable[[float], float],
+    field: _FieldTerm,
     base: float,
-    c: float,
     mu: float,
     qq: float,
-    u: float,
-) -> float | None:
-    """Newton steps toward the maximum of one power-law field, in u = ln t.
+    t: float,
+) -> tuple[float, float] | None:
+    """Maximum of f along one power-law field, by Newton steps from the field t.
 
-    Along one field the mass is weight offset(t) + qq sqrt(2 s / mu) plus a
-    constant, with s = base + c t. Since offset = scale (t/mag)^power, its
-    first and second u-derivatives are power offset and power^2 offset; those
-    of the kinetic root K = qq sqrt(2 s / mu) are K r and K r (1 - r), with
-    r = c t / (2 s). Every
-    iterate must give finite values and a negative second derivative; steps
-    are clamped to _NEWTON_STEP. Returns the iterate that ends with a step of
-    at most _NEWTON_TOL, or None where a safeguard fails or _NEWTON_ITERS
-    steps do not converge.
+    Along the field the mass f is weight offset(t) + qq sqrt(2 s / mu) plus a
+    constant, with s = base + spring t. Where t lies past the kinetic barrier
+    (s <= 0, with spring < 0 < base), the steps start halfway to it instead,
+    at t = base / (2 |spring|). They run in u = ln t: since
+    offset = scale (t/mag)^power, its first and second u-derivatives are
+    power offset and power^2 offset; those of the kinetic root
+    K = qq sqrt(2 s / mu) are K r and K r (1 - r), with r = spring t / (2 s).
+    Every iterate must give finite values and a negative second derivative;
+    steps are clamped to _NEWTON_STEP, and the run converges once a step is
+    at most _NEWTON_TOL. The point it converges to is accepted if f is finite
+    there and at u -/+ _NEWTON_DELTA, and not below either neighbour: three
+    evaluations. Returns t and f there, or None where a safeguard fails,
+    _NEWTON_ITERS steps do not converge or the point is refused.
     """
-    weight_power, two_over_mu = weight * power, 2.0 / mu
+    c, power = field.spring, field.power
+    if c < 0.0 < base and base + c * t <= 0.0:
+        t = base / (-2.0 * c)
+    u = math.log(t)
+    weight_power, two_over_mu = field.weight * power, 2.0 / mu
     for _ in range(_NEWTON_ITERS):
         if not _LOG_LO <= u <= _LOG_HI:
             return None
@@ -357,31 +367,17 @@ def _newton_log_max(
             return None
         r = 0.5 * ct / s
         k_r = qq * math.sqrt(two_over_mu * s) * r
-        slope = weight_power * offset(t)
+        slope = weight_power * field.offset(t)
         d1 = slope + k_r
         d2 = power * slope + k_r * (1.0 - r)
         if not (-math.inf < d2 < 0.0 and math.isfinite(d1)):
             return None
-        du = -d1 / d2
-        if du > _NEWTON_STEP:
-            du = _NEWTON_STEP
-        elif du < -_NEWTON_STEP:
-            du = -_NEWTON_STEP
+        du = min(max(-d1 / d2, -_NEWTON_STEP), _NEWTON_STEP)
         u += du
         if -_NEWTON_TOL <= du <= _NEWTON_TOL:
-            return u
-    return None
-
-
-def _certified_max(
-    f: Callable[[float], float], u: float
-) -> tuple[float, float] | None:
-    """Accept a converged Newton point as a maximum of f(e^u), if it is one.
-
-    The point is accepted if f is finite there and at u -/+ _NEWTON_DELTA,
-    and not below either neighbour: three evaluations. Returns the field and
-    f there, or None if the point is refused.
-    """
+            break
+    else:
+        return None
     g = _log_objective(f, -1)
     lo, hi = u - _NEWTON_DELTA, u + _NEWTON_DELTA
     if not _LOG_LO <= lo < hi <= _LOG_HI:
@@ -390,31 +386,6 @@ def _certified_max(
     if not (gu < math.inf and gu <= g(lo) < math.inf and gu <= g(hi) < math.inf):
         return None
     return math.exp(u), -gu
-
-
-def _newton_max(
-    f: Callable[[float], float],
-    offset: Callable[[float], float],
-    weight: float,
-    power: float,
-    base: float,
-    c: float,
-    mu: float,
-    qq: float,
-    t: float,
-) -> tuple[float, float] | None:
-    """Maximum of f along one power-law field, by Newton steps from the field t.
-
-    f is the mass along the field, as in _newton_log_max. Where t lies past
-    the kinetic barrier (s = base + c t <= 0, with c < 0 < base), the steps
-    start halfway to it instead, at t = base / (2 |c|). The point they
-    converge to is accepted by _certified_max. Returns the field and f there,
-    or None where either refuses.
-    """
-    if c < 0.0 < base and base + c * t <= 0.0:
-        t = base / (-2.0 * c)
-    u = _newton_log_max(offset, weight, power, base, c, mu, qq, math.log(t))
-    return None if u is None else _certified_max(f, u)
 
 
 def numeric_afm_minimize(
@@ -452,26 +423,22 @@ def numeric_afm_minimize(
     n = spec.n
     m = spec.identical_mass
     qq = q.q
-    npair = n * (n - 1) / 2.0
     semirel = spec.kinematics is Kinematics.SEMIRELATIVISTIC
 
-    nu0 = nubar0 = 0.0  # spring sums of the pinned quadratic terms
+    # s = nu + N nubar is s0, the springs of the pinned quadratic terms, plus
+    # each field times its spring; with at most one term per scope, this sums
+    # the same floats as nu + N nubar
+    s0 = 0.0
     field_terms: list[_FieldTerm] = []
-    kernel = []  # (pairwise?, field sign, term weight, offset) per field
     for term in spec.terms:
         form = term.form
-        pair = term.scope is Scope.PAIRWISE
         if isinstance(form, PowerLaw) and form.exponent == 2.0:
-            if pair:
-                nubar0 += form.coefficient
-            else:
-                nu0 += form.coefficient
+            s0 += form.coefficient * (n if term.scope is Scope.PAIRWISE else 1)
         else:
-            ft = _field_term(term)
+            ft = _field_term(term, n)
             if not 0.0 < ft.init < math.inf:
                 raise DomainError(f"field scale {ft.init} of {form!r} is not a positive float")
             field_terms.append(ft)
-            kernel.append((pair, ft.sign, npair if pair else n, ft.offset))
 
     evals = [0]
 
@@ -479,15 +446,11 @@ def numeric_afm_minimize(
         evals[0] += 1
         if evals[0] > max_evals:
             raise NonConvergence(f"evaluation budget {max_evals} exhausted")
-        nu, nubar = nu0, nubar0
+        s = s0
         total = n * m if not semirel else n / 2.0 * (mu + m * m / mu)
-        for (pair, sign, weight, offset), t in zip(kernel, ts):
-            if pair:
-                nubar += sign * t
-            else:
-                nu += sign * t
-            total += weight * offset(t)
-        s = nu + n * nubar
+        for ft, t in zip(field_terms, ts):
+            s += ft.spring * t
+            total += ft.weight * ft.offset(t)
         if s <= 0.0:
             return math.inf
         mu_eff = mu if semirel else m
@@ -502,13 +465,10 @@ def numeric_afm_minimize(
         if math.isfinite(mass(mu, ts)):
             break
         for j, ft in enumerate(field_terms):
-            if ft.sign < 0.0:
+            if ft.spring < 0.0:
                 ts[j] *= 0.5
 
     max_idx = [j for j, ft in enumerate(field_terms) if ft.sense < 0]
-    # s = nu + N nubar is s0 plus each field times its spring weight
-    s0 = nu0 + n * nubar0
-    springs = [sign * (n if pair else 1) for pair, sign, _, _ in kernel]
     min_idx = [j for j, ft in enumerate(field_terms) if ft.sense > 0]
     steps = [_STEP_MAX] * (len(field_terms) + 1)  # field j, then mu at -1
 
@@ -534,12 +494,10 @@ def numeric_afm_minimize(
                 ts_[j] = prev
                 return v
 
-            _, _, weight, offset = kernel[j]
-            base = s0 + sum(c * t for k, (c, t) in enumerate(zip(springs, ts_)) if k != j)
-            found = _newton_max(
-                fj, offset, weight, field_terms[j].power, base, springs[j],
-                mu_ if semirel else m, qq, ts_[j],
+            base = s0 + sum(
+                ft.spring * t for k, (ft, t) in enumerate(zip(field_terms, ts_)) if k != j
             )
+            found = _newton_max(fj, field_terms[j], base, mu_ if semirel else m, qq, ts_[j])
             if found is None:
                 ts_[j], value = search(fj, ts_[j], -1, j), None
             else:
@@ -547,7 +505,7 @@ def numeric_afm_minimize(
         return mass(mu_, ts_) if value is None else value
 
     # a max-sense field that adds to s can always lift it above 0
-    lifted = any(springs[j] > 0.0 for j in max_idx)
+    lifted = any(field_terms[j].spring > 0.0 for j in max_idx)
 
     def interior() -> bool:
         """Whether the settled point has a finite mass _NEWTON_DELTA either
@@ -562,7 +520,7 @@ def numeric_afm_minimize(
                 scratch[j] *= r
                 points.append((mu, scratch))
         for mu_, ts_ in points:
-            s_min = s0 + sum(springs[k] * ts_[k] for k in min_idx)
+            s_min = s0 + sum(field_terms[k].spring * ts_[k] for k in min_idx)
             if (lifted or s_min > 0.0) and not math.isfinite(hull(mu_, ts_)):
                 return False
         return True

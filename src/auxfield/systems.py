@@ -17,7 +17,6 @@ from .errors import (
     OverCritical,
     SingularMasses,
     UnstableConfiguration,
-    ValidationError,
     require_finite,
 )
 from .model import AFMSolution, BoundCharacter, _Value
@@ -39,8 +38,7 @@ def twobody_reduction(
     result is multiplied by the pair count N(N-1)/2. At N = 2 this is the
     identity map.
     """
-    if n < 2:
-        raise ValidationError(f"need N >= 2, got {n}")
+    require_finite(n=n)
     m_prime = m * math.sqrt(n / (2.0 * (n - 1.0)))
     sigma_prime = math.sqrt(8.0 / (n * (n - 1.0)))
     return n * (n - 1.0) / 2.0 * two_body_mass(m_prime, sigma_prime)
@@ -68,6 +66,7 @@ def coulomb_nbody(n: int, m: float, b: float, q_c: float = 1.0) -> float:
 
 def coulomb_critical_coupling(n: int, b_2: float) -> float:
     """Critical pairwise Coulomb strength for N bodies from the two-body one."""
+    require_finite(n=n)
     return math.sqrt(2.0 / (n * (n - 1.0))) * b_2
 
 
@@ -187,6 +186,7 @@ def atomic_binding_parameter(n: int, alpha: float, alphabar: float, q: float) ->
 
     Independent of the particle mass.
     """
+    require_finite(n=n)
     return (alpha * n - alphabar / n * (n * (n - 1.0) / 2.0) ** 1.5) / q
 
 
@@ -243,6 +243,7 @@ class GaussianSpectrum(_Value):
 
 def gaussian_critical_coupling(n: int, q: float) -> float:
     """Depth g below which the level with principal number Q is unbound."""
+    require_finite(n=n)
     return 2.0 * math.e * q * q / (n * (n - 1.0) ** 2)
 
 
@@ -327,12 +328,14 @@ def pairwise_sigma_dual(
     n: int, two_body: Callable, q: float, sigma: float = 2.0
 ) -> float:
     """N-body mass of a pairwise-only system, two-body weight sigma."""
+    require_finite(n=n)
     q_star = q * math.sqrt(2.0 / (n * (n - 1.0)))
     return n / sigma * two_body(sigma, (n - 1.0) / 2.0 * sigma, q_star)
 
 
 def pairwise_g_dual(n: int, two_body: Callable, q: float, g: float = 1.0) -> float:
     """N-body mass of a pairwise-only system, two-body coupling g."""
+    require_finite(n=n)
     q_star = q * math.sqrt(2.0 / (n * (n - 1.0)))
     return n * (n - 1.0) / (2.0 * g) * two_body(2.0 * g / (n - 1.0), g, q_star)
 
@@ -344,6 +347,7 @@ def gaussian_dual(
 
     Q stays; the well deepens to alpha N(N-1)/2 and widens to beta/sqrt(N-1).
     """
+    require_finite(n=n)
     return two_body(m, alpha * n * (n - 1.0) / 2.0, beta / math.sqrt(n - 1.0), q)
 
 
@@ -355,6 +359,7 @@ def linear_dual(
     The pairwise slope b joins the one-body slope a in the effective slope
     a + b sqrt(N(N-1)/2), at sigma = N.
     """
+    require_finite(n=n)
     slope = a + b * math.sqrt(n * (n - 1.0) / 2.0)
     return two_body(float(n), m, slope, q)
 
@@ -366,6 +371,7 @@ def duality_identities(n: int) -> list[tuple[str, float, float]]:
     (m = 1, a = 0.2, b = 0.15) and the massless funnel (a = 0.2, b = 0.3)
     are taken at Q = 1.5 (N-1); direct and mapped agree to rounding.
     """
+    require_finite(n=n)
     from .engine import linear_mass  # its only use here: baryon-table never loads engine
 
     q = 1.5 * (n - 1)

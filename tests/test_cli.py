@@ -15,8 +15,6 @@ from auxfield.cli import (
     EXIT_VALIDATION,
     main,
     parse_system,
-    solution_from_dict,
-    solution_to_dict,
 )
 from auxfield.engine import afm_mass
 from auxfield.ho import build_quadratic_form, ho_energy_3body_closed
@@ -89,14 +87,6 @@ def test_parse_system_round_trip():
     assert spec.n == 3
     assert spec.kinematics is Kinematics.SEMIRELATIVISTIC
     assert q.q == 3.0
-
-
-def test_solution_dict_round_trip_is_bitwise():
-    spec, q = parse_system(LINEAR_SPEC)
-    sol = afm_mass(spec, q)
-    data = json.loads(json.dumps(solution_to_dict(sol)))
-    back = solution_from_dict(data)
-    assert back == sol  # record equality compares every field
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +185,22 @@ def test_ho_rejects_what_it_would_answer_wrong(tmp_path, change, code, error):
     exit_code, text = run_cli(["ho", "--spec", path, "--format", "json"])
     assert exit_code == code
     assert json.loads(text)["error"]["type"] == error
+
+
+def test_ho_per_particle_masses_bound_where_k_plus_n_kbar_is_zero(tmp_path):
+    # masses 1 and 3 put the pair at rho_1 = 3r/4, rho_2 = -r/4 from the
+    # centre of mass, so the springs give (9/16 + 1/16) r^2 - r^2 / 2 = r^2 / 8:
+    # a bound mode, though k + N kbar = 0 (which used to exit 2)
+    spec = dict(
+        HO_SPEC, N=2, masses=[1.0, 3.0], one_body=[_power(1.0, 2.0)],
+        pairwise=[_power(-0.5, 2.0)], modes=[[0, 0]],
+    )
+    del spec["mass"]
+    path = write_spec(tmp_path, spec)
+    code, text = run_cli(["ho", "--spec", path, "--format", "json"])
+    assert code == EXIT_OK
+    omega = math.sqrt(2.0 * (1.0 / 8.0) / 0.75)  # reduced mass 3/4
+    assert json.loads(text)["energy"] == pytest.approx(1.5 * omega, rel=1e-12)
 
 
 def test_ho_semirelativistic_goes_through_oscillator_mass(tmp_path):

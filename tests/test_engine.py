@@ -20,6 +20,7 @@ from auxfield.errors import (
     NonPositiveSlope,
     NoPositiveRoot,
     NumericalError,
+    SingularMasses,
     UnsupportedCombination,
     ValidationError,
 )
@@ -67,7 +68,7 @@ def offset_round_trip_gap(term, x):
     """
     nu = auxiliary_k(term)(x)
     expected = term.evaluate(x) - nu * x * x
-    return abs(_field_term(term).offset(nu) - expected) / abs(expected)
+    return abs(_field_term(term, 3).offset(nu) - expected) / abs(expected)
 
 
 @pytest.mark.parametrize("coef,lam", [(2.0, 1.0), (0.5, -1.0), (1.3, 1.5), (0.7, 3.0)])
@@ -495,6 +496,12 @@ def test_linear_nonrelativistic_limit_ratio():
 def test_linear_rejects_nonpositive_slope():
     with pytest.raises(NonPositiveSlope):
         linear_mass(3, 1.0, 0.0, 0.0, 3.0)
+
+
+def test_linear_rejects_negative_mass_as_its_twins_do():
+    # two_body_linear_mass and srho_mass raise SingularMasses for m < 0
+    with pytest.raises(SingularMasses):
+        linear_mass(3, -1.0, 0.2, 0.1, 3.0)
 
 
 # ---------------------------------------------------------------------------

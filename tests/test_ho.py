@@ -254,6 +254,50 @@ def test_general_energy_past_the_float_range_raises():
         ho_energies_general([2.2e-309] * 3, [2.0] * 3, pair_matrix(3, 0.0), [(0, 0)] * 2)
 
 
+@pytest.mark.parametrize(
+    "k, kbar",
+    [
+        pytest.param([0.0] * 3, pair_matrix(3, 0.0), id="no-springs"),
+        pytest.param([-1.0] * 3, pair_matrix(3, -0.5), id="repulsive"),
+        pytest.param([2.0] * 3, pair_matrix(3, -1.0), id="repulsive-pairs"),
+        # eigenvalues -0.22 and 2.01: one mode bound, the other not
+        pytest.param([1.0, -8.0, 1.0], pair_matrix(3, 0.2), id="mixed-sign"),
+    ],
+)
+def test_energy_requires_restoring_force(k, kbar):
+    # each quadratic form has an eigenvalue at or below zero; that mode was
+    # given a zero frequency and the level a finite energy, and the closed
+    # three-body form gave 0.0 or a math domain ValueError
+    masses = [1.0, 2.5, 0.7]
+    with pytest.raises(NoRestoringForce):
+        ho_energies_general(masses, k, kbar, [(0, 0)] * 2)
+    pairs = (kbar[0, 1], kbar[0, 2], kbar[1, 2])
+    with pytest.raises(NoRestoringForce):
+        ho_energy_3body_closed(masses, k, pairs, (0, 0), (0, 0))
+
+
+def test_general_energy_free_mode_at_rounding_raises():
+    # two pairs joined by no spring: the relative mode of the pairs is free,
+    # and its eigenvalue comes out within rounding of zero, not exactly zero
+    rng = np.random.default_rng(3)
+    masses = rng.uniform(0.1, 10.0, size=4)
+    kbar = np.zeros((4, 4))
+    kbar[0, 1] = kbar[1, 0] = 1.7
+    kbar[2, 3] = kbar[3, 2] = 0.9
+    with pytest.raises(NoRestoringForce):
+        ho_energies_general(masses, [0.0] * 4, kbar, [(0, 0)] * 3)
+    # one weak one-body spring binds it
+    entry = ho_energies_general(masses, [1e-6, 0.0, 0.0, 0.0], kbar, [(0, 0)] * 3)
+    assert min(entry.omegas) > 0.0
+
+
+def test_three_body_closed_rejects_a_nan_mass():
+    # a NaN mass passed the positivity check and gave a NaN energy
+    for masses in ([math.nan, 2.0, 3.0], [1.0, math.nan, 3.0]):
+        with pytest.raises(NumericalError):
+            ho_energy_3body_closed(masses, [1.0] * 3, [0.5] * 3, (0, 0), (0, 0))
+
+
 def test_identical_energy_requires_restoring_force():
     with pytest.raises(NoRestoringForce):
         ho_energy_identical(3, 1.0, 0.0, 0.0, 3.0)

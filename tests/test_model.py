@@ -265,8 +265,8 @@ RECORDS = [
         id="OracleReport",
     ),
     pytest.param(
-        lambda: _FieldTerm(Scope.ONE_BODY, -1.0, 1, math.sqrt, 0.5, None),
-        "_FieldTerm(scope=<Scope.ONE_BODY: 'one_body'>, sign=-1.0, sense=1, "
+        lambda: _FieldTerm(-3.0, 3.0, 1, math.sqrt, 0.5, None),
+        "_FieldTerm(spring=-3.0, weight=3.0, sense=1, "
         "offset=<built-in function sqrt>, init=0.5, power=None)",
         id="_FieldTerm",
     ),

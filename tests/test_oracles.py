@@ -14,16 +14,21 @@ from auxfield.errors import (
     UnsupportedCombination,
 )
 from auxfield.ho import ho_energy_identical, srho_mass
-from auxfield.model import Kinematics, PotentialTerm, PowerLaw, QuantumNumbers, Scope
+from auxfield.model import (
+    GaussianWell,
+    Kinematics,
+    PotentialTerm,
+    PowerLaw,
+    QuantumNumbers,
+    Scope,
+)
 from auxfield.oracles import (
     OracleReport,
     Verdict,
     _bracket_min,
     _brent_min,
-    _certified_max,
     _extremize_log_line,
     _field_term,
-    _newton_log_max,
     _newton_max,
     compare,
     compare_ordering,
@@ -137,7 +142,7 @@ def test_bracket_min_small_step_reaches_far_minimum():
 @pytest.mark.parametrize("coef", [0.8, -1.7])
 def test_power_offset_matches_two_power_form(coef, lam):
     # offset(t) = coef sgn(lam) x^lam - sign t x^2 at x = (t/mag)^(1/(lam-2))
-    offset = _field_term(PotentialTerm(Scope.PAIRWISE, PowerLaw(coef, lam))).offset
+    offset = _field_term(PotentialTerm(Scope.PAIRWISE, PowerLaw(coef, lam)), 3).offset
     mag = abs(coef) * abs(lam) / 2.0
     sign = math.copysign(1.0, coef)
     for t in (1e-6, 0.03, 0.7, 1.0, 4.2, 1e3, 1e6):
@@ -156,7 +161,7 @@ def test_power_offset_matches_two_power_form(coef, lam):
     ],
 )
 def test_power_offset_overflow_reads_as_barrier(coef, lam, t, expected):
-    offset = _field_term(PotentialTerm(Scope.PAIRWISE, PowerLaw(coef, lam))).offset
+    offset = _field_term(PotentialTerm(Scope.PAIRWISE, PowerLaw(coef, lam)), 3).offset
     assert offset(t) == expected
 
 
@@ -164,13 +169,13 @@ def test_power_offset_past_float_range_stays_finite():
     # t/mag = 1.8e308 overflows, but the tiny coefficient keeps the offset
     # finite: the two-power form, taken in logs, gives about -4.77e137
     coef, lam, t = 1.54e-175, 300.0, 4.1e135
-    offset = _field_term(PotentialTerm(Scope.PAIRWISE, PowerLaw(coef, lam))).offset
+    offset = _field_term(PotentialTerm(Scope.PAIRWISE, PowerLaw(coef, lam)), 3).offset
     log_x = (math.log(t) - math.log(coef * lam / 2.0)) / (lam - 2.0)
     two_power = math.exp(math.log(coef) + lam * log_x) - math.exp(math.log(t) + 2.0 * log_x)
     assert offset(t) == pytest.approx(two_power, rel=1e-12)
     assert offset(t) == pytest.approx(-4.7716e137, rel=1e-4)
     # a scale that underflows to zero leaves no log to take
-    tiny = _field_term(PotentialTerm(Scope.PAIRWISE, PowerLaw(5e-324, 3.0))).offset
+    tiny = _field_term(PotentialTerm(Scope.PAIRWISE, PowerLaw(5e-324, 3.0)), 3).offset
     assert tiny(1e300) == 0.0
 
 
@@ -184,6 +189,23 @@ def test_oracle_power_past_float_range():
     assert numeric_afm_minimize(spec, q) == pytest.approx(closed, rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "scope,form,spring,weight",
+    [
+        (Scope.ONE_BODY, PowerLaw(0.5, 1.0), 1.0, 4),
+        (Scope.ONE_BODY, PowerLaw(-0.5, 1.0), -1.0, 4),
+        (Scope.PAIRWISE, PowerLaw(0.5, 1.0), 4.0, 6.0),
+        (Scope.PAIRWISE, PowerLaw(-0.5, -1.0), -4.0, 6.0),
+        (Scope.PAIRWISE, GaussianWell(2.0, 0.5), 4.0, 6.0),
+    ],
+)
+def test_field_record_spring_and_weight(scope, form, spring, weight):
+    # s = nu + N nubar gains the field's sign, N times for a pairwise term;
+    # the offset enters the mass N times, or once per pair
+    ft = _field_term(PotentialTerm(scope, form), 4)
+    assert (ft.spring, ft.weight) == (spring, weight)
+
+
 # ---------------------------------------------------------------------------
 # Newton steps along a max-sense field
 
@@ -191,15 +213,17 @@ def test_oracle_power_past_float_range():
 def _max_sense_line(rng, scope, kinematics, lam):
     """One power field whose stationary point is a maximum, with the mass
     along it (a rest part, weight offset(t) and the kinetic root of
-    s = base + c t, inf where s <= 0 as in the oracle's mass function) and
-    the exact maximizer, by bisection on the t-derivative."""
+    s = base + spring t, inf where s <= 0 as in the oracle's mass function),
+    the arguments of _newton_max after the mass, and the exact maximizer, by
+    bisection on the t-derivative."""
     coef = float(rng.uniform(0.1, 2.0)) * (1.0 if lam > 2.0 else -1.0)
-    ft = _field_term(PotentialTerm(scope, PowerLaw(coef, lam)))
-    assert ft.sense < 0
     n = int(rng.integers(2, 7))
+    ft = _field_term(PotentialTerm(scope, PowerLaw(coef, lam)), n)
+    assert ft.sense < 0
     pair = scope is Scope.PAIRWISE
-    weight = n * (n - 1) / 2.0 if pair else float(n)
-    c = ft.sign * (n if pair else 1)
+    assert ft.weight == (n * (n - 1) / 2.0 if pair else n)
+    assert ft.spring == math.copysign(n if pair else 1, coef)
+    weight, c = ft.weight, ft.spring
     m = float(rng.uniform(0.5, 3.0))
     qq = float(rng.uniform(1.5, 8.0)) * n
     base = float(rng.uniform(0.1, 3.0))  # springs of the other fields
@@ -227,8 +251,7 @@ def _max_sense_line(rng, scope, kinematics, lam):
         if not lo < mid < hi:
             break
         lo, hi = (mid, hi) if rising(mid) else (lo, mid)
-    args = (ft.offset, weight, ft.power, base, c, mu, qq)
-    return f, args, lo
+    return f, (ft, base, mu, qq), lo
 
 
 @pytest.mark.parametrize("lam", [-1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.5, 3.0, 36.97])
@@ -244,48 +267,85 @@ def test_newton_max_matches_brent_line_search(scope, kinematics, lam):
         f, args, u_max = _max_sense_line(rng, scope, kinematics, lam)
         u0 = u_max + float(rng.uniform(-0.25, 0.25))
         t_ref = _extremize_log_line(f, math.exp(u0), -1)[0]
-        u = _newton_log_max(*args, u0)
-        found = None if u is None else _certified_max(f, u)
+        found = _newton_max(f, *args, math.exp(u0))
         if found is None:
             continue
         t, value = found
         assert value == f(t)
         accepted += 1
-        assert u == pytest.approx(u_max, abs=1e-8)
+        assert math.log(t) == pytest.approx(u_max, abs=1e-8)
         # values place a maximum only to within their rounding plateau, and
         # round to the largest of the terms they sum
         assert math.log(t) == pytest.approx(math.log(t_ref), abs=1e-6)
-        offset, weight = args[:2]
-        size = abs(f(t_ref) - weight * offset(t_ref)) + abs(weight * offset(t_ref))
+        ft = args[0]
+        part = ft.weight * ft.offset(t_ref)
+        size = abs(f(t_ref) - part) + abs(part)
         assert abs(f(t) - f(t_ref)) <= 4.0 * sys.float_info.epsilon * size
     assert accepted >= 4
 
 
-def test_newton_max_refuses_a_start_past_the_barrier():
-    # a repulsive pair field started where s = base + c t <= 0: Newton has no
-    # finite value to step from, so the caller falls back on the Brent search,
-    # which probes back into the valid region and finds the same maximum
+def test_newton_max_refuses_a_field_past_the_barrier():
+    # a repulsive pair field whose other springs leave s = base + c t <= 0
+    # for every t: Newton has no finite value to step from and no point to
+    # restart at, so it refuses without a mass evaluation
+    rng = np.random.default_rng(7)
+    f, (ft, base, mu, qq), _ = _max_sense_line(rng, Scope.PAIRWISE, SR, -1.0)
+    assert ft.spring < 0.0
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return f(t)
+
+    t_start = 0.5 * base / abs(ft.spring)  # inside the barrier for base > 0
+    assert math.isfinite(f(t_start))
+    assert _newton_max(counted, ft, -base, mu, qq, t_start) is None
+    assert _newton_max(counted, ft, 0.0, mu, qq, t_start) is None
+    assert calls == []
+
+
+def test_newton_max_refuses_an_iterate_past_the_barrier(monkeypatch):
+    # half a unit below the maximum in ln t the Newton step is 1.13, clamped
+    # to 1; that lands past the kinetic barrier s = base + c t = 0, where the
+    # iterate has no finite value, so the run is refused with the offset
+    # evaluated only at the start and no mass evaluation: the caller falls
+    # back on the Brent search. Steps clamped to 0.5 stay inside and converge.
     rng = np.random.default_rng(7)
     f, args, u_max = _max_sense_line(rng, Scope.PAIRWISE, SR, -1.0)
-    base, c = args[3], args[4]
-    t_bad = 4.0 * base / abs(c)
-    assert f(t_bad) == math.inf
-    assert _newton_log_max(*args, math.log(t_bad)) is None
-    t_fallback = _extremize_log_line(f, t_bad, -1)[0]
-    t_newton, value = _certified_max(f, _newton_log_max(*args, u_max - 0.1))
-    assert value == f(t_newton)
-    assert math.log(t_fallback) == pytest.approx(math.log(t_newton), abs=1e-6)
-    assert abs(f(t_fallback) - f(t_newton)) <= 4.0 * sys.float_info.epsilon * abs(f(t_newton))
+    ft, base = args[:2]
+    u0 = u_max - 0.5
+    assert u0 + oracles._NEWTON_STEP > math.log(base / -ft.spring) > u_max
+    iterates, calls = [], []
+
+    class Watched:  # the field, with every Newton iterate recorded
+        spring, weight, power = ft.spring, ft.weight, ft.power
+
+        @staticmethod
+        def offset(t):
+            iterates.append(t)
+            return ft.offset(t)
+
+    def counted(t):
+        calls.append(t)
+        return f(t)
+
+    assert _newton_max(counted, Watched, *args[1:], math.exp(u0)) is None
+    assert len(iterates) == 1 and calls == []
+    monkeypatch.setattr(oracles, "_NEWTON_STEP", 0.5)
+    t, _ = _newton_max(counted, Watched, *args[1:], math.exp(u0))
+    assert math.log(t) == pytest.approx(u_max, abs=1e-8)
 
 
 def test_newton_max_restarts_inside_the_barrier():
-    # the start of the refusal test above: the oracle's inner step restarts
-    # Newton halfway to the barrier and reaches the fallback's maximum, with
-    # three evaluations of the mass and no line search
+    # a start where s = base + c t <= 0: Newton restarts halfway to the
+    # barrier and reaches the maximum that the fallback Brent search, which
+    # probes back into the valid region, finds, with three evaluations of the
+    # mass and no line search
     rng = np.random.default_rng(7)
     f, args, u_max = _max_sense_line(rng, Scope.PAIRWISE, SR, -1.0)
-    base, c = args[3], args[4]
-    t_bad = 4.0 * base / abs(c)
+    ft, base = args[:2]
+    t_bad = 4.0 * base / abs(ft.spring)
+    assert f(t_bad) == math.inf
     calls = []
 
     def counted(t):
@@ -306,12 +366,11 @@ def test_newton_max_without_convergence_is_refused(monkeypatch):
     # falls back on the line search rather than certify an unconverged one
     rng = np.random.default_rng(11)
     f, args, u_max = _max_sense_line(rng, Scope.PAIRWISE, NR, -1.0)
-    u0 = u_max + 0.5  # six steps converge from here
-    u = _newton_log_max(*args, u0)
-    assert u == pytest.approx(u_max, abs=1e-8)
+    t0 = math.exp(u_max + 0.5)  # six steps converge from here
+    t, _ = _newton_max(f, *args, t0)
+    assert math.log(t) == pytest.approx(u_max, abs=1e-8)
     monkeypatch.setattr(oracles, "_NEWTON_ITERS", 3)
-    assert _newton_log_max(*args, u0) is None
-    assert _newton_max(f, *args, math.exp(u0)) is None
+    assert _newton_max(f, *args, t0) is None
 
 
 # ---------------------------------------------------------------------------

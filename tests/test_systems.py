@@ -9,7 +9,7 @@ from auxfield.errors import (
     UnstableConfiguration,
     ValidationError,
 )
-from auxfield.ho import srho_mass
+from auxfield.ho import ground_state_q, ho_energy_identical, srho_mass
 from auxfield.systems import (
     BaryonParams,
     BaryonVariant,
@@ -23,6 +23,7 @@ from auxfield.systems import (
     baryonic_ur,
     coulomb_critical_coupling,
     coulomb_nbody,
+    duality_identities,
     funnel_nbody_ur,
     gaussian_critical_coupling,
     gaussian_dual,
@@ -431,8 +432,56 @@ NAN, INF = math.nan, math.inf
         pytest.param(two_body_linear_mass, (2.0, NAN, 0.2, 1.5), id="two-body-linear-m"),
         pytest.param(two_body_funnel_ur, (2.0, 0.2, NAN, 1.5), id="two-body-funnel-b"),
         pytest.param(two_body_coulomb_ground, (2.0, 1.0, NAN), id="two-body-coulomb-b"),
+        pytest.param(ho_energy_identical, (3, NAN, 0.3, 0.2, 3.0), id="ho-identical-m"),
+        pytest.param(ho_energy_identical, (3, INF, 0.3, 0.2, 3.0), id="ho-identical-inf-m"),
+        pytest.param(ho_energy_identical, (3, 1.0, NAN, 0.2, 3.0), id="ho-identical-k"),
+        pytest.param(ho_energy_identical, (3, 1.0, 0.3, NAN, 3.0), id="ho-identical-kbar"),
     ],
 )
 def test_closed_forms_reject_non_finite_arguments(fn, args):
     with pytest.raises(ValidationError):
         fn(*args)
+
+
+def _funnel_two_body(sigma, g, q2):
+    return two_body_funnel_ur(sigma, 0.2 * g, 0.3 * g, q2)
+
+
+# every closed form that takes N, with N = 3 arguments that it solves
+N_TAKERS = [
+    pytest.param(gaussian_spectrum, (1.0, 20.0, 1.0, 3.0), id="gaussian_spectrum"),
+    pytest.param(gaussian_energy_alt, (1.0, 20.0, 1.0, 3.0), id="gaussian_energy_alt"),
+    pytest.param(gaussian_critical_coupling, (3.0,), id="gaussian_critical_coupling"),
+    pytest.param(srho_mass, (1.0, 0.3, 0.2, 3.0), id="srho_mass"),
+    pytest.param(ho_energy_identical, (1.0, 0.3, 0.2, 3.0), id="ho_energy_identical"),
+    pytest.param(ground_state_q, (), id="ground_state_q"),
+    pytest.param(linear_mass, (1.0, 0.2, 0.1, 3.0), id="linear_mass"),
+    pytest.param(atomic_mass, (1.0, 0.3, 0.1, 3.0), id="atomic_mass"),
+    pytest.param(atomic_mass_nr, (1.0, 0.3, 0.1, 3.0), id="atomic_mass_nr"),
+    pytest.param(atomic_binding_parameter, (0.3, 0.1, 3.0), id="atomic_binding_parameter"),
+    pytest.param(atomic_stable, (0.3, 0.1, 3.0), id="atomic_stable"),
+    pytest.param(coulomb_nbody, (1.0, 0.1), id="coulomb_nbody"),
+    pytest.param(coulomb_critical_coupling, (0.5,), id="coulomb_critical_coupling"),
+    pytest.param(baryonic_ur, (0.2, 0.1, 3.0), id="baryonic_ur"),
+    pytest.param(funnel_nbody_ur, (0.2, 0.3, 3.0), id="funnel_nbody_ur"),
+    pytest.param(twobody_reduction, (1.0, lambda m, sigma: sigma * m), id="twobody_reduction"),
+    pytest.param(pairwise_g_dual, (_funnel_two_body, 3.0), id="pairwise_g_dual"),
+    pytest.param(pairwise_sigma_dual, (_funnel_two_body, 3.0), id="pairwise_sigma_dual"),
+    pytest.param(
+        gaussian_dual, (two_body_gaussian_energy, 1.0, 20.0, 1.0, 3.0), id="gaussian_dual"
+    ),
+    pytest.param(
+        linear_dual, (two_body_linear_mass, 1.0, 0.2, 0.15, 3.0), id="linear_dual"
+    ),
+    pytest.param(duality_identities, (), id="duality_identities"),
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2.5, True], ids=["0", "1", "2.5", "True"])
+@pytest.mark.parametrize("fn, args", N_TAKERS)
+def test_closed_forms_need_an_integer_particle_count_of_two_or_more(fn, args, n):
+    # the rule model.validate applies to SystemSpec.n: at N = 1 these divided
+    # by N - 1, and at N = 2.5 some returned a mass
+    fn(3, *args)
+    with pytest.raises(ValidationError, match="integer particle count"):
+        fn(n, *args)
