@@ -86,16 +86,6 @@ def auxiliary_k(term: PotentialTerm) -> Callable[[float], float]:
     raise UnsupportedForm(f"no tangency map for {form!r}")
 
 
-def _convexity_sign(form) -> float:
-    """Sign of g'' for V(r) = g(r^2); 0 for a quadratic term."""
-    if isinstance(form, PowerLaw):
-        lam = form.exponent
-        return form.coefficient * math.copysign(1.0, lam) * (lam / 2.0) * (lam / 2.0 - 1.0)
-    if isinstance(form, GaussianWell):
-        return -form.depth
-    raise UnsupportedForm(f"no convexity rule for {form!r}")
-
-
 def bound_character(spec: SystemSpec) -> BoundCharacter:
     """Classify the solver output against the exact eigenvalue.
 
@@ -105,7 +95,7 @@ def bound_character(spec: SystemSpec) -> BoundCharacter:
     lower bound; the semirelativistic kinetic replacement is itself an upper
     bound, so only the concave case survives there.
     """
-    signs = [_convexity_sign(t.form) for t in spec.terms]
+    signs = [t.form.curvature_sign() for t in spec.terms]
     has_neg = any(s < 0.0 for s in signs)
     has_pos = any(s > 0.0 for s in signs)
     if spec.kinematics is Kinematics.SEMIRELATIVISTIC:

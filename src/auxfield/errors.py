@@ -91,17 +91,34 @@ class UnboundedBelow(NumericalError):
     """Variational expectation decreases without bound."""
 
 
+# counts checked by name: the least value and what the count is
+_COUNTS = {
+    "n": (2, "particle count"),
+    "n_tot": (0, "n_tot"),
+    "l_tot": (0, "l_tot"),
+    "degeneracy": (1, "degeneracy"),
+}
+_PRINCIPAL = ("q", "q_c", "q2")  # principal quantum numbers
+
+
 def require_finite(**values: float) -> None:
     """Reject NaN and +-inf arguments of a closed form by name.
 
-    The particle count ``n`` must be an int (not a bool) >= 2, or
-    ValidationError is raised. The particle mass ``m`` raises SingularMasses;
-    any other argument raises InvalidCoefficient.
+    The particle count ``n`` must be an int (not a bool) >= 2, the
+    excitations ``n_tot`` and ``l_tot`` ints >= 0 and the orbital
+    ``degeneracy`` an int >= 1, or ValidationError is raised. The principal
+    numbers ``q``, ``q_c`` and ``q2`` must be finite and > 0, or
+    InvalidCoefficient is raised. The particle mass ``m`` raises
+    SingularMasses; any other argument raises InvalidCoefficient.
     """
     for name, value in values.items():
-        if name == "n":
-            if isinstance(value, bool) or not isinstance(value, int) or value < 2:
-                raise ValidationError(f"need an integer particle count >= 2, got {value!r}")
+        if name in _COUNTS:
+            least, what = _COUNTS[name]
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValidationError(f"need an integer {what} >= {least}, got {value!r}")
+        elif name in _PRINCIPAL:
+            if not 0.0 < value < math.inf:
+                raise InvalidCoefficient(f"{name} = {value} must be finite and positive")
         elif not math.isfinite(value):
             error = SingularMasses if name == "m" else InvalidCoefficient
             raise error(f"{name} = {value} is not finite")

@@ -248,8 +248,7 @@ def ground_state_q(n: int, symmetry: str = "symmetric", degeneracy: int = 1) -> 
         return 1.5 * (n - 1)
     if symmetry != "antisymmetric":
         raise ValidationError(f"unknown symmetry {symmetry!r}")
-    if degeneracy < 1:
-        raise ValidationError("degeneracy must be a positive integer")
+    require_finite(degeneracy=degeneracy)
     target = 6 * (n - 1)
     bf = 0
     while degeneracy * (bf + 1) * (bf + 2) * (bf + 3) < target:

@@ -166,6 +166,16 @@ class PowerLaw(_Value):
             mag = _exp(math.log(abs(self.coefficient)) + self.exponent * math.log(r))
             return math.copysign(mag, self.coefficient * sign)
 
+    def curvature_sign(self) -> float:
+        """Sign of g'' for V(r) = g(r^2): that of coefficient (lam - 2), 0 at lam = 2.
+
+        Taken from the two signs, so a subnormal coefficient keeps its sign.
+        """
+        if self.coefficient == 0.0 or self.exponent == 2.0:
+            return 0.0
+        coef = self.coefficient if self.exponent > 2.0 else -self.coefficient
+        return math.copysign(1.0, coef)
+
 
 class GaussianWell(_Value):
     """V(r) = -depth * exp(-(range_ * r)**2), an attractive well of finite depth."""
@@ -176,6 +186,10 @@ class GaussianWell(_Value):
     def evaluate(self, r: float) -> float:
         u = self.range_ * r  # u * u is inf past the float range, where ** raises
         return -self.depth * math.exp(-(u * u))
+
+    def curvature_sign(self) -> float:
+        """Sign of g'' for V(r) = g(r^2): a well of positive depth is concave."""
+        return math.copysign(1.0, -self.depth) if self.depth else 0.0
 
 
 PotentialForm = Union[PowerLaw, GaussianWell]

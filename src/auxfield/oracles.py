@@ -4,14 +4,15 @@ numeric_afm_minimize extremizes the three-field mass function directly, never
 touching the scale equation the closed forms come from, so agreement between
 the two routes is a genuine cross-check. Each field is one record: its spring
 in s = nu + N nubar, its weight in the mass, the sense of its stationary point
-and its offset V(I) - nu I^2. Line searches use function values only, except
+and its offset V(I) - nu I^2. The search runs over one coordinate vector,
+mu then the fields, and two index lists name the coordinates it minimizes
+and those it maximizes. Line searches use function values only, except
 along fields whose stationary point is a maximum: there one Newton function
 steps on the analytic derivatives of the mass, accepts the point they reach
 on three mass values (itself and its two neighbours), and leaves Brent's
-search as the safeguard. gaussian_trial_bound
-evaluates a one-parameter correlated-Gaussian variational state analytically
-and is a true upper bound on the exact ground level of nonrelativistic
-pairwise systems.
+search as the safeguard. gaussian_trial_bound evaluates a one-parameter
+correlated-Gaussian variational state analytically and is a true upper bound
+on the exact ground level of nonrelativistic pairwise systems.
 """
 from __future__ import annotations
 
@@ -227,7 +228,7 @@ def _log_objective(f: Callable[[float], float], sense: int) -> Callable[[float],
 
 
 def _extremize_log_line(
-    f: Callable[[float], float], x0: float, sense: int, step: float = _STEP_MAX
+    f: Callable[[float], float], x0: float, sense: int, step: float
 ) -> tuple[float, float]:
     """Extremize f over a positive variable by Brent's method in log space.
 
@@ -309,9 +310,9 @@ def _field_term(term, n: int) -> _FieldTerm:
             log_v = math.log(abs(scale)) + power * (math.log(t) - math.log(mag))
             return math.copysign(_exp(log_v), scale)
 
-        # Along a binding concave direction the stationary point is a
-        # minimum; repulsion or convex growth flips it to a maximum.
-        sense = +1 if coef * (2.0 - lam) > 0.0 else -1
+        # Along a concave direction (binding below lam = 2) the stationary
+        # point is a minimum; repulsion or convex growth flips it to a maximum.
+        sense = +1 if form.curvature_sign() < 0.0 else -1
         return _FieldTerm(sign * fold, weight, sense, offset, mag, power)
     if isinstance(form, GaussianWell):
         depth, rng = form.depth, form.range_
@@ -398,24 +399,26 @@ def numeric_afm_minimize(
     The function
     M = N/2 (mu + m^2/mu) + N [V(I(nu)) - nu I^2] + N(N-1)/2 [Vbar(...)]
       + sqrt(2 (nu + N nubar) / mu) Q
-    is extremized by nested line searches in the logs of the positive
-    fields: directions whose stationary point is a maximum (repulsive or
-    convex power terms) are solved innermost, the rest are cyclically
+    is extremized by nested line searches in the logs of one coordinate
+    vector x: x[0] is mu and x[j + 1] is field j. Quadratic terms pin their
+    field to the spring constant and get no coordinate; nonrelativistic
+    kinematics pins x[0] to the particle mass. The index list maxs holds the
+    fields whose stationary point is a maximum (repulsive or convex power
+    terms); they are solved innermost. The list mins holds the rest, mu first
+    when it is free, then the min-sense fields; they are cyclically
     minimized by Brent's method until two passes in a row change the mass by
     at most 1e-12 max(1, |M|). Each innermost maximum is found by safeguarded
     Newton steps on the analytic derivatives of M along that field, started
     halfway to the kinetic barrier where the warm field lies past it; the
     point they converge to is accepted when M there is not below M 2.5e-7
     away in the log on either side, three mass evaluations in all. Where that
-    is refused, Brent's search from a grown bracket runs instead. Quadratic
-    terms pin their field to the spring constant; nonrelativistic kinematics
-    pins mu to the particle mass. Every mass evaluation counts toward
-    max_evals. A minimizing search that still descends where a field leaves
-    the float range raises UnboundedBelow, and so does a settled point whose
-    mass is not finite 2.5e-7 away in the log along some minimized direction:
-    the mass fell until it left the float range and read as a barrier there,
-    so the point is a boundary, not a stationary point. Deterministic for
-    fixed input.
+    is refused, Brent's search from a grown bracket runs instead. Every
+    mass evaluation counts toward max_evals. A minimizing search that still
+    descends where a coordinate leaves the float range raises UnboundedBelow,
+    and so does a settled point whose mass is not finite 2.5e-7 away in the
+    log along some coordinate in mins: the mass fell until it left the float
+    range and read as a barrier there, so the point is a boundary, not a
+    stationary point. Deterministic for fixed input.
     """
     validate(spec, q)
     if not spec.terms:
@@ -442,108 +445,100 @@ def numeric_afm_minimize(
 
     evals = [0]
 
-    def mass(mu: float, ts: list[float]) -> float:
+    def mass(x: list[float]) -> float:
         evals[0] += 1
         if evals[0] > max_evals:
             raise NonConvergence(f"evaluation budget {max_evals} exhausted")
         s = s0
+        mu = x[0]
         total = n * m if not semirel else n / 2.0 * (mu + m * m / mu)
-        for ft, t in zip(field_terms, ts):
+        for ft, t in zip(field_terms, x[1:]):
             s += ft.spring * t
             total += ft.weight * ft.offset(t)
         if s <= 0.0:
             return math.inf
-        mu_eff = mu if semirel else m
-        kinetic = math.sqrt(2.0 * s / mu_eff)
+        kinetic = math.sqrt(2.0 * s / mu)
         if kinetic == math.inf:  # only the quotient left the float range
-            kinetic = math.sqrt(2.0 * s) / math.sqrt(mu_eff)
+            kinetic = math.sqrt(2.0 * s) / math.sqrt(mu)
         return total + kinetic * qq
 
-    mu = math.sqrt(m * m + qq)
-    ts = [min(max(ft.init, _START_LO), _START_HI) for ft in field_terms]
+    # x[0] is mu, pinned to m for nonrelativistic kinematics; x[j + 1] is field j
+    x = [math.sqrt(m * m + qq) if semirel else m]
+    x += [min(max(ft.init, _START_LO), _START_HI) for ft in field_terms]
     for _ in range(200):  # deterministic repair of an invalid start
-        if math.isfinite(mass(mu, ts)):
+        if math.isfinite(mass(x)):
             break
-        for j, ft in enumerate(field_terms):
+        for j, ft in enumerate(field_terms, 1):
             if ft.spring < 0.0:
-                ts[j] *= 0.5
+                x[j] *= 0.5
 
-    max_idx = [j for j, ft in enumerate(field_terms) if ft.sense < 0]
-    min_idx = [j for j, ft in enumerate(field_terms) if ft.sense > 0]
-    steps = [_STEP_MAX] * (len(field_terms) + 1)  # field j, then mu at -1
+    maxs = [j for j, ft in enumerate(field_terms, 1) if ft.sense < 0]
+    mins = ([0] if semirel else []) + [j for j, ft in enumerate(field_terms, 1) if ft.sense > 0]
+    steps = [_STEP_MAX] * len(x)
 
     def search(f: Callable[[float], float], x0: float, sense: int, k: int) -> float:
-        x, move = _extremize_log_line(f, x0, sense, steps[k])
+        xk, move = _extremize_log_line(f, x0, sense, steps[k])
         steps[k] = min(max(_WARM_GROWTH * move, _STEP_MIN), _STEP_MAX)
-        return x
+        return xk
 
-    def hull(mu_: float, ts_: list[float]) -> float:
-        """Resolve the max-sense fields for fixed minimized ones (in place).
+    def hull(x_: list[float]) -> float:
+        """Resolve the max-sense fields for fixed minimized coordinates (in place).
 
         Each is a power-law field: Newton steps on the mass along it
         (_newton_max); where they are refused, the derivative-free search runs
-        as for every other field. Returns the mass at the resolved fields.
+        as for every other coordinate. Returns the mass at the resolved fields.
         """
         value = None
-        for j in max_idx:
+        for j in maxs:
 
             def fj(t: float, j=j) -> float:
-                prev = ts_[j]
-                ts_[j] = t
-                v = mass(mu_, ts_)
-                ts_[j] = prev
+                prev = x_[j]
+                x_[j] = t
+                v = mass(x_)
+                x_[j] = prev
                 return v
 
             base = s0 + sum(
-                ft.spring * t for k, (ft, t) in enumerate(zip(field_terms, ts_)) if k != j
+                ft.spring * t for k, (ft, t) in enumerate(zip(field_terms, x_[1:]), 1) if k != j
             )
-            found = _newton_max(fj, field_terms[j], base, mu_ if semirel else m, qq, ts_[j])
+            found = _newton_max(fj, field_terms[j - 1], base, x_[0], qq, x_[j])
             if found is None:
-                ts_[j], value = search(fj, ts_[j], -1, j), None
+                x_[j], value = search(fj, x_[j], -1, j), None
             else:
-                ts_[j], value = found
-        return mass(mu_, ts_) if value is None else value
+                x_[j], value = found
+        return mass(x_) if value is None else value
 
     # a max-sense field that adds to s can always lift it above 0
-    lifted = any(field_terms[j].spring > 0.0 for j in max_idx)
+    lifted = any(field_terms[j - 1].spring > 0.0 for j in maxs)
 
     def interior() -> bool:
         """Whether the settled point has a finite mass _NEWTON_DELTA either
-        side in the log along each minimized direction (mu, then each
-        min-sense field). A point where the max-sense fields cannot make
-        s > 0 is past the kinetic barrier and is not counted."""
-        moves = [math.exp(-_NEWTON_DELTA), math.exp(_NEWTON_DELTA)]
-        points = [(mu * r, list(ts)) for r in moves] if semirel else []
-        for j in min_idx:
-            for r in moves:
-                scratch = list(ts)
-                scratch[j] *= r
-                points.append((mu, scratch))
-        for mu_, ts_ in points:
-            s_min = s0 + sum(field_terms[k].spring * ts_[k] for k in min_idx)
-            if (lifted or s_min > 0.0) and not math.isfinite(hull(mu_, ts_)):
-                return False
+        side in the log along each minimized coordinate. A point where the
+        max-sense fields cannot make s > 0 is past the kinetic barrier and is
+        not counted."""
+        for k in mins:
+            for r in (math.exp(-_NEWTON_DELTA), math.exp(_NEWTON_DELTA)):
+                x_ = list(x)
+                x_[k] *= r
+                # mu, coordinate 0, adds nothing to s
+                s_min = s0 + sum(field_terms[i - 1].spring * x_[i] for i in mins if i)
+                if (lifted or s_min > 0.0) and not math.isfinite(hull(x_)):
+                    return False
         return True
 
-    cur = hull(mu, ts)
+    cur = hull(x)
     small_steps = 0
     for _ in range(120):
         prev = cur
-        if semirel:
+        for k in mins:
 
-            def fmu(v: float) -> float:
-                return hull(v, list(ts))
+            def fk(t: float, k=k) -> float:
+                scratch = list(x)
+                scratch[k] = t
+                return hull(scratch)
 
-            mu = search(fmu, mu, +1, -1)
-        for j in min_idx:
-
-            def fj(t: float, j=j) -> float:
-                scratch = list(ts)
-                scratch[j] = t
-                return hull(mu, scratch)
-
-            ts[j] = search(fj, ts[j], +1, j)
-        cur = hull(mu, ts)
+            x[k] = search(fk, x[k], +1, k)
+        cur = hull(x)
         if abs(prev - cur) <= _PASS_TOL * max(1.0, abs(cur)):
             small_steps += 1
             if small_steps >= 2:

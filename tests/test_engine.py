@@ -532,6 +532,14 @@ def test_bound_character_rules():
     )
 
 
+def test_bound_character_reads_the_sign_of_a_subnormal_coefficient():
+    # 5e-324 r^0.5 is concave however small its coefficient; the product
+    # coefficient (lam/2) (lam/2 - 1) underflowed to 0, which left only the
+    # quadratic pair term and read as EXACT
+    spec = power_system(3, 1.0, NR, one=(5e-324, 0.5), pair=(0.3, 2.0))
+    assert bound_character(spec) is BoundCharacter.UPPER_BOUND
+
+
 @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
 def test_afm_mass_rejects_unusable_tolerance(tolerance):
     spec = power_system(3, 1.0, Kinematics.SEMIRELATIVISTIC, pair=(0.2, 1.0))

@@ -191,6 +191,25 @@ def test_potential_evaluation_sign_convention():
     assert well.evaluate(2.0) == pytest.approx(-2.0 * math.exp(-1.0))
 
 
+@pytest.mark.parametrize(
+    "form, sign",
+    [
+        (PowerLaw(0.5, 1.0), -1.0),  # binding below lam = 2: concave
+        (PowerLaw(0.5, -1.0), -1.0),
+        (PowerLaw(0.5, 3.0), 1.0),  # convex growth
+        (PowerLaw(-0.5, 1.0), 1.0),  # repulsion
+        (PowerLaw(-0.5, 3.0), -1.0),
+        (PowerLaw(0.5, 2.0), 0.0),  # quadratic: the surrogate is the potential
+        (PowerLaw(0.0, 1.0), 0.0),
+        (PowerLaw(5e-324, 0.5), -1.0),  # a subnormal coefficient keeps its sign
+        (PowerLaw(-5e-324, 2.0000000000000004), -1.0),
+        (GaussianWell(2.0, 0.5), -1.0),
+    ],
+)
+def test_curvature_sign_of_g_in_r_squared(form, sign):
+    assert form.curvature_sign() == sign
+
+
 def test_power_evaluation_past_float_range():
     # r**exponent overflows, but the product with a small coefficient does not
     assert PowerLaw(1e-300, 300.0).evaluate(10.0) == pytest.approx(1.0, rel=1e-12)

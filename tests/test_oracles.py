@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -8,8 +10,10 @@ from scipy.integrate import quad
 from auxfield import oracles
 from auxfield.engine import afm_mass, equal_power_mass
 from auxfield.errors import (
+    NoBoundState,
     NonConvergence,
     NoPositiveRoot,
+    NumericalError,
     UnboundedBelow,
     UnsupportedCombination,
 )
@@ -206,6 +210,13 @@ def test_field_record_spring_and_weight(scope, form, spring, weight):
     assert (ft.spring, ft.weight) == (spring, weight)
 
 
+def test_field_sense_of_a_subnormal_coefficient():
+    # 1e-323 r^1.9 is concave, so its stationary point is a minimum; the
+    # product coef (2 - lam) underflowed to 0 and read as a maximum
+    ft = _field_term(PotentialTerm(Scope.ONE_BODY, PowerLaw(1e-323, 1.9)), 3)
+    assert ft.sense == +1
+
+
 # ---------------------------------------------------------------------------
 # Newton steps along a max-sense field
 
@@ -266,7 +277,7 @@ def test_newton_max_matches_brent_line_search(scope, kinematics, lam):
     for _ in range(8):
         f, args, u_max = _max_sense_line(rng, scope, kinematics, lam)
         u0 = u_max + float(rng.uniform(-0.25, 0.25))
-        t_ref = _extremize_log_line(f, math.exp(u0), -1)[0]
+        t_ref = _extremize_log_line(f, math.exp(u0), -1, oracles._STEP_MAX)[0]
         found = _newton_max(f, *args, math.exp(u0))
         if found is None:
             continue
@@ -356,7 +367,7 @@ def test_newton_max_restarts_inside_the_barrier():
     assert len(calls) == 3
     assert value == f(t_newton)
     assert math.log(t_newton) == pytest.approx(u_max, abs=1e-8)
-    t_fallback = _extremize_log_line(f, t_bad, -1)[0]
+    t_fallback = _extremize_log_line(f, t_bad, -1, oracles._STEP_MAX)[0]
     assert math.log(t_fallback) == pytest.approx(math.log(t_newton), abs=1e-6)
     assert abs(f(t_fallback) - value) <= 4.0 * sys.float_info.epsilon * abs(value)
 
@@ -523,6 +534,69 @@ def test_oracle_on_unbound_spec_raises(spec):
         afm_mass(spec, ground(spec.n))
     with pytest.raises(UnboundedBelow):
         numeric_afm_minimize(spec, ground(spec.n))
+
+
+# Open defects: each test asserts the outcome a stationarity certificate of
+# the settled point should give, and fails (strictly) until it does.
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md line 25 (FOUND): UnboundedBelow on a nearly constant potential",
+)
+def test_oracle_nearly_constant_potential():
+    spec = power_system(2, 0.0, SR, pair=(1e-133, 1e-24))
+    q = QuantumNumbers(((859, 0),))
+    assert numeric_afm_minimize(spec, q) == pytest.approx(afm_mass(spec, q).mass, rel=1e-8)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md line 36 (FOUND): settles at 7.9822 where afm_mass gives 8.4029",
+)
+def test_oracle_mixed_negative_powers():
+    spec = power_system(3, 2.800975178752582, SR, one=(-0.715724427018972, -0.30073736913186855),
+                        pair=(0.32535687472919594, -0.2851146091013037))
+    q = QuantumNumbers(((2, 0), (0, 0)))
+    assert afm_mass(spec, q).mass == pytest.approx(8.40292553572761, rel=1e-12)
+    assert numeric_afm_minimize(spec, q) == pytest.approx(8.40292553572761, rel=1e-8)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md line 42 (FOUND): UnboundedBelow where the mass falls toward 0",
+)
+def test_oracle_massless_mass_falling_to_zero():
+    spec = power_system(2, 0.0, SR, one=(-0.4811630071173038, -0.5),
+                        pair=(0.4545130720956754, -0.5))
+    with pytest.raises(NoBoundState):
+        numeric_afm_minimize(spec, ground(2))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md line 46 (FOUND): returns 14.5666 settled against s = 0",
+)
+def test_oracle_unbound_spec_settled_at_the_kinetic_barrier():
+    spec = power_system(5, 2.027008731084414, SR, one=(-0.415385834875269, 3.0),
+                        pair=(0.4727501031229764, 0.5))
+    with pytest.raises(NumericalError):
+        numeric_afm_minimize(spec, ground(5))
+
+
+def test_oracle_imports_no_solver_layer():
+    # the oracle is an independent check: it must not reach the closed forms,
+    # the scale-equation solver or the exact oscillator, even indirectly
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = (
+        "import sys, auxfield.oracles\n"
+        "names = ['auxfield.engine', 'auxfield.systems', 'auxfield.ho', 'auxfield.special',"
+        " 'numpy']\n"
+        "loaded = [name for name in names if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_oracle_rejects_empty_system():

@@ -4,6 +4,7 @@ import pytest
 
 from auxfield.engine import linear_mass
 from auxfield.errors import (
+    InvalidCoefficient,
     NoBoundState,
     OverCritical,
     UnstableConfiguration,
@@ -436,6 +437,9 @@ NAN, INF = math.nan, math.inf
         pytest.param(ho_energy_identical, (3, INF, 0.3, 0.2, 3.0), id="ho-identical-inf-m"),
         pytest.param(ho_energy_identical, (3, 1.0, NAN, 0.2, 3.0), id="ho-identical-k"),
         pytest.param(ho_energy_identical, (3, 1.0, 0.3, NAN, 3.0), id="ho-identical-kbar"),
+        pytest.param(coulomb_critical_coupling, (3, NAN), id="coulomb-critical-b2"),
+        pytest.param(twobody_reduction, (3, NAN, lambda m, sigma: sigma * m),
+                     id="reduction-m"),
     ],
 )
 def test_closed_forms_reject_non_finite_arguments(fn, args):
@@ -485,3 +489,54 @@ def test_closed_forms_need_an_integer_particle_count_of_two_or_more(fn, args, n)
     fn(3, *args)
     with pytest.raises(ValidationError, match="integer particle count"):
         fn(n, *args)
+
+
+# every argument that carries a quantum number, at a value no state has: at
+# the parent these returned a number (energy -6.0 at Q = 0, a mass at
+# n_tot = -1), NaN, or raised ZeroDivisionError or ValueError
+@pytest.mark.parametrize(
+    "fn, args, error",
+    [
+        pytest.param(gaussian_spectrum, (3, 1.0, 2.0, 0.5, 0.0), InvalidCoefficient,
+                     id="gaussian-q0"),
+        pytest.param(ho_energy_identical, (3, 1.0, 0.2, 0.1, -3.0), InvalidCoefficient,
+                     id="ho-identical-q-negative"),
+        pytest.param(gaussian_dual, (3, two_body_gaussian_energy, 1.0, 20.0, 1.0, -1.0),
+                     InvalidCoefficient, id="gaussian-dual-q-negative"),
+        pytest.param(linear_dual, (3, two_body_linear_mass, 1.0, 0.2, 0.15, 0.0),
+                     InvalidCoefficient, id="linear-dual-q0"),
+        pytest.param(pairwise_g_dual, (3, _funnel_two_body, -3.0), InvalidCoefficient,
+                     id="pairwise-g-dual-q-negative"),
+        pytest.param(pairwise_sigma_dual, (3, _funnel_two_body, 0.0), InvalidCoefficient,
+                     id="pairwise-sigma-dual-q0"),
+        pytest.param(baryon_mass, (BaryonParams(0.2, 0.4), -1, 0), ValidationError,
+                     id="baryon-n-tot-negative"),
+        pytest.param(baryon_mass, (BaryonParams(0.2, 0.4), 0.5, 0), ValidationError,
+                     id="baryon-n-tot-fraction"),
+        pytest.param(baryon_mass, (BaryonParams(0.2, 0.4), 0, True), ValidationError,
+                     id="baryon-l-tot-bool"),
+        pytest.param(gaussian_critical_coupling, (3, NAN), InvalidCoefficient,
+                     id="gaussian-critical-q-nan"),
+        pytest.param(atomic_binding_parameter, (3, NAN, 0.01, 3.0), InvalidCoefficient,
+                     id="atomic-binding-alpha-nan"),
+        pytest.param(linear_mass, (3, 1.0, 0.2, 0.1, 0.0), InvalidCoefficient,
+                     id="linear-q0"),
+        pytest.param(atomic_mass, (3, 1.0, 0.3, 0.1, 0.0), InvalidCoefficient,
+                     id="atomic-q0"),
+        pytest.param(atomic_stable, (3, 0.3, 0.1, 0.0), InvalidCoefficient,
+                     id="atomic-stable-q0"),
+        pytest.param(coulomb_nbody, (3, 1.0, 0.1, 0.0), InvalidCoefficient,
+                     id="coulomb-q-c0"),
+        pytest.param(two_body_coulomb_ground, (2.0, 1.0, 0.1, 0.0), InvalidCoefficient,
+                     id="two-body-coulomb-q-c0"),
+        pytest.param(two_body_linear_mass, (2.0, 0.0, 0.2, 0.0), InvalidCoefficient,
+                     id="two-body-linear-q2-0"),
+        pytest.param(srho_mass, (3, 1.0, 0.3, 0.2, -3.0), InvalidCoefficient,
+                     id="srho-q-negative"),
+        pytest.param(ground_state_q, (7, "antisymmetric", 1.5), ValidationError,
+                     id="ground-state-fractional-degeneracy"),
+    ],
+)
+def test_closed_forms_reject_quantum_numbers_no_state_has(fn, args, error):
+    with pytest.raises(error):
+        fn(*args)
