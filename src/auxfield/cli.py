@@ -210,7 +210,7 @@ def _cmd_solve(args, out) -> int:
     from . import engine
 
     spec, q = load_system(args.spec)
-    sol = engine.afm_mass(spec, q, tolerance=args.tolerance)
+    sol = engine.afm_mass(spec, q)
     emit(solution_to_dict(sol), args.format, out)
     return EXIT_OK
 
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="auxiliary-field mass of the spec'd system")
     add_common(p)
-    p.add_argument("--tolerance", type=float, default=1e-12)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("ho", help="exact harmonic-oscillator level")

@@ -29,14 +29,12 @@ from .errors import (
     UnsupportedCombination,
     UnsupportedForm,
     require_finite,
-    require_tolerance,
 )
 from .model import (
     AFMSolution,
     BoundCharacter,
     GaussianWell,
     Kinematics,
-    PotentialTerm,
     PowerLaw,
     QuantumNumbers,
     Scope,
@@ -52,38 +50,9 @@ _LN2 = math.log(2.0)
 _T_MIN = math.log(math.ulp(0.0))  # t = ln X0 of the least positive float
 _T_MAX = math.log(sys.float_info.max)
 _STEP = 0.5 * math.log(10.0)  # half a decade of X0: first bracketing step
-_T_FLOOR = 4.0 * _EPS * -_T_MIN  # _x0's floor 4 eps max(1, |t|) at its widest
+_TOLERANCE = 1e-12  # _zero's bracket width in t: a relative width in X0
 # (e, sign, ln magnitude, ln c): the term sign exp(ln magnitude + e t' - c e^(-t'))
 _Term = tuple[float, float, float, float]
-
-
-def auxiliary_k(term: PotentialTerm) -> Callable[[float], float]:
-    """Tangency map K(x) = V'(x) / (x^2)' of a potential term.
-
-    Power law: K(x) = coefficient |lam| / 2 * x^(lam-2), a constant spring
-    coefficient for lam = 2, read as +-inf where the power overflows; gaussian
-    well: K(x) = depth range^2 exp(-(range x)^2).
-    """
-    form = term.form
-    if isinstance(form, PowerLaw):
-        half = form.coefficient * abs(form.exponent) / 2.0
-
-        def k(x: float, half=half, lam=form.exponent) -> float:
-            try:
-                return half * x ** (lam - 2.0)
-            except OverflowError:
-                return math.copysign(math.inf, half) if half else 0.0
-
-        return k
-    if isinstance(form, GaussianWell):
-        cap = form.depth * form.range_ * form.range_
-
-        def k(x: float, cap=cap, rng=form.range_) -> float:
-            u = rng * x  # u * u is inf past the float range, where ** raises
-            return cap * math.exp(-(u * u))
-
-        return k
-    raise UnsupportedForm(f"no tangency map for {form!r}")
 
 
 def bound_character(spec: SystemSpec) -> BoundCharacter:
@@ -133,14 +102,14 @@ def _binding_at_x0(spec: SystemSpec, q: float, x0: float) -> float:
     return 4.0 * quarter
 
 
-def _zero(
-    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, tolerance: float
-) -> float:
+def _zero(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
     """Root of f by Brent's zero (1973, ch. 4) on [a, b] in t = ln X0 + const.
 
     fa and fb differ in sign; either may be infinite. A bracket width in t is
     a relative width in X0, so Brent stops once its bracket is at most
-    tolerance wide, or as narrow as the float spacing of t allows.
+    _TOLERANCE wide, or as narrow as the float spacing of t allows. The mass
+    is stationary in X0, so its error is of the order of the square of that
+    width: far below one unit in its last place.
     """
     c, fc = a, fa
     d = e = b - a
@@ -148,7 +117,7 @@ def _zero(
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = max(2.0 * _EPS * max(1.0, abs(b)), 0.5 * tolerance)
+        tol = max(2.0 * _EPS * max(1.0, abs(b)), 0.5 * _TOLERANCE)
         half = 0.5 * (c - b)
         if abs(half) <= tol or fb == 0.0:
             return b
@@ -176,35 +145,6 @@ def _zero(
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
-
-
-def _bisect(
-    h: Callable[[float], float], x: float, a: float, b: float, tolerance: float
-) -> float:
-    """Root of h on [a, b] by bisection in X0.
-
-    Stops once the bracket is at most tolerance wide relative to its upper end,
-    or at adjacent floats; returns x where h shows no sign change on [a, b].
-    """
-    fa, fb = h(a), h(b)
-    if a == 0.0 or not (math.isfinite(fa) and math.isfinite(fb)):
-        return x
-    if fa == 0.0 or fb == 0.0:
-        return a if fa == 0.0 else b
-    if (fa > 0.0) == (fb > 0.0):
-        return x
-    while (b - a) > tolerance * b:
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break  # adjacent floats: no finer bracket exists
-        fm = h(mid)
-        if fm == 0.0:
-            return mid
-        if (fa > 0.0) == (fm > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
 
 
 def _merge(terms: list[_Term]) -> list[_Term]:
@@ -319,7 +259,6 @@ def _polish(
     splits: list[tuple[float, float]],
     signs: tuple[float, float],
     span: tuple[float, float],
-    tolerance: float,
 ) -> list[float]:
     """Roots of f, ascending, where f is monotone between and beyond the splits.
 
@@ -331,16 +270,16 @@ def _polish(
     roots = [t for t, ft in splits if ft == 0.0]
     for (a, fa), (b, fb) in zip(splits, splits[1:]):
         if fa and fb and (fa > 0.0) != (fb > 0.0):
-            roots.append(_zero(f, a, b, fa, fb, tolerance))
+            roots.append(_zero(f, a, b, fa, fb))
     for (t, ft), sign, direction in zip((splits[0], splits[-1]), signs, (-1.0, 1.0)):
         if ft and (ft > 0.0) != (sign > 0.0):
             bracket = _bracket(f, t, ft, direction, span)
             beyond = direction * math.inf
-            roots.append(beyond if bracket is None else _zero(f, *bracket, tolerance))
+            roots.append(beyond if bracket is None else _zero(f, *bracket))
     return sorted(roots)
 
 
-def _isolate(terms: list[_Term], span: tuple[float, float], tolerance: float) -> list[float]:
+def _isolate(terms: list[_Term], span: tuple[float, float]) -> list[float]:
     """Roots t' of a sum of terms, ascending; -inf or inf past span.
 
     Rolle's theorem counts them, as in the proof of Descartes' rule for real
@@ -365,7 +304,7 @@ def _isolate(terms: list[_Term], span: tuple[float, float], tolerance: float) ->
     else:
         e0, s0, a0, _ = min(plain, key=lambda term: abs(term[0]))
         quotient = [(e - e0, s * s0, a - a0, lc) for e, s, a, lc in terms]
-        cuts = _isolate(_slope(quotient), span, tolerance) or [0.0]
+        cuts = _isolate(_slope(quotient), span) or [0.0]
 
     def residual(tp: float) -> float:
         """Has the sign of the sum at t' = tp: ln P - ln N of its parts."""
@@ -375,7 +314,7 @@ def _isolate(terms: list[_Term], span: tuple[float, float], tolerance: float) ->
     splits = [(t, residual(t)) for t in (min(max(t, span[0]), span[1]) for t in cuts)]
     # plain terms dominate as t' -> -inf, the largest exponent as t' -> inf
     hi = max(terms, key=lambda term: (term[0], term[2]))[1]
-    return _polish(residual, splits, (plain[0][1], hi), span, tolerance)
+    return _polish(residual, splits, (plain[0][1], hi), span)
 
 
 def _walk_start(a_terms: list[_Term], log_m: float, z: float) -> float:
@@ -403,7 +342,6 @@ def _massive_roots(
     log_qn: float,
     log_m: float,
     span: tuple[float, float],
-    tolerance: float,
 ) -> list[float]:
     """Roots t' of |u| = 1 with F > 0 for massive semirelativistic kinematics.
 
@@ -425,7 +363,7 @@ def _massive_roots(
         (e, s if e > 0.0 else -s, a + math.log(2.0 * abs(e)), lc) for e, s, a, lc in a_terms if e
     ]
     d_terms = slope + [(e + 1.0, s, a + z, lc) for e, s, a, lc in slope + a_terms]
-    f_roots = _isolate(a_terms, span, tolerance)
+    f_roots = _isolate(a_terms, span)
     zeros = [t for t in f_roots if math.isfinite(t)]
 
     def u_residual(tp: float) -> float:
@@ -434,7 +372,7 @@ def _massive_roots(
         k = log_m + 0.5 * _softplus(tp + z)  # ln mu
         return big + k - _softplus(small + k) if big != small else -math.inf
 
-    cuts = [t for t in _isolate(d_terms, span, tolerance) + f_roots if t not in zeros]
+    cuts = [t for t in _isolate(d_terms, span) + f_roots if t not in zeros]
     if not cuts and not zeros:
         cuts = [_walk_start(a_terms, log_m, z)]  # |u| is monotone throughout
     cuts = [min(max(t, span[0]), span[1]) for t in cuts]
@@ -443,68 +381,21 @@ def _massive_roots(
     # for A's top term
     e_top, _, a_top, _ = a_terms[-1]
     hi = 1.0 if e_top == -0.5 and log_qn + a_top > 0.0 else -1.0
-    roots = _polish(u_residual, splits, (1.0, hi), span, tolerance)
+    roots = _polish(u_residual, splits, (1.0, hi), span)
     lp, ln = _part_logs(a_terms, span[0])
     f_low = lp > ln  # F > 0 at the low end of span
     return [t for t in roots if not math.isfinite(t) or f_low != sum(r < t for r in zeros) % 2]
 
 
-def _scale_residual(spec: SystemSpec, qq: float) -> Callable[[float], float]:
-    """h(X0) = 2 mu F(X0) / X0 - X0, mu = sqrt(m^2 + Q X0 / N) or m.
-
-    F(X0) = K(r_one) + N Kbar(r_pair) at the tangency radii of X0. h has the
-    sign of 2 mu F - X0^2 for X0 > 0, and no X0^2 to overflow into a false
-    sign change near sqrt(DBL_MAX); where 2 mu F overflows, F / X0 is formed
-    first. It bisects a root in X0 where the tolerance is below the float
-    spacing of t = ln X0.
-    """
-    n, m = spec.n, spec.identical_mass
-    k_one = auxiliary_k(spec.one_body[0]) if spec.one_body else None
-    k_pair = auxiliary_k(spec.pairwise[0]) if spec.pairwise else None
-
-    def field_sum(x0: float) -> float:
-        r1, r2 = _tangency_radii(n, qq, x0)
-        total = 0.0
-        if k_one is not None:
-            total += k_one(r1)
-        if k_pair is not None:
-            total += n * k_pair(r2)
-        return total
-
-    relativistic = spec.kinematics is Kinematics.SEMIRELATIVISTIC
-
-    def h(x0: float) -> float:
-        mu = math.sqrt(m * m + qq * x0 / n) if relativistic else m
-        f = field_sum(x0)
-        y = 2.0 * mu * f / x0
-        if abs(y) == math.inf:
-            y = 2.0 * mu * (f / x0)
-        return y - x0
-
-    return h
-
-
-def _x0(t: float, tolerance: float, h: Callable[[float], float] | None) -> float:
-    """X0 = e^t of a root polished in t.
-
-    A tolerance below the float spacing of t, 4 eps max(1, |t|), goes on with
-    _bisect on h, if given, from e^t widened by that spacing either side, down
-    to adjacent floats.
-    """
-    floor = 4.0 * _EPS * max(1.0, abs(t))
-    if h is None or floor <= tolerance:
-        return math.exp(t)
-    return _bisect(h, math.exp(t), math.exp(t - floor), math.exp(t + floor), tolerance)
-
-
-def _scale_roots(spec: SystemSpec, qq: float, tolerance: float) -> list[float]:
+def _scale_roots(spec: SystemSpec, qq: float) -> list[float]:
     """Positive roots X0 of the scale equation, ascending.
 
     The equation reads u = 1 with u = 2 mu F / X0^2, in t' = ln(X0 N / Q).
     For nonrelativistic (mu = m) and massless (mu = sqrt(Q X0 / N)) kinematics
     u - 1 is a sum of terms, isolated by _isolate; massive kinematics takes
-    _massive_roots. Roots that all lie outside the float range of X0 raise
-    DomainError.
+    _massive_roots. Each root is polished in t' to _TOLERANCE and returned
+    as X0 = e^(t' + ln(Q/N)). Roots that all lie outside the float range of
+    X0 raise DomainError.
     """
     n, m = spec.n, spec.identical_mass
     log_qn = math.log(qq / n)
@@ -519,20 +410,16 @@ def _scale_roots(spec: SystemSpec, qq: float, tolerance: float) -> list[float]:
     u_terms = [(e + de, s, a + da, lc) for e, s, a, lc in _field_terms(spec)]
     span = (_T_MIN - log_qn, _T_MAX - log_qn)  # the float range of X0 in t'
     if relativistic and m > 0.0:
-        roots = _massive_roots(_merge(u_terms), log_qn, math.log(m), span, tolerance)
+        roots = _massive_roots(_merge(u_terms), log_qn, math.log(m), span)
     else:
-        roots = _isolate(u_terms + [(0.0, -1.0, 0.0, -math.inf)], span, tolerance)
+        roots = _isolate(u_terms + [(0.0, -1.0, 0.0, -math.inf)], span)
     inside = [t for t in roots if math.isfinite(t)]
     if roots and not inside:
         raise DomainError("the scale equation's roots lie outside the float range of X0")
-    # h finishes a root in X0 where tolerance is below the float spacing of t
-    h = _scale_residual(spec, qq) if tolerance < _T_FLOOR else None
-    return [_x0(t + log_qn, tolerance, h) for t in inside]
+    return [math.exp(t + log_qn) for t in inside]
 
 
-def afm_mass(
-    spec: SystemSpec, q: QuantumNumbers, tolerance: float = 1e-12
-) -> AFMSolution:
+def afm_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
     """Auxiliary-field mass of an identical-particle system.
 
     Solves the scale equation
@@ -547,20 +434,17 @@ def afm_mass(
     a finite one.
     Every root is isolated with a certified count (_scale_roots: Rolle's
     theorem on the equation as a sum of exponential terms) and polished by
-    Brent's zero in ln X0 until its bracket is at most tolerance wide
-    relative to X0. A tolerance below the float spacing of t, 4 eps
-    max(1, |t|), is met by bisecting in X0 down to adjacent floats, where
-    2 mu F / X0 - X0 is a finite float around the root; elsewhere (e.g. where
-    F overflows) that spacing is the floor. tolerance must be finite and
-    positive (else ValidationError). A non-finite mass raises NumericalError,
+    Brent's zero in ln X0 until its bracket is at most 1e-12 wide relative
+    to X0, or as narrow as the float spacing of ln X0 allows. The mass is
+    stationary in X0, so that width moves it by about its square: one
+    precision serves every spec. A non-finite mass raises NumericalError,
     and roots that all lie outside the float range raise DomainError.
     """
     validate(spec, q)
-    require_tolerance(tolerance)
     if not spec.terms:
         raise UnsupportedCombination("need at least one potential term")
     qq = q.q
-    roots = _scale_roots(spec, qq, tolerance)
+    roots = _scale_roots(spec, qq)
     if not roots:
         raise NoPositiveRoot("the auxiliary-scale equation has no positive root")
     candidates = [(_binding_at_x0(spec, qq, r), r) for r in roots]
@@ -677,7 +561,8 @@ def linear_mass(n: int, m: float, a: float, b: float, q: float) -> AFMSolution:
     The two slopes combine into c = a + b sqrt(N(N-1)/2); eliminating the
     fields leaves the cubic x^3 - 3x - 2Y = 0 with Y = 3^(3/2) N m^2 / (2Qc),
     giving M = N m sqrt(F/(2Y)) (F + 3/F). Massless particles give the linear
-    trajectory M^2 = 4NcQ.
+    trajectory M^2 = 4NcQ, its limit as Y -> 0; a Y below the smallest normal
+    float takes it too, since F/(2Y) would overflow or divide by zero.
     """
     require_finite(n=n, m=m, a=a, b=b, q=q)
     c = a + b * math.sqrt(n * (n - 1) / 2.0)
@@ -685,11 +570,11 @@ def linear_mass(n: int, m: float, a: float, b: float, q: float) -> AFMSolution:
         raise NonPositiveSlope(f"combined slope {c} <= 0")
     if m < 0.0:
         raise SingularMasses(f"mass must be non-negative, got {m}")
-    if m == 0.0:
+    y = 3.0**1.5 * n * m * m / (2.0 * q * c)
+    if y < sys.float_info.min:
         mass = math.sqrt(4.0 * n * c * q)
         x0 = c
     else:
-        y = 3.0**1.5 * n * m * m / (2.0 * q * c)
         froot = cubic_root(y)
         x0 = c * froot / math.sqrt(3.0)
         mass = n * m * math.sqrt(froot / (2.0 * y)) * (froot + 3.0 / froot)

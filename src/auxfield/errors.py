@@ -125,6 +125,6 @@ def require_finite(**values: float) -> None:
 
 
 def require_tolerance(tolerance: float) -> None:
-    """Reject a solver tolerance that is not a finite positive number."""
+    """Reject a comparison tolerance that is not a finite positive number."""
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValidationError(f"tolerance = {tolerance} must be finite and positive")

@@ -223,14 +223,20 @@ def ho_energy_3body_closed(
 
 
 def ho_energy_identical(n: int, m: float, k: float, kbar: float, q: float) -> float:
-    """Level energy sqrt(2 (k + N kbar) / m) * Q for N identical particles."""
+    """Level energy sqrt(2 (k + N kbar) / m) * Q for N identical particles.
+
+    An energy that is not a finite float raises NumericalError.
+    """
     require_finite(n=n, m=m, k=k, kbar=kbar, q=q)
     if m <= 0.0:
         raise SingularMasses(f"mass must be positive, got {m}")
     kappa = k + n * kbar
     if kappa <= 0.0:
         raise NoRestoringForce(f"k + N kbar = {kappa} must be positive")
-    return math.sqrt(2.0 * kappa / m) * q
+    energy = math.sqrt(2.0 * kappa / m) * q
+    if not math.isfinite(energy):
+        raise NumericalError(f"energy {energy} is not a finite float")
+    return energy
 
 
 def ground_state_q(n: int, symmetry: str = "symmetric", degeneracy: int = 1) -> float:

@@ -79,15 +79,20 @@ def cubic_root(y: float) -> float:
     """Root x >= sqrt(3) of x**3 - 3x - 2y = 0 for y >= 0.
 
     Trigonometric branch for y < 1, Cardano branch for y >= 1, then Newton
-    polish down to a residual of 1e-12 * max(1, 2y).
+    polish down to a residual of 1e-12 * max(1, 2y). Where y^2 overflows,
+    y^2 - 1 rounds to y^2 and 1/t vanishes beside t, so x = (2y)^(1/3),
+    polished by one Newton step on x^3 = 2y formed without x^3 or 2y.
     """
-    if y < 0.0:
-        raise DomainError(f"cubic_root argument {y} < 0")
+    if not 0.0 <= y < math.inf:
+        raise DomainError(f"cubic_root argument {y} outside [0, inf)")
     if y < 1.0:
         x = 2.0 * math.cos(math.acos(y) / 3.0)
-    else:
+    elif y * y < math.inf:
         t = (y + math.sqrt(y * y - 1.0)) ** (1.0 / 3.0)
         x = t + 1.0 / t
+    else:
+        x = 2.0 ** (1.0 / 3.0) * y ** (1.0 / 3.0)
+        return (2.0 * x + 2.0 * (y / x / x)) / 3.0
     for _ in range(4):
         f = cubic_residual(x, y)
         if abs(f) <= 1e-13 * max(1.0, 2.0 * y):
@@ -105,7 +110,9 @@ def quartic_root(y: float) -> float:
 
     The auxiliary quantity v(y) loses precision for large y (difference of two
     nearly equal cube-root terms), so the closed form only seeds a Newton
-    iteration that enforces a residual of 1e-12 * max(1, 3y).
+    iteration that enforces a residual of 1e-12 * max(1, 3y). Where 3y
+    overflows, so does that residual: the seed takes one Newton step on
+    4x^4 = 3y instead, formed without x^4 or 3y (8x is below its last bit).
     """
     if not 0.0 <= y < math.inf:
         raise DomainError(f"quartic_root argument {y} outside [0, inf)")
@@ -118,6 +125,8 @@ def quartic_root(y: float) -> float:
         x = (0.75 * y) ** 0.25
     else:
         x = 0.5 * math.sqrt(v) + 0.5 * math.sqrt(max(4.0 / math.sqrt(v) - v, 0.0))
+    if 3.0 * y == math.inf:
+        return 0.75 * x + 0.1875 * (y / x / x / x)
     for _ in range(16):
         f = quartic_residual(x, y)
         if abs(f) <= 1e-13 * max(1.0, 3.0 * y):

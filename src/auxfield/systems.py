@@ -22,6 +22,8 @@ from .errors import (
 from .model import AFMSolution, BoundCharacter, _Value
 from .special import cubic_root, lambert_w0
 
+_MIN_NORMAL = math.ldexp(1.0, -1022)  # the smallest normal float
+
 
 # ---------------------------------------------------------------------------
 # ground-state reduction to a two-body problem
@@ -247,6 +249,19 @@ def gaussian_critical_coupling(n: int, q: float) -> float:
     return 2.0 * math.e * q * q / (n * (n - 1.0) ** 2)
 
 
+def _gaussian_y(n: int, m: float, alpha: float, beta: float, q: float) -> float:
+    """Y = -beta Q / ((N-1) sqrt(2 N m alpha)) of the gaussian level.
+
+    Where 2 N m alpha is below the smallest normal float it has lost digits,
+    or all of them, so its root is taken factor by factor.
+    """
+    if 2.0 * n * m * alpha >= _MIN_NORMAL:
+        root = math.sqrt(2.0 * n * m * alpha)
+    else:
+        root = math.sqrt(2.0 * n * m) * math.sqrt(alpha)
+    return -beta * q / ((n - 1.0) * root)
+
+
 def gaussian_spectrum(
     n: int, m: float, alpha: float, beta: float, q: float
 ) -> GaussianSpectrum:
@@ -268,7 +283,7 @@ def gaussian_spectrum(
         raise NoBoundState(
             f"depth g = {g} at or below the critical value {g_crit} for this level"
         )
-    y = -beta * q / ((n - 1.0) * math.sqrt(2.0 * n * m * alpha))
+    y = _gaussian_y(n, m, alpha, beta, q)
     w0 = lambert_w0(y)
     if w0 == 0.0:  # Y underflowed; W0(Y) ~ Y leaves every pair at the well bottom
         energy = -n * (n - 1.0) / 2.0 * alpha
@@ -288,7 +303,7 @@ def gaussian_energy_alt(n: int, m: float, alpha: float, beta: float, q: float) -
         raise SingularMasses("gaussian wells are nonrelativistic: need m > 0")
     if alpha <= 0.0 or beta <= 0.0:
         raise InvalidCoefficient("need well depth alpha > 0 and range beta > 0")
-    y = -beta * q / ((n - 1.0) * math.sqrt(2.0 * n * m * alpha))
+    y = _gaussian_y(n, m, alpha, beta, q)
     w0 = lambert_w0(y)
     if w0 == 0.0:  # Y underflowed; W0(Y) ~ Y leaves every pair at the well bottom
         return -n * (n - 1.0) / 2.0 * alpha
@@ -405,16 +420,17 @@ def two_body_linear_mass(sigma: float, m: float, slope: float, q2: float) -> flo
     """Mass of sigma sqrt(p^2 + m^2) + slope * r.
 
     Same cubic-root structure as the N-body linear system with sigma in place
-    of N; massless particles give M^2 = 4 sigma slope Q.
+    of N; massless particles give M^2 = 4 sigma slope Q, as does a Y below the
+    smallest normal float (linear_mass has the reason).
     """
     require_finite(sigma=sigma, m=m, slope=slope, q2=q2)
     if slope <= 0.0:
         raise InvalidCoefficient(f"slope {slope} must be positive")
     if m < 0.0:
         raise SingularMasses(f"mass must be non-negative, got {m}")
-    if m == 0.0:
-        return math.sqrt(4.0 * sigma * slope * q2)
     y = 3.0**1.5 * sigma * m * m / (2.0 * q2 * slope)
+    if y < _MIN_NORMAL:
+        return math.sqrt(4.0 * sigma * slope * q2)
     froot = cubic_root(y)
     return sigma * m * math.sqrt(froot / (2.0 * y)) * (froot + 3.0 / froot)
 

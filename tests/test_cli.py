@@ -480,9 +480,10 @@ def test_root_scan_beyond_float_range_exits_cleanly(tmp_path, change):
     assert code in (EXIT_OK, EXIT_NUMERICAL)
 
 
-@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("command", ["verify"])
 @pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
 def test_unusable_tolerance_exits_2(tmp_path, command, tolerance):
+    # the oracle comparison gap of verify; solve has no tolerance to set
     path = write_spec(tmp_path, LINEAR_SPEC)
     argv = [command, "--spec", path, "--format", "json", "--tolerance", tolerance]
     code, text = run_cli(argv)
@@ -490,32 +491,20 @@ def test_unusable_tolerance_exits_2(tmp_path, command, tolerance):
     assert json.loads(text)["error"]["type"] == "ValidationError"
 
 
-def test_tolerance_below_float_spacing_terminates(tmp_path):
-    # adjacent floats are never 1e-20 apart relative to their size, so the
-    # root bisection has to stop once its midpoint reaches an endpoint
-    five_body = {
-        "N": 5,
-        "mass": 2.0,
-        "kinematics": "semirelativistic",
-        "one_body": [{"type": "power", "coefficient": 0.3, "exponent": 1.0}],
-        "pairwise": [{"type": "power", "coefficient": 0.1, "exponent": -1.0}],
-        "modes": [[0, 0]] * 4,
-    }
-    path = write_spec(tmp_path, five_body)
+def test_solve_has_no_tolerance_option(tmp_path):
+    # solve polishes every root to one precision: argparse rejects the option
+    path = write_spec(tmp_path, LINEAR_SPEC)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     argv = [sys.executable, "-m", "auxfield.cli", "solve", "--spec", path]
     result = subprocess.run(
-        argv + ["--format", "json", "--tolerance", "1e-20"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
+        argv + ["--tolerance", "1e-8"], env=env, capture_output=True, text=True, timeout=60
     )
-    assert result.returncode == EXIT_OK
-    _, default = run_cli(["solve", "--spec", path, "--format", "json"])
-    mass = json.loads(result.stdout)["mass"]
-    assert mass == pytest.approx(json.loads(default)["mass"], rel=1e-12)
+    assert result.returncode == EXIT_VALIDATION
+    assert result.stderr.startswith("usage: auxfield ")
+    assert "unrecognized arguments: --tolerance 1e-8" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 def test_missing_file_exits_2(tmp_path):

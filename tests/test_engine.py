@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from auxfield import engine
 from auxfield.engine import (
     afm_mass,
-    auxiliary_k,
     bound_character,
     equal_power_mass,
     linear_mass,
@@ -22,7 +21,6 @@ from auxfield.errors import (
     NumericalError,
     SingularMasses,
     UnsupportedCombination,
-    ValidationError,
 )
 from auxfield.ho import ho_energy_identical, srho_mass
 from auxfield.model import (
@@ -35,6 +33,7 @@ from auxfield.model import (
     QuantumNumbers,
     Scope,
     SystemSpec,
+    _tangency_radii,
 )
 from auxfield.oracles import _field_term, numeric_afm_minimize
 from auxfield.systems import baryonic_ur, gaussian_critical_coupling, gaussian_spectrum
@@ -45,7 +44,63 @@ SR = Kinematics.SEMIRELATIVISTIC
 
 
 # ---------------------------------------------------------------------------
-# tangency maps
+# tangency maps: the float reference K and scale residual h of these tests
+
+
+def auxiliary_k(term):
+    """Tangency map K(x) = V'(x) / (x^2)' of a potential term.
+
+    Power law: K(x) = coefficient |lam| / 2 * x^(lam-2), a constant spring
+    coefficient for lam = 2, read as +-inf where the power overflows; gaussian
+    well: K(x) = depth range^2 exp(-(range x)^2).
+    """
+    form = term.form
+    if isinstance(form, PowerLaw):
+        half = form.coefficient * abs(form.exponent) / 2.0
+
+        def k(x, half=half, lam=form.exponent):
+            try:
+                return half * x ** (lam - 2.0)
+            except OverflowError:
+                return math.copysign(math.inf, half) if half else 0.0
+
+        return k
+    cap = form.depth * form.range_ * form.range_
+
+    def k(x, cap=cap, rng=form.range_):
+        u = rng * x  # u * u is inf past the float range, where ** raises
+        return cap * math.exp(-(u * u))
+
+    return k
+
+
+def scale_residual(spec, qq):
+    """h(X0) = 2 mu F(X0) / X0 - X0, mu = sqrt(m^2 + Q X0 / N) or m.
+
+    F(X0) = K(r_one) + N Kbar(r_pair) at the tangency radii of X0. h has the
+    sign of 2 mu F - X0^2 for X0 > 0, and no X0^2 to overflow into a false
+    sign change near sqrt(DBL_MAX); where 2 mu F overflows, F / X0 is formed
+    first.
+    """
+    n, m = spec.n, spec.identical_mass
+    k_one = auxiliary_k(spec.one_body[0]) if spec.one_body else None
+    k_pair = auxiliary_k(spec.pairwise[0]) if spec.pairwise else None
+    relativistic = spec.kinematics is SR
+
+    def h(x0):
+        r1, r2 = _tangency_radii(n, qq, x0)
+        f = 0.0
+        if k_one is not None:
+            f += k_one(r1)
+        if k_pair is not None:
+            f += n * k_pair(r2)
+        mu = math.sqrt(m * m + qq * x0 / n) if relativistic else m
+        y = 2.0 * mu * f / x0
+        if abs(y) == math.inf:
+            y = 2.0 * mu * (f / x0)
+        return y - x0
+
+    return h
 
 
 def test_power_tangency_map():
@@ -127,6 +182,16 @@ def test_sr_pairwise_linear_matches_linear_mass():
     closed = linear_mass(3, 1.0, 0.0, 0.2, 3.0)
     assert sol.mass == pytest.approx(closed.mass, rel=1e-10)
     assert x0_residual(spec, ground(3), sol) < 1e-10
+
+
+def test_linear_mass_matches_afm_mass_where_y_squared_overflows():
+    # Y = 7e160 lies past the square root of the float range: Y^2 overflows
+    spec = power_system(3, 1e80, SR, one=(0.2, 1.0), pair=(0.1, 1.0))
+    sol = afm_mass(spec, ground(3))
+    closed = linear_mass(3, 1e80, 0.2, 0.1, 3.0)
+    assert closed.mass == pytest.approx(sol.mass, rel=1e-12)
+    assert closed.x0 == pytest.approx(sol.x0, rel=1e-12)
+    assert x0_residual(spec, ground(3), closed) < 1e-10
 
 
 def test_kinetic_identity_and_tangency_reconstruction():
@@ -540,13 +605,6 @@ def test_bound_character_reads_the_sign_of_a_subnormal_coefficient():
     assert bound_character(spec) is BoundCharacter.UPPER_BOUND
 
 
-@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
-def test_afm_mass_rejects_unusable_tolerance(tolerance):
-    spec = power_system(3, 1.0, Kinematics.SEMIRELATIVISTIC, pair=(0.2, 1.0))
-    with pytest.raises(ValidationError):
-        afm_mass(spec, ground(3), tolerance=tolerance)
-
-
 # ---------------------------------------------------------------------------
 # isolated scale-equation roots against the log-grid scan
 
@@ -587,7 +645,7 @@ def _scale_candidates(spec, q: float) -> list[float]:
     return [s for s in out if math.isfinite(s) and s > 0.0]
 
 
-def _solve_x0_roots(h, scales: list[float], tolerance: float) -> list[float]:
+def _solve_x0_roots(h, scales: list[float]) -> list[float]:
     """All positive roots of h by a log-grid scan.
 
     The grid runs from min(scales) 1e-10 to max(scales) 1e10, clamped to the
@@ -614,16 +672,15 @@ def _solve_x0_roots(h, scales: list[float], tolerance: float) -> list[float]:
         if h_prev == 0.0:
             roots.append(x_prev)
         elif (h_prev > 0.0) != (h_cur > 0.0):
-            t = engine._zero(h_of_t, math.log(x_prev), math.log(x), h_prev, h_cur, tolerance)
-            roots.append(engine._x0(t, tolerance, h))
+            t = engine._zero(h_of_t, math.log(x_prev), math.log(x), h_prev, h_cur)
+            roots.append(math.exp(t))
         x_prev, h_prev = x, h_cur
     return roots
 
 
-def _grid_scale_roots(spec, qq, tolerance):
+def _grid_scale_roots(spec, qq):
     """The log-grid scan that afm_mass ran before the isolator: the reference."""
-    h = engine._scale_residual(spec, qq)
-    return _solve_x0_roots(h, _scale_candidates(spec, qq), tolerance)
+    return _solve_x0_roots(scale_residual(spec, qq), _scale_candidates(spec, qq))
 
 
 def _grid_only():
@@ -636,7 +693,7 @@ def _solve_routes(spec, q):
     for route in (contextlib.nullcontext(), _grid_only()):
         with route:
             try:
-                roots = engine._scale_roots(spec, q.q, 1e-12)
+                roots = engine._scale_roots(spec, q.q)
             except NumericalError as exc:
                 roots = type(exc)
             try:
@@ -731,23 +788,20 @@ def test_structured_solve_matches_grid(case):
     ],
     ids=["nr-x0-1e100", "nr-x0-7e111", "sr-x0-7e66", "gaussian"],
 )
-def test_tiny_tolerance_resolves_x0_to_adjacent_floats(spec):
+def test_x0_lies_within_the_solve_precision_of_a_sign_change_of_h(spec):
     # t = ln X0 is ~230 at X0 = 1e100, so its float spacing is ~230 times
-    # coarser than that of X0: below it the root is bisected in X0 itself
+    # coarser than that of X0; the polish in t still holds X0 to 1e-12
     q = ground(3)
-    x0 = afm_mass(spec, q, tolerance=1e-20).x0
-    h = engine._scale_residual(spec, q.q)
-    below, above = math.nextafter(x0, 0.0), math.nextafter(x0, math.inf)
-    assert (h(below) > 0.0) != (h(above) > 0.0)
-    assert x0 == pytest.approx(afm_mass(spec, q).x0, rel=1e-12)
+    x0 = afm_mass(spec, q).x0
+    h = scale_residual(spec, q.q)
+    assert (h(x0 * (1.0 - 1e-12)) > 0.0) != (h(x0 * (1.0 + 1e-12)) > 0.0)
 
 
-def test_tiny_tolerance_where_h_is_not_finite_keeps_the_float_spacing_of_t():
-    # F overflows at the root X0 = 6.66e164, so bisection in X0 has no finite
-    # h to work with and the floor stays 4 eps |ln X0| relative
+def test_root_where_f_overflows_keeps_its_bits():
+    # F overflows at the root X0 = 6.66e164, so h has no finite value there:
+    # the root comes from the polish in t alone
     spec = power_system(3, 1.0, NR, pair=(10.0, -1.99))
-    x0 = afm_mass(spec, ground(3), tolerance=1e-20).x0
-    assert x0 == afm_mass(spec, ground(3)).x0 == 6.660174264961239e164
+    assert afm_mass(spec, ground(3)).x0 == 6.660174264961239e164
 
 
 def test_massive_repulsive_spec_matches_the_grid():
@@ -809,7 +863,7 @@ def test_every_isolated_root_is_a_sign_change_at_50_digits(case):
     pytest.importorskip("mpmath")
     spec, q = case
     try:
-        roots = engine._scale_roots(spec, q.q, 1e-12)
+        roots = engine._scale_roots(spec, q.q)
     except NumericalError:
         return
     for x0 in roots:
@@ -829,10 +883,10 @@ def test_close_root_pair_beside_a_one_body_power():
         pairwise=(PotentialTerm(Scope.PAIRWISE, well),),
     )
     q = QuantumNumbers(((1, 0), (0, 0), (0, 0)))
-    roots = engine._scale_roots(spec, q.q, 1e-12)
+    roots = engine._scale_roots(spec, q.q)
     assert roots == pytest.approx([2.8792e-3, 3.0063e-3, 1.5401], rel=1e-4)
     assert all(_is_certified_root(spec, q.q, x0) for x0 in roots)
-    assert _grid_scale_roots(spec, q.q, 1e-12) == pytest.approx(roots[-1:], rel=1e-12)
+    assert _grid_scale_roots(spec, q.q) == pytest.approx(roots[-1:], rel=1e-12)
 
 
 def test_massive_root_below_the_grid_window():
@@ -848,7 +902,7 @@ def test_massive_root_below_the_grid_window():
     assert _is_certified_root(spec, q.q, sol.x0)
     assert sol.mass == pytest.approx(numeric_afm_minimize(spec, q), rel=1e-12)
     assert sol.mass == pytest.approx(9.01774788182434, rel=1e-13)
-    assert _grid_scale_roots(spec, q.q, 1e-12) == []
+    assert _grid_scale_roots(spec, q.q) == []
 
 
 def _criterion_4_power_draws(rng, count):
@@ -896,7 +950,7 @@ def _gaussian_draws(rng, count):
 def _residual_calls(spec, q):
     """Names of the residual closures called by one solve of the scale
     equation, in order, and the roots it returns."""
-    names = ("residual", "u_residual", "h")
+    names = ("residual", "u_residual")
     calls = []
 
     def count(frame, event, arg):
@@ -906,7 +960,7 @@ def _residual_calls(spec, q):
 
     sys.setprofile(count)
     try:
-        roots = engine._scale_roots(spec, q.q, 1e-12)
+        roots = engine._scale_roots(spec, q.q)
     finally:
         sys.setprofile(None)
     return calls, roots
@@ -915,13 +969,12 @@ def _residual_calls(spec, q):
 def test_structured_solve_cost_guard():
     # machine-independent cost: evaluations of the scale equation and of the
     # derivatives that split it per solve, counted as calls of the residuals
-    # in t; h, in X0, only bisects below the float spacing of t
+    # in t
     draws = list(_criterion_4_power_draws(np.random.default_rng(314), 40))
     draws += _nr_quadratic_draws(np.random.default_rng(315), 40)
     draws += _gaussian_draws(np.random.default_rng(316), 40)
     for spec, q in draws:
         calls, _ = _residual_calls(spec, q)
-        assert "h" not in calls
         assert 0 < len(calls) <= 60
 
 

@@ -654,6 +654,14 @@ def test_trial_bound_below_linear_afm():
     assert bound > 0.0  # rising potential still costs kinetic energy
 
 
+def test_trial_bound_at_threshold_without_a_trial_bound_state():
+    # the trial family holds no bound state of this shallow well: the
+    # expectation still descends at the edge of the kappa range, so the
+    # bound is that edge value, at the threshold up to rounding
+    bound = gaussian_trial_bound(gaussian_system(3, 1.0, 0.1, 1.0))
+    assert 0.0 <= bound <= 1e-12
+
+
 def test_trial_bound_flags_runaway():
     # absurdly strong attraction pushes the optimum beyond the supported
     # field range; the bound cannot be trusted there

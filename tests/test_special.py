@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +79,8 @@ def test_cubic_against_bisection():
 def test_cubic_domain_error():
     with pytest.raises(DomainError):
         cubic_root(-0.1)
+    with pytest.raises(DomainError):
+        cubic_root(math.inf)
 
 
 @given(st.floats(min_value=0.0, max_value=1e3))
@@ -118,6 +122,20 @@ def test_quartic_large_argument_bracket():
 def test_quartic_domain_error():
     with pytest.raises(DomainError):
         quartic_root(-1e-9)
+
+
+@pytest.mark.parametrize(
+    "y", [1e100, 1.34e154, 1.35e154, 1e200, 6e307, 7e307, 9e307, 1e308, sys.float_info.max]
+)
+def test_roots_up_to_the_float_range(y):
+    # y^2 overflows in the Cardano branch past 1.34e154, and 3y in the
+    # quartic's residual past 6e307; the residuals are formed exactly here
+    x, fy = cubic_root(y), Fraction(y)
+    assert math.isfinite(x)
+    assert abs(Fraction(x) ** 3 - 3 * Fraction(x) - 2 * fy) <= 1e-13 * 2 * fy
+    x = quartic_root(y)
+    assert math.isfinite(x)
+    assert abs(4 * Fraction(x) ** 4 - 8 * Fraction(x) - 3 * fy) <= 1e-13 * 3 * fy
 
 
 @given(st.floats(min_value=0.0, max_value=1e3))

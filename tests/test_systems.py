@@ -6,6 +6,7 @@ from auxfield.engine import linear_mass
 from auxfield.errors import (
     InvalidCoefficient,
     NoBoundState,
+    NumericalError,
     OverCritical,
     UnstableConfiguration,
     ValidationError,
@@ -540,3 +541,42 @@ def test_closed_forms_need_an_integer_particle_count_of_two_or_more(fn, args, n)
 def test_closed_forms_reject_quantum_numbers_no_state_has(fn, args, error):
     with pytest.raises(error):
         fn(*args)
+
+
+def _linear_mass(*args):
+    return linear_mass(*args).mass
+
+
+def _gaussian_energy(*args):
+    return gaussian_spectrum(*args).energy
+
+
+@pytest.mark.parametrize(
+    "fn,args,expected",
+    [
+        # Y = 3^(3/2) N m^2 / (2 Q c) below the smallest normal float: the
+        # massless limit, where F / (2Y) would divide by zero or overflow
+        pytest.param(_linear_mass, (3, 1e-170, 0.2, 0.1, 3.0), 3.665430794224324,
+                     id="linear-y-zero"),
+        pytest.param(two_body_linear_mass, (2.0, 1e-170, 0.3, 1.5), 1.8973665961010275,
+                     id="two-body-linear-y-zero"),
+        pytest.param(two_body_linear_mass, (2.0, 1e-160, 1e-9, 5.5),
+                     two_body_linear_mass(2.0, 0.0, 1e-9, 5.5), id="two-body-linear-y-subnormal"),
+        # an energy past the float range, and a Y whose sqrt(2 N m alpha)
+        # underflowed (W0 of that Y lies off the real branch)
+        pytest.param(ho_energy_identical, (3, 1e-300, 1e10, 0.0, 3.0), NumericalError,
+                     id="ho-identical-inf"),
+        pytest.param(gaussian_energy_alt, (3, 1e-200, 1e-200, 1e-150, 3.0), NumericalError,
+                     id="gaussian-alt-root-underflow"),
+        # 2 N m alpha = 6e-320 is subnormal, with digits lost before the root;
+        # the reference is the level evaluated at 50 digits
+        pytest.param(_gaussian_energy, (3, 1e-160, 1e-160, 1e-171, 3.0),
+                     -2.9999999999265153e-160, id="gaussian-root-subnormal"),
+    ],
+)
+def test_closed_forms_at_the_ends_of_the_float_range(fn, args, expected):
+    if isinstance(expected, float):
+        assert fn(*args) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    else:
+        with pytest.raises(expected):
+            fn(*args)
