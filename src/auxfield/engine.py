@@ -40,6 +40,7 @@ from .model import (
     Scope,
     SystemSpec,
     _exp,
+    _ratio,
     _tangency_radii,
     validate,
 )
@@ -53,29 +54,6 @@ _STEP = 0.5 * math.log(10.0)  # half a decade of X0: first bracketing step
 _TOLERANCE = 1e-12  # _zero's bracket width in t: a relative width in X0
 # (e, sign, ln magnitude, ln c): the term sign exp(ln magnitude + e t' - c e^(-t'))
 _Term = tuple[float, float, float, float]
-
-
-def bound_character(spec: SystemSpec) -> BoundCharacter:
-    """Classify the solver output against the exact eigenvalue.
-
-    The quadratic surrogate is tangent to each genuine potential; written as
-    g(r^2), a concave g keeps the surrogate above the potential and a convex g
-    below it. Exact nonrelativistic kinetics then turns those into an upper or
-    lower bound; the semirelativistic kinetic replacement is itself an upper
-    bound, so only the concave case survives there.
-    """
-    signs = [t.form.curvature_sign() for t in spec.terms]
-    has_neg = any(s < 0.0 for s in signs)
-    has_pos = any(s > 0.0 for s in signs)
-    if spec.kinematics is Kinematics.SEMIRELATIVISTIC:
-        return BoundCharacter.UPPER_BOUND if not has_pos else BoundCharacter.UNKNOWN
-    if has_neg and not has_pos:
-        return BoundCharacter.UPPER_BOUND
-    if has_pos and not has_neg:
-        return BoundCharacter.LOWER_BOUND
-    if not signs or (has_neg and has_pos):
-        return BoundCharacter.UNKNOWN
-    return BoundCharacter.EXACT
 
 
 def _binding_at_x0(spec: SystemSpec, q: float, x0: float) -> float:
@@ -450,19 +428,20 @@ def afm_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
     candidates = [(_binding_at_x0(spec, qq, r), r) for r in roots]
     binding, x0 = min([c for c in candidates if math.isfinite(c[0])] or candidates)
     mass = spec.n * spec.identical_mass + binding
-    return AFMSolution.at_scale(
-        spec.n, spec.identical_mass, qq, x0, mass, bound_character(spec)
-    )
+    bound = BoundCharacter.of(spec.kinematics, [t.form for t in spec.terms])
+    return AFMSolution.at_scale(spec.n, spec.identical_mass, qq, x0, mass, bound)
 
 
 def _extract_equal_powers(spec: SystemSpec) -> tuple[float, float, float]:
-    """(a, b, lam) from a one-body and/or pairwise power-law system."""
+    """(a, b, lam) from a one-body and/or pairwise power-law system.
+
+    A validated spec has a power law as its one-body term, if any; only the
+    pairwise term can be a gaussian well.
+    """
     a = b = 0.0
     lams = set()
     if spec.one_body:
         form = spec.one_body[0].form
-        if not isinstance(form, PowerLaw):
-            raise UnsupportedForm("equal-power route needs power-law terms")
         a = form.coefficient
         lams.add(form.exponent)
     if spec.pairwise:
@@ -497,6 +476,7 @@ def equal_power_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
     n = spec.n
     m = spec.identical_mass
     qq = q.q
+    bound = BoundCharacter.of(spec.kinematics, [t.form for t in spec.terms])
 
     # C = a |lam| (N/Q)^((2-lam)/2) + b |lam| N ((N-1)/(2Q))^((2-lam)/2)
     half = 0.5 * (2.0 - lam)
@@ -535,7 +515,7 @@ def equal_power_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
         mass = (n * lam * m * m + qq * (lam + 1.0) * x0) / (
             lam * math.sqrt(m * m + qq * x0 / n)
         )
-        return AFMSolution.at_scale(n, m, qq, x0, mass, bound_character(spec))
+        return AFMSolution.at_scale(n, m, qq, x0, mass, bound)
     if spec.kinematics is Kinematics.NONRELATIVISTIC:
         # X0 = (m C)^g, M = N m + (lam+2)/(2 lam) Q C^g m^(-lam/(lam+2)), g = 2/(lam+2)
         g = 2.0 / (lam + 2.0)
@@ -552,7 +532,7 @@ def equal_power_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
         rest, factor = 0.0, (lam + 1.0) / lam
         log_binding = 0.5 * (math.log(qq) + math.log(n) + log_x0)
     mass = rest + math.copysign(_exp(math.log(abs(factor)) + log_binding), factor)
-    return AFMSolution.at_scale(n, m, qq, _exp(log_x0), mass, bound_character(spec))
+    return AFMSolution.at_scale(n, m, qq, _exp(log_x0), mass, bound)
 
 
 def linear_mass(n: int, m: float, a: float, b: float, q: float) -> AFMSolution:
@@ -570,7 +550,7 @@ def linear_mass(n: int, m: float, a: float, b: float, q: float) -> AFMSolution:
         raise NonPositiveSlope(f"combined slope {c} <= 0")
     if m < 0.0:
         raise SingularMasses(f"mass must be non-negative, got {m}")
-    y = 3.0**1.5 * n * m * m / (2.0 * q * c)
+    y = _ratio(3.0**1.5 * n * m * m, 2.0 * q * c)
     if y < sys.float_info.min:
         mass = math.sqrt(4.0 * n * c * q)
         x0 = c
@@ -578,4 +558,5 @@ def linear_mass(n: int, m: float, a: float, b: float, q: float) -> AFMSolution:
         froot = cubic_root(y)
         x0 = c * froot / math.sqrt(3.0)
         mass = n * m * math.sqrt(froot / (2.0 * y)) * (froot + 3.0 / froot)
-    return AFMSolution.at_scale(n, m, q, x0, mass, BoundCharacter.UPPER_BOUND)
+    bound = BoundCharacter.of(Kinematics.SEMIRELATIVISTIC, (PowerLaw(a, 1.0), PowerLaw(b, 1.0)))
+    return AFMSolution.at_scale(n, m, q, x0, mass, bound)

@@ -98,7 +98,8 @@ _COUNTS = {
     "l_tot": (0, "l_tot"),
     "degeneracy": (1, "degeneracy"),
 }
-_PRINCIPAL = ("q", "q_c", "q2")  # principal quantum numbers
+# principal quantum numbers, and the two-body weight and coupling of the dual maps
+_POSITIVE = ("q", "q_c", "q2", "sigma", "g")
 
 
 def require_finite(**values: float) -> None:
@@ -107,16 +108,17 @@ def require_finite(**values: float) -> None:
     The particle count ``n`` must be an int (not a bool) >= 2, the
     excitations ``n_tot`` and ``l_tot`` ints >= 0 and the orbital
     ``degeneracy`` an int >= 1, or ValidationError is raised. The principal
-    numbers ``q``, ``q_c`` and ``q2`` must be finite and > 0, or
-    InvalidCoefficient is raised. The particle mass ``m`` raises
-    SingularMasses; any other argument raises InvalidCoefficient.
+    numbers ``q``, ``q_c`` and ``q2``, the two-body weight ``sigma`` and the
+    coupling ``g`` must be finite and > 0, or InvalidCoefficient is raised.
+    The particle mass ``m`` raises SingularMasses; any other argument raises
+    InvalidCoefficient.
     """
     for name, value in values.items():
         if name in _COUNTS:
             least, what = _COUNTS[name]
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValidationError(f"need an integer {what} >= {least}, got {value!r}")
-        elif name in _PRINCIPAL:
+        elif name in _POSITIVE:
             if not 0.0 < value < math.inf:
                 raise InvalidCoefficient(f"{name} = {value} must be finite and positive")
         elif not math.isfinite(value):

@@ -17,12 +17,11 @@ from typing import TYPE_CHECKING, Sequence
 from .errors import (
     NoRestoringForce,
     NotClosedShell,
-    NumericalError,
     SingularMasses,
     ValidationError,
     require_finite,
 )
-from .model import AFMSolution, BoundCharacter, _Value
+from .model import AFMSolution, BoundCharacter, Kinematics, PowerLaw, _finite, _ratio, _Value
 from .special import quartic_root, symmetric_eigen
 
 if TYPE_CHECKING:
@@ -146,9 +145,7 @@ def ho_energies_general(
     energy = sum(
         w * (2 * ni + li + 1.5) for w, (ni, li) in zip(omegas, modes)
     )
-    if not math.isfinite(energy):
-        raise NumericalError(f"energy {energy} is not a finite float")
-    return HOSpectrumEntry(omegas, energy)
+    return HOSpectrumEntry(omegas, _finite(energy, "energy"))
 
 
 def ho_energy_3body_closed(
@@ -170,10 +167,10 @@ def ho_energy_3body_closed(
     """
     if len(masses) != 3 or len(k) != 3 or len(kbar_pairs) != 3:
         raise ValidationError("three masses, three one-body and three pairwise constants")
+    if min(masses) <= 0.0:
+        raise SingularMasses("all masses must be positive")
     mref = float(masses[0])
     a1, a2, a3 = (mi / mref for mi in masses)
-    if min(a1, a2, a3) <= 0.0:
-        raise SingularMasses("all masses must be positive")
     k1, k2, k3 = k
     kb12, kb13, kb23 = kbar_pairs
     al = a1 + a2 + a3
@@ -217,9 +214,7 @@ def ho_energy_3body_closed(
     energy = pref * (
         math.sqrt(stiff) * (2 * n1 + l1 + 1.5) + math.sqrt(soft) * (2 * n2 + l2 + 1.5)
     )
-    if not math.isfinite(energy):
-        raise NumericalError(f"energy {energy} is not a finite float")
-    return energy
+    return _finite(energy, "energy")
 
 
 def ho_energy_identical(n: int, m: float, k: float, kbar: float, q: float) -> float:
@@ -233,10 +228,7 @@ def ho_energy_identical(n: int, m: float, k: float, kbar: float, q: float) -> fl
     kappa = k + n * kbar
     if kappa <= 0.0:
         raise NoRestoringForce(f"k + N kbar = {kappa} must be positive")
-    energy = math.sqrt(2.0 * kappa / m) * q
-    if not math.isfinite(energy):
-        raise NumericalError(f"energy {energy} is not a finite float")
-    return energy
+    return _finite(math.sqrt(2.0 * kappa / m) * q, "energy")
 
 
 def ground_state_q(n: int, symmetry: str = "symmetric", degeneracy: int = 1) -> float:
@@ -282,9 +274,9 @@ def srho_mass(n: int, m: float, k: float, kbar: float, q: float) -> AFMSolution:
     if kappa <= 0.0:
         raise NoRestoringForce(f"k + N kbar = {kappa} must be positive")
 
-    y = 0.0
-    if m != 0.0:
-        y = (4.0 * m * m / 3.0) * (2.0 * n * n / (kappa * q * q)) ** (2.0 / 3.0)
+    y = 4.0 * m * m / 3.0
+    if y != 0.0:
+        y *= _ratio(2.0 * n * n, kappa * q * q) ** (2.0 / 3.0)
     if y == 0.0:  # massless, or so light that Y underflows: the massless limit
         mass = 1.5 * (2.0 * n * kappa * q * q) ** (1.0 / 3.0)
         mu0 = (2.0 * kappa * q * q / (n * n)) ** (1.0 / 3.0)
@@ -293,4 +285,5 @@ def srho_mass(n: int, m: float, k: float, kbar: float, q: float) -> AFMSolution:
         mu0 = 2.0 * m * g * g / math.sqrt(3.0 * y)
         mass = 2.0 * n * m / math.sqrt(3.0 * y) * (1.0 / g + g * g)
     x0 = math.sqrt(2.0 * mu0 * kappa)
-    return AFMSolution.at_scale(n, m, q, x0, mass, BoundCharacter.UPPER_BOUND)
+    bound = BoundCharacter.of(Kinematics.SEMIRELATIVISTIC, (PowerLaw(k, 2.0), PowerLaw(kbar, 2.0)))
+    return AFMSolution.at_scale(n, m, q, x0, mass, bound)

@@ -13,7 +13,7 @@ import math
 import sys
 from enum import Enum
 from operator import attrgetter
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import (
     DomainError,
@@ -136,6 +136,26 @@ class BoundCharacter(Enum):
     LOWER_BOUND = "lower"
     EXACT = "exact"
     UNKNOWN = "unknown"
+
+    @classmethod
+    def of(cls, kinematics: Kinematics, forms: Iterable[PotentialForm]) -> BoundCharacter:
+        """Label of the mass of a spec with these kinematics and potential forms.
+
+        The quadratic surrogate is tangent to each genuine potential; written
+        as g(r^2), a concave g keeps the surrogate above the potential and a
+        convex g below it (curvature_sign). Exact nonrelativistic kinetics
+        then turns those into an upper or lower bound; the semirelativistic
+        kinetic replacement is itself an upper bound, so only the concave
+        case survives there.
+        """
+        signs = [form.curvature_sign() for form in forms]
+        has_neg = any(s < 0.0 for s in signs)
+        has_pos = any(s > 0.0 for s in signs)
+        if kinematics is Kinematics.SEMIRELATIVISTIC:
+            return cls.UNKNOWN if has_pos else cls.UPPER_BOUND
+        if has_neg != has_pos:
+            return cls.UPPER_BOUND if has_neg else cls.LOWER_BOUND
+        return cls.UNKNOWN if has_neg or not signs else cls.EXACT
 
 
 class Scope(Enum):
@@ -290,18 +310,28 @@ class AFMSolution(_Value):
         so mu0^2 - m^2 = Q X0 / N holds by construction, and the tangency
         radii are r0_one = sqrt(Q / (N X0)) and r0_pair = sqrt(2Q / ((N-1) X0)).
         An X0 that is not a positive float (it under- or overflowed) raises
-        DomainError, and a mass that is not a finite float (inf or NaN) raises
-        NumericalError, so no solver returns either.
+        DomainError, and a mass that is not a finite float raises
+        NumericalError (_finite), so no solver returns either.
         """
         if not 0.0 < x0 < math.inf:
             raise DomainError(f"auxiliary scale X0 = {x0} is not a positive float")
-        if not math.isfinite(mass):
-            raise NumericalError(f"mass {mass} at X0 = {x0} is not a finite float")
         r_one, r_pair = _tangency_radii(n, q, x0)
         mu0 = math.sqrt(m * m + q * x0 / n)
         if mu0 == math.inf:  # m * m overflowed
             mu0 = math.hypot(m, math.sqrt(q * x0 / n))
-        return cls(mass, x0, mu0, r_one, r_pair, bound)
+        return cls(_finite(mass), x0, mu0, r_one, r_pair, bound)
+
+
+def _finite(value: float, what: str = "mass") -> float:
+    """value, unless it is inf or NaN: then NumericalError, so no solver returns it."""
+    if not math.isfinite(value):
+        raise NumericalError(f"{what} {value} is not a finite float")
+    return value
+
+
+def _ratio(top: float, bottom: float) -> float:
+    """top / bottom for top >= 0 where bottom may have underflowed to 0 (then 0 or inf)."""
+    return top / bottom if bottom else (math.inf if top else 0.0)
 
 
 def _tangency_radii(n: int, q: float, x0: float) -> tuple[float, float]:

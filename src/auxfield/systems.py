@@ -19,7 +19,7 @@ from .errors import (
     UnstableConfiguration,
     require_finite,
 )
-from .model import AFMSolution, BoundCharacter, _Value
+from .model import AFMSolution, BoundCharacter, Kinematics, PowerLaw, _finite, _ratio, _Value
 from .special import cubic_root, lambert_w0
 
 _MIN_NORMAL = math.ldexp(1.0, -1022)  # the smallest normal float
@@ -43,7 +43,7 @@ def twobody_reduction(
     require_finite(n=n, m=m)
     m_prime = m * math.sqrt(n / (2.0 * (n - 1.0)))
     sigma_prime = math.sqrt(8.0 / (n * (n - 1.0)))
-    return n * (n - 1.0) / 2.0 * two_body_mass(m_prime, sigma_prime)
+    return _finite(n * (n - 1.0) / 2.0 * two_body_mass(m_prime, sigma_prime))
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +60,10 @@ def coulomb_nbody(n: int, m: float, b: float, q_c: float = 1.0) -> float:
     require_finite(n=n, m=m, b=b, q_c=q_c)
     if m <= 0.0:
         raise SingularMasses("coulomb systems need massive particles")
-    arg = 1.0 - n * (n - 1.0) * b * b / (8.0 * q_c * q_c)
+    arg = 1.0 - _ratio(n * (n - 1.0) * b * b, 8.0 * q_c * q_c)
     if arg < 0.0:
         raise OverCritical(f"coupling {b} beyond collapse for N={n}")
-    return n * m * math.sqrt(arg)
+    return _finite(n * m * math.sqrt(arg))
 
 
 def coulomb_critical_coupling(n: int, b_2: float) -> float:
@@ -92,7 +92,8 @@ def baryonic_ur(n: int, a: float, b: float, q: float) -> AFMSolution:
         raise OverCritical(f"Coulomb coupling {b} beyond the critical value")
     mass = 2.0 * math.sqrt(a) * math.sqrt(q * n - pair_pull)
     x0 = a / (1.0 - pair_pull / (q * n))
-    return AFMSolution.at_scale(n, 0.0, q, x0, mass, BoundCharacter.UPPER_BOUND)
+    bound = BoundCharacter.of(Kinematics.SEMIRELATIVISTIC, (PowerLaw(a, 1.0), PowerLaw(b, -1.0)))
+    return AFMSolution.at_scale(n, 0.0, q, x0, mass, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,7 @@ def baryon_mass(params: BaryonParams, n_tot: int, l_tot: int) -> float:
         arg = band + 3.0 - 2.0 * als / math.sqrt(3.0)
         if arg <= 0.0:
             raise OverCritical(f"coupling {als} too strong for band {band}")
-        return math.sqrt(12.0 * lam * arg)
+        return _finite(math.sqrt(12.0 * lam * arg))
     if params.variant is BaryonVariant.M2:
         band_eff = math.pi / 2.0 * n_tot + l_tot
     else:
@@ -151,7 +152,7 @@ def baryon_mass(params: BaryonParams, n_tot: int, l_tot: int) -> float:
     arg = band_eff + 3.0 - math.sqrt(3.0) * als
     if arg <= 0.0:
         raise OverCritical(f"coupling {als} too strong for band {band}")
-    return math.sqrt(32.0 / math.pi * lam * arg)
+    return _finite(math.sqrt(32.0 / math.pi * lam * arg))
 
 
 def baryon_single_gaussian_ground(lambda_string: float, alpha_s: float) -> float:
@@ -214,13 +215,13 @@ def _atomic_d(n: int, m: float, alpha: float, alphabar: float, q: float) -> floa
 def atomic_mass(n: int, m: float, alpha: float, alphabar: float, q: float) -> float:
     """Semirelativistic mass M = m_t sqrt(1 - D^2) of an atom-like system."""
     d = _atomic_d(n, m, alpha, alphabar, q)
-    return n * m * math.sqrt(1.0 - d * d)
+    return _finite(n * m * math.sqrt(1.0 - d * d))
 
 
 def atomic_mass_nr(n: int, m: float, alpha: float, alphabar: float, q: float) -> float:
     """Nonrelativistic variant m_t (1 - D^2 / 2), valid for small D."""
     d = _atomic_d(n, m, alpha, alphabar, q)
-    return n * m * (1.0 - d * d / 2.0)
+    return _finite(n * m * (1.0 - d * d / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +291,7 @@ def gaussian_spectrum(
     else:  # beta / W0 stays finite where beta^2 and W0^2 underflow
         r = beta / w0
         energy = -(q * q / (m * (n - 1.0))) * (1.0 + 2.0 * w0) / 4.0 * r * r
-    return GaussianSpectrum(energy=energy, g=g, g_critical=g_crit, y=y, w0=w0)
+    return GaussianSpectrum(_finite(energy, "energy"), g, g_crit, y, w0)
 
 
 def gaussian_energy_alt(n: int, m: float, alpha: float, beta: float, q: float) -> float:
@@ -306,9 +307,9 @@ def gaussian_energy_alt(n: int, m: float, alpha: float, beta: float, q: float) -
     y = _gaussian_y(n, m, alpha, beta, q)
     w0 = lambert_w0(y)
     if w0 == 0.0:  # Y underflowed; W0(Y) ~ Y leaves every pair at the well bottom
-        return -n * (n - 1.0) / 2.0 * alpha
+        return _finite(-n * (n - 1.0) / 2.0 * alpha, "energy")
     ratio = y / w0  # finite where Y^2 and W0^2 underflow
-    return -n * (n - 1.0) / 2.0 * alpha * ratio * ratio * (1.0 + 2.0 * w0)
+    return _finite(-n * (n - 1.0) / 2.0 * alpha * ratio * ratio * (1.0 + 2.0 * w0), "energy")
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +328,7 @@ def funnel_nbody_ur(n: int, a: float, b: float, q: float) -> float:
     msq = a * math.sqrt(8.0 * n * (n - 1.0)) * n * q - a * b * n * n * (n - 1.0) ** 2
     if msq <= 0.0:
         raise OverCritical(f"Coulomb part b = {b} beyond the critical value")
-    return math.sqrt(msq)
+    return _finite(math.sqrt(msq))
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +346,14 @@ def pairwise_sigma_dual(
     """N-body mass of a pairwise-only system, two-body weight sigma."""
     require_finite(n=n, q=q, sigma=sigma)
     q_star = q * math.sqrt(2.0 / (n * (n - 1.0)))
-    return n / sigma * two_body(sigma, (n - 1.0) / 2.0 * sigma, q_star)
+    return _finite(n / sigma * two_body(sigma, (n - 1.0) / 2.0 * sigma, q_star))
 
 
 def pairwise_g_dual(n: int, two_body: Callable, q: float, g: float = 1.0) -> float:
     """N-body mass of a pairwise-only system, two-body coupling g."""
     require_finite(n=n, q=q, g=g)
     q_star = q * math.sqrt(2.0 / (n * (n - 1.0)))
-    return n * (n - 1.0) / (2.0 * g) * two_body(2.0 * g / (n - 1.0), g, q_star)
+    return _finite(n * (n - 1.0) / (2.0 * g) * two_body(2.0 * g / (n - 1.0), g, q_star))
 
 
 def gaussian_dual(
@@ -363,7 +364,8 @@ def gaussian_dual(
     Q stays; the well deepens to alpha N(N-1)/2 and widens to beta/sqrt(N-1).
     """
     require_finite(n=n, m=m, alpha=alpha, beta=beta, q=q)
-    return two_body(m, alpha * n * (n - 1.0) / 2.0, beta / math.sqrt(n - 1.0), q)
+    energy = two_body(m, alpha * n * (n - 1.0) / 2.0, beta / math.sqrt(n - 1.0), q)
+    return _finite(energy, "energy")
 
 
 def linear_dual(
@@ -376,7 +378,7 @@ def linear_dual(
     """
     require_finite(n=n, m=m, a=a, b=b, q=q)
     slope = a + b * math.sqrt(n * (n - 1.0) / 2.0)
-    return two_body(float(n), m, slope, q)
+    return _finite(two_body(float(n), m, slope, q))
 
 
 def duality_identities(n: int) -> list[tuple[str, float, float]]:
@@ -428,11 +430,11 @@ def two_body_linear_mass(sigma: float, m: float, slope: float, q2: float) -> flo
         raise InvalidCoefficient(f"slope {slope} must be positive")
     if m < 0.0:
         raise SingularMasses(f"mass must be non-negative, got {m}")
-    y = 3.0**1.5 * sigma * m * m / (2.0 * q2 * slope)
+    y = _ratio(3.0**1.5 * sigma * m * m, 2.0 * q2 * slope)
     if y < _MIN_NORMAL:
-        return math.sqrt(4.0 * sigma * slope * q2)
+        return _finite(math.sqrt(4.0 * sigma * slope * q2))
     froot = cubic_root(y)
-    return sigma * m * math.sqrt(froot / (2.0 * y)) * (froot + 3.0 / froot)
+    return _finite(sigma * m * math.sqrt(froot / (2.0 * y)) * (froot + 3.0 / froot))
 
 
 def two_body_funnel_ur(sigma: float, a: float, b: float, q2: float) -> float:
@@ -443,7 +445,7 @@ def two_body_funnel_ur(sigma: float, a: float, b: float, q2: float) -> float:
     arg = a * (sigma * q2 - b)
     if arg <= 0.0:
         raise OverCritical(f"Coulomb part b = {b} beyond sigma Q = {sigma * q2}")
-    return 2.0 * math.sqrt(arg)
+    return _finite(2.0 * math.sqrt(arg))
 
 
 def two_body_coulomb_ground(sigma: float, m: float, b: float, q_c: float = 1.0) -> float:
@@ -451,10 +453,10 @@ def two_body_coulomb_ground(sigma: float, m: float, b: float, q_c: float = 1.0) 
     require_finite(sigma=sigma, m=m, b=b, q_c=q_c)
     if m <= 0.0:
         raise SingularMasses("coulomb systems need massive particles")
-    arg = 1.0 - b * b / (sigma * sigma * q_c * q_c)
+    arg = 1.0 - _ratio(b * b, sigma * sigma * q_c * q_c)
     if arg < 0.0:
         raise OverCritical(f"coupling {b} beyond collapse at sigma = {sigma}")
-    return sigma * m * math.sqrt(arg)
+    return _finite(sigma * m * math.sqrt(arg))
 
 
 def two_body_gaussian_energy(m: float, alpha: float, beta: float, q: float) -> float:

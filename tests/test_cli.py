@@ -553,6 +553,23 @@ def test_gaussian_below_critical_exits_3(tmp_path):
     assert json.loads(text)["error"]["type"] == "NoBoundState"
 
 
+@pytest.mark.parametrize(
+    "command, error", [("gaussian", "NumericalError"), ("solve", "NoPositiveRoot")]
+)
+def test_subnormal_gaussian_level_exits_3_without_a_traceback(tmp_path, command, error):
+    # the closed-form level of this spec lies past the float range (-inf), and
+    # afm_mass finds no root: both commands refuse it with a typed error
+    doc = dict(GAUSS_SPEC, N=2, mass=1e-320, pairwise=[_gaussian(0.5, 1e-320)], modes=[[0, 0]])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    argv = [sys.executable, "-m", "auxfield.cli", command, "--spec", write_spec(tmp_path, doc)]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == EXIT_NUMERICAL
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {error}: ")
+    assert "Traceback" not in result.stderr
+
+
 def _fresh_python(*args):
     """Run a new interpreter that imports auxfield from src; it must exit 0."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from auxfield import engine
 from auxfield.engine import (
     afm_mass,
-    bound_character,
     equal_power_mass,
     linear_mass,
 )
@@ -573,26 +572,30 @@ def test_linear_rejects_negative_mass_as_its_twins_do():
 # bound character
 
 
+def _label(spec):
+    return BoundCharacter.of(spec.kinematics, [term.form for term in spec.terms])
+
+
 def test_bound_character_rules():
-    assert bound_character(gaussian_system(3, 1.0, 2.0, 0.5)) is BoundCharacter.UPPER_BOUND
+    assert _label(gaussian_system(3, 1.0, 2.0, 0.5)) is BoundCharacter.UPPER_BOUND
     assert (
-        bound_character(power_system(3, 1.0, NR, pair=(1.0, 2.0)))
+        _label(power_system(3, 1.0, NR, pair=(1.0, 2.0)))
         is BoundCharacter.EXACT
     )
     assert (
-        bound_character(power_system(3, 1.0, SR, pair=(0.5, -1.0)))
+        _label(power_system(3, 1.0, SR, pair=(0.5, -1.0)))
         is BoundCharacter.UPPER_BOUND
     )
     assert (
-        bound_character(power_system(3, 1.0, NR, pair=(0.5, 3.0)))
+        _label(power_system(3, 1.0, NR, pair=(0.5, 3.0)))
         is BoundCharacter.LOWER_BOUND
     )
     assert (
-        bound_character(power_system(3, 1.0, SR, pair=(0.5, 3.0)))
+        _label(power_system(3, 1.0, SR, pair=(0.5, 3.0)))
         is BoundCharacter.UNKNOWN
     )
     assert (
-        bound_character(power_system(3, 1.0, NR, one=(0.5, 1.0), pair=(0.5, 3.0)))
+        _label(power_system(3, 1.0, NR, one=(0.5, 1.0), pair=(0.5, 3.0)))
         is BoundCharacter.UNKNOWN
     )
 
@@ -602,7 +605,7 @@ def test_bound_character_reads_the_sign_of_a_subnormal_coefficient():
     # coefficient (lam/2) (lam/2 - 1) underflowed to 0, which left only the
     # quadratic pair term and read as EXACT
     spec = power_system(3, 1.0, NR, one=(5e-324, 0.5), pair=(0.3, 2.0))
-    assert bound_character(spec) is BoundCharacter.UPPER_BOUND
+    assert _label(spec) is BoundCharacter.UPPER_BOUND
 
 
 # ---------------------------------------------------------------------------

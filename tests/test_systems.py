@@ -1,17 +1,43 @@
+import itertools
 import math
+import random
 
 import pytest
 
-from auxfield.engine import linear_mass
+from auxfield.engine import afm_mass, equal_power_mass, linear_mass
 from auxfield.errors import (
+    AuxFieldError,
+    DomainError,
     InvalidCoefficient,
     NoBoundState,
     NumericalError,
     OverCritical,
+    SingularMasses,
     UnstableConfiguration,
+    UnsupportedCombination,
+    UnsupportedForm,
     ValidationError,
 )
-from auxfield.ho import ground_state_q, ho_energy_identical, srho_mass
+from auxfield.ho import (
+    build_quadratic_form,
+    ground_state_q,
+    ho_energies_general,
+    ho_energy_3body_closed,
+    ho_energy_identical,
+    srho_mass,
+)
+from auxfield.model import (
+    BoundCharacter,
+    Identical,
+    Kinematics,
+    PerParticle,
+    PotentialTerm,
+    PowerLaw,
+    QuantumNumbers,
+    Scope,
+    SystemSpec,
+    validate,
+)
 from auxfield.systems import (
     BaryonParams,
     BaryonVariant,
@@ -40,6 +66,9 @@ from auxfield.systems import (
     two_body_gaussian_energy,
     two_body_linear_mass,
 )
+from conftest import gaussian_system, ground, power_system
+
+SR = Kinematics.SEMIRELATIVISTIC
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +601,31 @@ def _gaussian_energy(*args):
         # the reference is the level evaluated at 50 digits
         pytest.param(_gaussian_energy, (3, 1e-160, 1e-160, 1e-171, 3.0),
                      -2.9999999999265153e-160, id="gaussian-root-subnormal"),
+        # a product in a denominator underflows to 0: a zero numerator takes
+        # the massless (or uncoupled) limit, any other raises a typed error;
+        # a two-body weight sigma or coupling g <= 0 is refused
+        pytest.param(_linear_mass, (2, 0.0, 0.0, 1e-320, 1e-320), 0.0, id="linear-massless"),
+        pytest.param(_linear_mass, (2, 1.0, 0.0, 1e-320, 1e-320), DomainError, id="linear"),
+        pytest.param(srho_mass, (2, 1e-320, 0.0, 1e-320, 1e-320), DomainError,
+                     id="srho-massless"),
+        pytest.param(srho_mass, (2, 1.0, 0.0, 1e-320, 1e-320), DomainError, id="srho"),
+        pytest.param(coulomb_nbody, (2, 1e-320, 0.0, 1e-320), coulomb_nbody(2, 1e-320, 0.0),
+                     id="coulomb-uncoupled"),
+        pytest.param(coulomb_nbody, (2, 1.0, 0.5, 1e-200), OverCritical, id="coulomb"),
+        pytest.param(two_body_coulomb_ground, (1.0, 1e-320, 0.0, 1e-320), 1e-320,
+                     id="two-body-coulomb-uncoupled"),
+        pytest.param(two_body_coulomb_ground, (0.0, 1e-320, 0.0, 1e-320), InvalidCoefficient,
+                     id="two-body-coulomb-sigma0"),
+        pytest.param(two_body_linear_mass, (1.0, 0.0, 1e-320, 1e-320), 0.0,
+                     id="two-body-linear-massless"),
+        pytest.param(two_body_linear_mass, (0.0, 0.0, 1e-320, 1e-320), InvalidCoefficient,
+                     id="two-body-linear-sigma0"),
+        pytest.param(two_body_linear_mass, (-1.0, 0.0, 1e-320, 0.5), InvalidCoefficient,
+                     id="two-body-linear-sigma-negative"),
+        pytest.param(pairwise_sigma_dual, (3, _funnel_two_body, 1.5, 0.0), InvalidCoefficient,
+                     id="pairwise-sigma-dual-sigma0"),
+        pytest.param(pairwise_g_dual, (3, _funnel_two_body, 1.5, 0.0), InvalidCoefficient,
+                     id="pairwise-g-dual-g0"),
     ],
 )
 def test_closed_forms_at_the_ends_of_the_float_range(fn, args, expected):
@@ -580,3 +634,267 @@ def test_closed_forms_at_the_ends_of_the_float_range(fn, args, expected):
     else:
         with pytest.raises(expected):
             fn(*args)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form contract: a finite mass or energy, or a typed error
+
+EDGES = (0.0, -1.0, 5e-324, 1e-320, 1e-200, 0.5, 3.0, 1e200, 1.7e308)
+NS = (2, 3)
+
+
+def _coulomb_pair(m, sigma):
+    return two_body_coulomb_ground(sigma, m, 0.3)
+
+
+def _baryon(lam, als, variant, n_tot, l_tot):
+    return baryon_mass(BaryonParams(lam, als, variant), n_tot, l_tot)
+
+
+# every public closed form of systems and ho whose arguments are scalars, and
+# linear_mass: (the mass or energy it returns, one axis of values per argument).
+# ho_energies_general and ho_energy_3body_closed take arrays and are not swept.
+CONTRACT = {
+    "linear_mass": (_linear_mass, (NS,) + (EDGES,) * 4),
+    "srho_mass": (lambda *x: srho_mass(*x).mass, (NS,) + (EDGES,) * 4),
+    "ho_energy_identical": (ho_energy_identical, (NS,) + (EDGES,) * 4),
+    "coulomb_nbody": (coulomb_nbody, (NS,) + (EDGES,) * 3),
+    "baryonic_ur": (lambda *x: baryonic_ur(*x).mass, (NS,) + (EDGES,) * 3),
+    "atomic_mass": (atomic_mass, (NS,) + (EDGES,) * 4),
+    "atomic_mass_nr": (atomic_mass_nr, (NS,) + (EDGES,) * 4),
+    "gaussian_spectrum": (_gaussian_energy, (NS,) + (EDGES,) * 4),
+    "gaussian_energy_alt": (gaussian_energy_alt, (NS,) + (EDGES,) * 4),
+    "funnel_nbody_ur": (funnel_nbody_ur, (NS,) + (EDGES,) * 3),
+    "twobody_reduction": (
+        lambda n, m: twobody_reduction(n, m, _coulomb_pair), (NS, EDGES)
+    ),
+    "pairwise_sigma_dual": (
+        lambda n, *x: pairwise_sigma_dual(n, _funnel_two_body, *x), (NS, EDGES, EDGES)
+    ),
+    "pairwise_g_dual": (
+        lambda n, *x: pairwise_g_dual(n, _funnel_two_body, *x), (NS, EDGES, EDGES)
+    ),
+    "gaussian_dual": (
+        lambda n, *x: gaussian_dual(n, two_body_gaussian_energy, *x), (NS,) + (EDGES,) * 4
+    ),
+    "linear_dual": (
+        lambda n, *x: linear_dual(n, two_body_linear_mass, *x), (NS,) + (EDGES,) * 4
+    ),
+    "duality_identities": (
+        lambda n: [v for _, *pair in duality_identities(n) for v in pair], (NS,)
+    ),
+    "two_body_linear_mass": (two_body_linear_mass, (EDGES,) * 4),
+    "two_body_funnel_ur": (two_body_funnel_ur, (EDGES,) * 4),
+    "two_body_coulomb_ground": (two_body_coulomb_ground, (EDGES,) * 4),
+    "two_body_gaussian_energy": (two_body_gaussian_energy, (EDGES,) * 4),
+    "baryon_mass": (_baryon, (EDGES, EDGES, tuple(BaryonVariant), (0, 1), (0, 2))),
+    "baryon_single_gaussian_ground": (baryon_single_gaussian_ground, (EDGES, EDGES)),
+    "baryon_table": (
+        lambda *x: [v for row in baryon_table(*x) for v in row[2:]], (EDGES, EDGES)
+    ),
+}
+
+# points off the grid, just inside the float range, where a product overflows
+# to inf or a quotient of two such products is NaN
+OFF_GRID = [
+    ("coulomb_nbody", (2, 1e-320, 1e200, 1e200)),
+    ("two_body_coulomb_ground", (1.0, 1e-320, 1e200, 1e200)),
+    ("funnel_nbody_ur", (2, 0.5, 0.0, 1e308)),
+    ("atomic_mass", (2, 1e308, 0.0, 0.0, 1.5)),
+    ("atomic_mass_nr", (2, 1e308, 0.0, 0.0, 1.5)),
+    ("gaussian_spectrum", (2, 1e-320, 0.5, 1e-320, 0.5)),
+    ("gaussian_energy_alt", (2, 0.5, 1e308, 3.0, 1e308)),
+    ("two_body_linear_mass", (1e-200, 0.0, 1e200, 1e308)),
+    ("two_body_funnel_ur", (1e-200, 1e308, 0.0, 1e308)),
+    ("baryon_mass", (1e308, 0.0, BaryonVariant.M0, 0, 0)),
+]
+
+
+def test_closed_forms_return_a_finite_value_or_a_typed_error():
+    # every argument at every value of EDGES, at N = 2 and 3: about 190 000
+    # calls, none of which may return inf or NaN or raise outside AuxFieldError
+    calls = [
+        (name, args)
+        for name, (_, axes) in CONTRACT.items()
+        for args in itertools.product(*axes)
+    ]
+    failures = []
+    for name, args in calls + OFF_GRID:
+        try:
+            out = CONTRACT[name][0](*args)
+        except AuxFieldError:
+            continue
+        except Exception as exc:  # noqa: BLE001 - the contract allows only AuxFieldError
+            failures.append(f"{name}{args}: {exc!r}")
+            continue
+        if not all(math.isfinite(v) for v in (out if isinstance(out, list) else [out])):
+            failures.append(f"{name}{args} = {out!r}")
+    assert not failures, f"{len(failures)} calls broke the contract: {failures[:10]}"
+
+
+# ---------------------------------------------------------------------------
+# bound labels: each closed form labels a mass as afm_mass does on its spec
+
+
+def _linear_label_pair(n, m, a, b):
+    spec = power_system(n, m, SR, one=(a, 1.0), pair=(b, 1.0))
+    return linear_mass(n, m, a, b, ground(n).q), spec
+
+
+def _baryonic_label_pair(n, a, b):
+    spec = power_system(n, 0.0, SR, one=(a, 1.0), pair=(b, -1.0))
+    return baryonic_ur(n, a, b, ground(n).q), spec
+
+
+def _srho_label_pair(n, m, k, kbar):
+    spec = power_system(n, m, SR, one=(k, 2.0), pair=(kbar, 2.0))
+    return srho_mass(n, m, k, kbar, ground(n).q), spec
+
+
+def _label_draws(seed, count):
+    """Linear, baryonic and oscillator specs with mixed signs: fixed, then seeded."""
+    rng = random.Random(seed)
+    draws = [
+        (_linear_label_pair, (3, 1.0, -0.1, 0.5)),  # negative one-body slope
+        (_linear_label_pair, (3, 1.0, 1.0, -0.1)),  # negative pairwise slope
+        (_baryonic_label_pair, (3, 0.5, -0.1)),  # repulsive Coulomb term
+        (_srho_label_pair, (3, 1.0, -0.5, 0.4)),  # k < 0 < k + N kbar
+    ]
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        m = rng.choice((0.0, rng.uniform(0.1, 3.0)))
+        draws.append(
+            (_linear_label_pair, (n, m, rng.uniform(-0.3, 1.0), rng.uniform(-0.3, 1.0)))
+        )
+        pull = rng.uniform(-0.5, 0.8) * 1.5 * (n - 1) * n / (n * (n - 1) / 2.0) ** 1.5
+        draws.append((_baryonic_label_pair, (n, rng.uniform(0.05, 1.0), pull)))
+        kbar = rng.uniform(0.05, 2.0)
+        draws.append((_srho_label_pair, (n, m, rng.uniform(-0.9, 1.0) * n * kbar, kbar)))
+    return draws
+
+
+def test_closed_form_labels_match_afm_mass():
+    compared = set()
+    for i, (pair, args) in enumerate(_label_draws(23, 40)):
+        try:
+            closed, spec = pair(*args)
+            reference = afm_mass(spec, ground(spec.n))
+        except AuxFieldError:
+            assert i >= 4, "each fixed spec has a mass by both routes"
+            continue
+        assert closed.bound_character is reference.bound_character, (pair.__name__, args)
+        compared.add((pair.__name__, closed.bound_character))
+    # each family is compared, and the mixed signs reach the UNKNOWN label
+    assert {name for name, _ in compared} == {
+        "_linear_label_pair", "_baryonic_label_pair", "_srho_label_pair"
+    }
+    assert ("_linear_label_pair", BoundCharacter.UNKNOWN) in compared
+    assert ("_baryonic_label_pair", BoundCharacter.UNKNOWN) in compared
+
+
+# ---------------------------------------------------------------------------
+# typed raises that no other test reaches
+
+_K3, _KBAR3 = [0.1, 0.2, 0.3], [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
+_PAIR_SPRING = (PotentialTerm(Scope.PAIRWISE, PowerLaw(1.0, 2.0)),)
+_NR = Kinematics.NONRELATIVISTIC
+
+
+def _validate(masses=Identical(1.0), one_body=(), pairwise=_PAIR_SPRING, modes=None):
+    modes = ((0, 0), (0, 0)) if modes is None else modes
+    return validate(SystemSpec(3, masses, _NR, one_body, pairwise), QuantumNumbers(modes))
+
+
+@pytest.mark.parametrize(
+    "fn, args, error",
+    [
+        # systems
+        pytest.param(coulomb_nbody, (3, 0.0, 0.1), SingularMasses, id="coulomb-m0"),
+        pytest.param(gaussian_spectrum, (3, 0.0, 2.0, 0.5, 3.0), SingularMasses,
+                     id="gaussian-m0"),
+        pytest.param(gaussian_spectrum, (3, 1.0, 0.0, 0.5, 3.0), InvalidCoefficient,
+                     id="gaussian-alpha0"),
+        pytest.param(gaussian_spectrum, (3, 1.0, 2.0, -0.5, 3.0), InvalidCoefficient,
+                     id="gaussian-beta-negative"),
+        pytest.param(gaussian_energy_alt, (3, -1.0, 2.0, 0.5, 3.0), SingularMasses,
+                     id="gaussian-alt-m-negative"),
+        pytest.param(gaussian_energy_alt, (3, 1.0, -2.0, 0.5, 3.0), InvalidCoefficient,
+                     id="gaussian-alt-alpha-negative"),
+        pytest.param(gaussian_energy_alt, (3, 1.0, 2.0, 0.0, 3.0), InvalidCoefficient,
+                     id="gaussian-alt-beta0"),
+        pytest.param(two_body_coulomb_ground, (2.0, 0.0, 0.1), SingularMasses,
+                     id="two-body-coulomb-m0"),
+        pytest.param(two_body_coulomb_ground, (2.0, 1.0, 3.0), OverCritical,
+                     id="two-body-coulomb-over-critical"),
+        pytest.param(baryonic_ur, (3, 0.0, 0.1, 3.0), InvalidCoefficient, id="baryonic-a0"),
+        pytest.param(funnel_nbody_ur, (3, -0.2, 0.1, 3.0), InvalidCoefficient,
+                     id="funnel-a-negative"),
+        pytest.param(two_body_funnel_ur, (2.0, 0.0, 0.1, 1.5), InvalidCoefficient,
+                     id="two-body-funnel-a0"),
+        pytest.param(two_body_funnel_ur, (2.0, 0.2, 5.0, 1.5), OverCritical,
+                     id="two-body-funnel-over-critical"),
+        pytest.param(baryon_mass, (BaryonParams(0.0, 0.4), 0, 0), InvalidCoefficient,
+                     id="baryon-lambda0"),
+        pytest.param(baryon_mass, (BaryonParams(0.2, -0.1), 0, 0), InvalidCoefficient,
+                     id="baryon-alpha-negative"),
+        pytest.param(baryon_mass, (BaryonParams(0.2, 2.0, BaryonVariant.M1), 0, 0),
+                     OverCritical, id="baryon-m1-over-critical"),
+        pytest.param(baryon_mass, (BaryonParams(0.2, 2.0, BaryonVariant.M2), 0, 0),
+                     OverCritical, id="baryon-m2-over-critical"),
+        pytest.param(atomic_mass, (3, 0.0, 0.3, 0.1, 3.0), SingularMasses, id="atomic-m0"),
+        pytest.param(atomic_mass, (3, 1.0, -0.3, 0.1, 3.0), InvalidCoefficient,
+                     id="atomic-alpha-negative"),
+        pytest.param(atomic_mass, (3, 1.0, 0.0, 3.0, 3.0), UnstableConfiguration,
+                     id="atomic-d-below-minus-one"),
+        pytest.param(two_body_linear_mass, (2.0, 1.0, 0.0, 1.5), InvalidCoefficient,
+                     id="two-body-linear-slope0"),
+        pytest.param(two_body_linear_mass, (2.0, -1.0, 0.2, 1.5), SingularMasses,
+                     id="two-body-linear-m-negative"),
+        # ho
+        pytest.param(build_quadratic_form, ([1.0, -1.0, 1.0], _K3, _KBAR3), SingularMasses,
+                     id="quadratic-form-mass-negative"),
+        pytest.param(build_quadratic_form, ([1.0, 1.0, 1.0], _K3, _KBAR3, 0.0),
+                     SingularMasses, id="quadratic-form-reference-mass0"),
+        pytest.param(build_quadratic_form, ([1.0], [0.1], [[0.0]]), ValidationError,
+                     id="quadratic-form-one-particle"),
+        pytest.param(build_quadratic_form, ([1.0, 1.0, 1.0], _K3[:2], _KBAR3), ValidationError,
+                     id="quadratic-form-k-shape"),
+        pytest.param(ho_energies_general, ([1.0, 1.0, 1.0], _K3, _KBAR3, [(0, 0)]),
+                     ValidationError, id="ho-general-mode-count"),
+        pytest.param(ho_energy_3body_closed, ([1.0, 1.0], _K3, [0.5] * 3, (0, 0), (0, 0)),
+                     ValidationError, id="ho-3body-lengths"),
+        pytest.param(ho_energy_3body_closed, ([1.0, 0.0, 1.0], _K3, [0.5] * 3, (0, 0), (0, 0)),
+                     SingularMasses, id="ho-3body-mass0"),
+        # all three negative: the mass ratios are positive, so only the
+        # masses themselves show it
+        pytest.param(ho_energy_3body_closed, ([-1.0] * 3, _K3, [0.5] * 3, (0, 0), (0, 0)),
+                     SingularMasses, id="ho-3body-masses-negative"),
+        pytest.param(ho_energy_identical, (3, 0.0, 0.3, 0.2, 3.0), SingularMasses,
+                     id="ho-identical-m0"),
+        pytest.param(srho_mass, (3, -1.0, 0.3, 0.2, 3.0), SingularMasses,
+                     id="srho-m-negative"),
+        pytest.param(ground_state_q, (3, "mixed"), ValidationError, id="ground-state-symmetry"),
+        # model
+        pytest.param(lambda: SystemSpec(3, PerParticle((1.0,) * 3), _NR).identical_mass, (),
+                     SingularMasses, id="identical-mass-of-per-particle"),
+        pytest.param(_validate, (PerParticle((1.0, 1.0)),), SingularMasses,
+                     id="per-particle-length"),
+        pytest.param(_validate, (1.0,), ValidationError, id="unknown-masses-container"),
+        pytest.param(_validate, (Identical(1.0), (), (PotentialTerm(Scope.PAIRWISE, "spring"),)),
+                     UnsupportedForm, id="unknown-form"),
+        pytest.param(_validate, (Identical(1.0), _PAIR_SPRING, ()), ValidationError,
+                     id="term-under-the-wrong-scope"),
+        pytest.param(_validate, (Identical(1.0), (), _PAIR_SPRING, ((0, 0), (-1, 0))),
+                     ValidationError, id="negative-mode"),
+        pytest.param(_validate, (Identical(1.0), (), _PAIR_SPRING, ((0, 0), (0.5, 0))),
+                     ValidationError, id="fractional-mode"),
+        # engine
+        pytest.param(equal_power_mass, (gaussian_system(3, 1.0, 2.0, 0.5), ground(3)),
+                     UnsupportedForm, id="equal-power-gaussian"),
+        pytest.param(equal_power_mass, (SystemSpec(3, Identical(1.0), _NR), ground(3)),
+                     UnsupportedCombination, id="equal-power-no-term"),
+    ],
+)
+def test_typed_raise(fn, args, error):
+    with pytest.raises(error):
+        fn(*args)
