@@ -259,16 +259,12 @@ def _cmd_baryon_table(args, out) -> int:
             {"B": b, "L": l, "M0": m0, "M1": m1, "M2": m2}
             for b, l, m0, m1, m2 in rows
         ]
-    if args.format == "tsv":
-        keys = list(payload[0].keys())
-        out.write("\t".join(keys) + "\n")
-        for row in payload:
-            cells = [
-                f"{v:.3f}" if isinstance(v, float) else str(v) for v in row.values()
-            ]
-            out.write("\t".join(cells) + "\n")
-    else:
-        emit(payload, "json", out)
+    if args.format == "tsv":  # the table prints masses to three decimals
+        payload = [
+            {key: f"{v:.3f}" if isinstance(v, float) else v for key, v in row.items()}
+            for row in payload
+        ]
+    emit(payload, args.format, out)
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 from .errors import (
     NoRestoringForce,
     NotClosedShell,
+    NumericalError,
     SingularMasses,
     ValidationError,
     require_finite,
@@ -34,26 +35,6 @@ ModePair = tuple[int, int]
 _FREE_MODE_RTOL = 8.0 * sys.float_info.epsilon
 
 
-class QuadraticForm(_Value):
-    """Internal-coordinate machinery for one oscillator problem.
-
-    u maps particle coordinates to internal ones, b is its inverse, lam holds
-    the N-1 kinematic scale factors, and f, g, j are the one-body, pairwise
-    and total quadratic forms in the rescaled coordinates (j = f + g).
-    """
-
-    u: np.ndarray
-    b: np.ndarray
-    lam: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    j: np.ndarray
-
-    # arrays have no value equality, so forms compare and hash by identity
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-
 class HOSpectrumEntry(_Value):
     """Mode frequencies and the resulting level energy."""
 
@@ -61,28 +42,22 @@ class HOSpectrumEntry(_Value):
     energy: float
 
 
-def _relative_masses(masses: Sequence[float], reference_mass: float) -> np.ndarray:
-    import numpy as np
-
-    masses = np.asarray(masses, dtype=float)
-    if np.any(masses <= 0.0):
-        raise SingularMasses("all masses must be positive for the exact oscillator")
-    if reference_mass <= 0.0:
-        raise SingularMasses(f"reference mass must be positive, got {reference_mass}")
-    return masses / reference_mass
-
-
 def build_quadratic_form(
     masses: Sequence[float],
     k: Sequence[float],
     kbar: np.ndarray,
     reference_mass: float | None = None,
-) -> QuadraticForm:
-    """Assemble the internal-coordinate matrices for given spring constants.
+) -> np.ndarray:
+    """The (N-1) x (N-1) internal quadratic form for given spring constants.
 
     k holds the N one-body constants, kbar the pairwise ones as a symmetric
-    matrix whose strict upper triangle is read. The reference mass defaults to
-    the first particle's mass; energies downstream do not depend on it.
+    matrix whose strict upper triangle is read. The form is
+    lam lam^T * (B^T (diag(k + W 1) - W) B): B maps the N-1 internal Jacobi
+    coordinates to particle positions, lam holds their kinematic scale
+    factors, and diag(W 1) - W is the graph Laplacian of the pairwise
+    springs W. The reference mass defaults to the first particle's mass;
+    energies downstream do not depend on it. A form holding inf or NaN, where
+    the float range runs out, raises NumericalError.
     """
     import numpy as np
 
@@ -91,27 +66,28 @@ def build_quadratic_form(
         raise ValidationError("need at least two particles")
     if reference_mass is None:
         reference_mass = float(masses[0])
-    alpha = _relative_masses(masses, reference_mass)
+    masses = np.asarray(masses, dtype=float)
+    if np.any(masses <= 0.0):
+        raise SingularMasses("all masses must be positive for the exact oscillator")
+    if reference_mass <= 0.0:
+        raise SingularMasses(f"reference mass must be positive, got {reference_mass}")
     k = np.asarray(k, dtype=float)
     kbar = np.asarray(kbar, dtype=float)
     if k.shape != (n,) or kbar.shape != (n, n):
         raise ValidationError("k must have length N and kbar shape (N, N)")
 
-    cum = np.cumsum(alpha)
-    u = np.tril(alpha / cum[:, None]) - np.eye(n, k=1)
-    b = np.triu(np.tile(np.append(alpha[1:] / cum[1:], 1.0), (n, 1)))
-    b -= np.diag(cum[:-1] / cum[1:], k=-1)
-    lam = np.sqrt(cum[1:] / (alpha[1:] * cum[:-1]))
-
-    # one-body springs act on each particle, pairwise ones through the graph
-    # Laplacian diag(W 1) - W of the spring weights W
-    w = np.triu(kbar, 1) + np.triu(kbar, 1).T
-    bi = b[:, : n - 1]  # internal columns only
-    scale = np.outer(lam, lam)
-    f = scale * (bi.T @ (k[:, None] * bi))
-    g = scale * (bi.T @ ((np.diag(w.sum(axis=1)) - w) @ bi))
-
-    return QuadraticForm(u, b, lam, f, g, f + g)
+    # an overflow shows as inf or NaN in the form, which is checked below
+    with np.errstate(all="ignore"):
+        alpha = masses / reference_mass
+        cum = np.cumsum(alpha)
+        b = np.triu(np.tile(alpha[1:] / cum[1:], (n, 1)))
+        b[1:] -= np.diag(cum[:-1] / cum[1:])
+        lam = np.sqrt(cum[1:] / (alpha[1:] * cum[:-1]))
+        w = np.triu(kbar, 1) + np.triu(kbar, 1).T
+        form = np.outer(lam, lam) * (b.T @ ((np.diag(k + w.sum(axis=1)) - w) @ b))
+    if not np.isfinite(form).all():
+        raise NumericalError("the quadratic form holds inf or NaN")
+    return form
 
 
 def ho_energies_general(
@@ -129,16 +105,16 @@ def ho_energies_general(
     paired with the caller's mode list in order, so the caller controls which
     mode is excited. A mode without a restoring force, an eigenvalue at or
     below zero, raises NoRestoringForce; an eigenvalue up to _FREE_MODE_RTOL
-    times the largest one is rounding of zero and counts as zero. An energy
-    that is not a finite float raises NumericalError.
+    times the largest one is rounding of zero and counts as zero. A form or
+    an energy that is not finite raises NumericalError, the form before the
+    eigensolver sees it.
     """
     n = len(masses)
     if len(modes) != n - 1:
         raise ValidationError(f"need {n - 1} modes for {n} particles")
     if reference_mass is None:
         reference_mass = float(masses[0])
-    qf = build_quadratic_form(masses, k, kbar, reference_mass)
-    evals = symmetric_eigen(qf.j).tolist()
+    evals = symmetric_eigen(build_quadratic_form(masses, k, kbar, reference_mass)).tolist()
     if evals[0] <= _FREE_MODE_RTOL * evals[-1]:
         raise NoRestoringForce(f"an internal mode has spring eigenvalue {evals[0]}, not > 0")
     omegas = tuple(math.sqrt(2.0 * d / reference_mass) for d in evals)
@@ -170,9 +146,10 @@ def ho_energy_3body_closed(
     if min(masses) <= 0.0:
         raise SingularMasses("all masses must be positive")
     mref = float(masses[0])
-    a1, a2, a3 = (mi / mref for mi in masses)
-    k1, k2, k3 = k
-    kb12, kb13, kb23 = kbar_pairs
+    # Python floats, so that a square past the float range raises, not warns
+    a1, a2, a3 = (float(mi) / mref for mi in masses)
+    k1, k2, k3 = map(float, k)
+    kb12, kb13, kb23 = map(float, kbar_pairs)
     al = a1 + a2 + a3
     a12, a13, a23 = a1 + a2, a1 + a3, a2 + a3
     k12, k13, k23 = k1 + k2, k1 + k3, k2 + k3
@@ -183,26 +160,29 @@ def ho_energy_3body_closed(
         + k3 * a1 * a2 * a12
         + al * (kb12 * a3 * a12 + kb13 * a2 * a13 + kb23 * a1 * a23)
     )
-    r = (
-        k1 * k2 * a3**2
-        + k1 * k3 * a2**2
-        + k2 * k3 * a1**2
-        + al**2 * (kb12 * kb13 + kb13 * kb23 + kb12 * kb23)
-        + kb12 * (k12 * a3**2 + k3 * a12**2)
-        + kb13 * (k13 * a2**2 + k2 * a13**2)
-        + kb23 * (k23 * a1**2 + k1 * a23**2)
-    )
-    # The internal quadratic form in mass-weighted Jacobi coordinates, scaled
-    # by P = a1 a2 a3 al, is the symmetric 2x2 [[j11, j12], [j12, j22]] with
-    # trace s and determinant P r. Its discriminant as a sum of squares keeps
-    # full precision when the two internal frequencies nearly coincide.
-    p = a1 * a2 * a3 * al
-    j11 = (
-        a3 * al * (k1 * a2**2 + k2 * a1**2 + kb12 * a12**2 + kb13 * a2**2 + kb23 * a1**2) / a12
-    )
-    j22 = a1 * a2 * (k12 * a3**2 + k3 * a12**2 + (kb13 + kb23) * al**2) / a12
-    j12 = math.sqrt(p) * (a3 * (k1 * a2 - k2 * a1) + al * (kb13 * a2 - kb23 * a1)) / a12
-    delta = math.sqrt((j11 - j22) ** 2 + 4.0 * j12 * j12)
+    try:
+        r = (
+            k1 * k2 * a3**2
+            + k1 * k3 * a2**2
+            + k2 * k3 * a1**2
+            + al**2 * (kb12 * kb13 + kb13 * kb23 + kb12 * kb23)
+            + kb12 * (k12 * a3**2 + k3 * a12**2)
+            + kb13 * (k13 * a2**2 + k2 * a13**2)
+            + kb23 * (k23 * a1**2 + k1 * a23**2)
+        )
+        # The internal quadratic form in mass-weighted Jacobi coordinates, scaled
+        # by P = a1 a2 a3 al, is the symmetric 2x2 [[j11, j12], [j12, j22]] with
+        # trace s and determinant P r. Its discriminant as a sum of squares keeps
+        # full precision when the two internal frequencies nearly coincide.
+        p = a1 * a2 * a3 * al
+        j11 = (
+            a3 * al * (k1 * a2**2 + k2 * a1**2 + kb12 * a12**2 + kb13 * a2**2 + kb23 * a1**2) / a12
+        )
+        j22 = a1 * a2 * (k12 * a3**2 + k3 * a12**2 + (kb13 + kb23) * al**2) / a12
+        j12 = math.sqrt(p) * (a3 * (k1 * a2 - k2 * a1) + al * (kb13 * a2 - kb23 * a1)) / a12
+        delta = math.sqrt((j11 - j22) ** 2 + 4.0 * j12 * j12)
+    except OverflowError as exc:
+        raise NumericalError(f"the three-body form leaves the float range: {exc}") from exc
     stiff = s + delta
     # stiff and P r are twice the larger eigenvalue and the determinant
     if stiff <= 0.0 or r <= 0.0:
@@ -210,7 +190,7 @@ def ho_energy_3body_closed(
     soft = 4.0 * p * r / stiff  # Vieta: (s - delta) without cancellation
 
     (n1, l1), (n2, l2) = mode1, mode2
-    pref = 1.0 / math.sqrt(mref * p)
+    pref = _ratio(1.0, math.sqrt(mref * p))  # inf where mref P underflows
     energy = pref * (
         math.sqrt(stiff) * (2 * n1 + l1 + 1.5) + math.sqrt(soft) * (2 * n2 + l2 + 1.5)
     )

@@ -26,10 +26,8 @@ from .errors import (
     NonConvergence,
     UnboundedBelow,
     UnsupportedCombination,
-    UnsupportedForm,
 )
 from .model import (
-    GaussianWell,
     Kinematics,
     PowerLaw,
     QuantumNumbers,
@@ -314,19 +312,16 @@ def _field_term(term, n: int) -> _FieldTerm:
         # point is a minimum; repulsion or convex growth flips it to a maximum.
         sense = +1 if form.curvature_sign() < 0.0 else -1
         return _FieldTerm(sign * fold, weight, sense, offset, mag, power)
-    if isinstance(form, GaussianWell):
-        depth, rng = form.depth, form.range_
-        cap = depth * rng * rng
+    # a gaussian well: validate admits no third form
+    depth, rng = form.depth, form.range_
+    cap = depth * rng * rng
 
-        def offset(t: float, cap=cap, rng=rng):
-            if t >= cap:
-                return math.inf
-            return t / (rng * rng) * (math.log(t / cap) - 1.0)
+    def offset(t: float, cap=cap, rng=rng):
+        if t >= cap:
+            return math.inf
+        return t / (rng * rng) * (math.log(t / cap) - 1.0)
 
-        return _FieldTerm(
-            float(fold), weight, +1, offset, cap * math.exp(-(rng * rng)), None
-        )
-    raise UnsupportedForm(f"no field term for {form!r}")
+    return _FieldTerm(float(fold), weight, +1, offset, cap * math.exp(-(rng * rng)), None)
 
 
 def _newton_max(
@@ -593,14 +588,11 @@ def gaussian_trial_bound(spec: SystemSpec) -> float:
         def pair_term(gamma: float) -> float:
             return coef * sgn * pair_moment_power(gamma, eta)
 
-    elif isinstance(form, GaussianWell):
+    else:  # a gaussian well: validate admits no third form
         depth, rng = form.depth, form.range_
 
         def pair_term(gamma: float) -> float:
             return -depth * pair_moment_gaussian(gamma, rng)
-
-    else:
-        raise UnsupportedForm(f"no trial moments for {form!r}")
 
     def energy(kappa: float) -> float:
         return 3.0 * n * (n - 1.0) * kappa / (2.0 * m) + npair * pair_term(kappa * n)

@@ -154,7 +154,7 @@ def test_ho_takes_more_than_33_particles(tmp_path, n):
     code, text = run_cli(["ho", "--spec", path, "--format", "json"])
     assert code == EXIT_OK
     kbar = np.ones((n, n)) - np.eye(n)
-    evals = np.linalg.eigvalsh(build_quadratic_form(masses, [0.4] * n, kbar).j)
+    evals = np.linalg.eigvalsh(build_quadratic_form(masses, [0.4] * n, kbar))
     omegas = np.sqrt(2.0 * evals / masses[0])
     data = json.loads(text)
     assert np.max(np.abs(np.array(data["omegas"]) - omegas)) <= 1e-12 * omegas[-1]
@@ -177,8 +177,14 @@ def test_ho_takes_more_than_33_particles(tmp_path, n):
             EXIT_NUMERICAL,
             "NumericalError",
         ),
+        # the pair spring times the kinematic factor 2 overflows the form
+        (
+            {"N": 2, "mass": 3.0, "pairwise": [_power(1.7e308, 2.0)], "modes": [[0, 0]]},
+            EXIT_NUMERICAL,
+            "NumericalError",
+        ),
     ],
-    ids=["two-springs-one-scope", "no-terms", "subnormal-mass"],
+    ids=["two-springs-one-scope", "no-terms", "subnormal-mass", "form-past-float-range"],
 )
 def test_ho_rejects_what_it_would_answer_wrong(tmp_path, change, code, error):
     path = write_spec(tmp_path, dict(HO_SPEC, **change))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from auxfield import ho
 from auxfield.errors import NoRestoringForce, NotClosedShell, NumericalError
 from auxfield.ho import (
     build_quadratic_form,
@@ -41,23 +42,20 @@ def filled_shell_q(n, d):
 
 def test_identical_particles_give_diagonal_j():
     n = 3
-    qf = build_quadratic_form([1.0] * n, [0.5] * n, pair_matrix(n, 0.25))
+    form = build_quadratic_form([1.0] * n, [0.5] * n, pair_matrix(n, 0.25))
     expected = 0.5 + n * 0.25
-    assert np.allclose(qf.j, np.diag([expected] * (n - 1)), atol=1e-12)
-
-
-def test_u_and_b_are_inverse():
-    qf = build_quadratic_form([1.0, 2.0, 3.0, 4.0], [0.1] * 4, pair_matrix(4, 0.7))
-    assert np.max(np.abs(qf.u @ qf.b - np.eye(4))) < 1e-12
+    assert np.allclose(form, np.diag([expected] * (n - 1)), atol=1e-12)
 
 
 def test_eigen_sum_equals_trace():
-    qf = build_quadratic_form([1.0, 2.0, 3.0], [0.0] * 3, pair_matrix(3, 1.0))
-    evals = np.linalg.eigvalsh(qf.j)
-    assert np.sum(evals) == pytest.approx(np.trace(qf.j), rel=1e-12)
+    form = build_quadratic_form([1.0, 2.0, 3.0], [0.0] * 3, pair_matrix(3, 1.0))
+    evals = np.linalg.eigvalsh(form)
+    assert np.sum(evals) == pytest.approx(np.trace(form), rel=1e-12)
 
 
 def test_f_and_g_positive_semidefinite():
+    # non-negative springs of one kind alone give a form with no negative
+    # eigenvalue: kbar = 0 leaves the one-body form f, k = 0 the pairwise g
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(2, 7))
@@ -66,47 +64,48 @@ def test_f_and_g_positive_semidefinite():
         kbar = rng.uniform(0.0, 5.0, size=(n, n))
         kbar = 0.5 * (kbar + kbar.T)
         np.fill_diagonal(kbar, 0.0)
-        qf = build_quadratic_form(masses, k, kbar)
-        assert np.min(np.linalg.eigvalsh(qf.f)) >= -1e-12
-        assert np.min(np.linalg.eigvalsh(qf.g)) >= -1e-12
+        for form in (
+            build_quadratic_form(masses, np.zeros(n), kbar),
+            build_quadratic_form(masses, k, np.zeros((n, n))),
+        ):
+            assert np.min(np.linalg.eigvalsh(form)) >= -1e-12
 
 
-def loop_reference(masses, kbar):
-    """u, b and the unscaled pairwise form, built element by element."""
+def loop_reference(masses, k, kbar):
+    """The internal quadratic form, built element by element.
+
+    Column l of b holds particle positions per unit of internal coordinate l;
+    each one-body spring adds k_i b_i b_i^T and each pair spring
+    kbar_ij (b_i - b_j)(b_i - b_j)^T, scaled by the kinematic factors lam.
+    """
     n = len(masses)
     alpha = np.asarray(masses) / masses[0]
     cum = np.cumsum(alpha)
-    u = np.zeros((n, n))
-    for i in range(n - 1):
-        u[i, : i + 1] = alpha[: i + 1] / cum[i]
-        u[i, i + 1] = -1.0
-    u[n - 1, :] = alpha / cum[-1]
-    b = np.zeros((n, n))
+    b = np.zeros((n, n - 1))
     for l in range(n - 1):
         b[: l + 1, l] = alpha[l + 1] / cum[l + 1]
         b[l + 1, l] = -cum[l] / cum[l + 1]
-    b[:, n - 1] = 1.0
-    pair = np.zeros((n - 1, n - 1))
+    lam = np.sqrt(cum[1:] / (alpha[1:] * cum[:-1]))
+    form = np.zeros((n - 1, n - 1))
     for i in range(n):
+        form += k[i] * np.outer(b[i], b[i])
         for j in range(i + 1, n):
-            diff = b[i, : n - 1] - b[j, : n - 1]
-            pair += kbar[i, j] * np.outer(diff, diff)
-    return u, b, pair
+            diff = b[i] - b[j]
+            form += kbar[i, j] * np.outer(diff, diff)
+    return np.outer(lam, lam) * form
 
 
 def test_quadratic_form_matches_loop_reference():
-    # u and b use the same arithmetic as the loops, so they must agree
-    # bitwise; the pairwise sum runs in another order, so g agrees to rounding
+    # the sums run in another order, so the form agrees to rounding
     rng = np.random.default_rng(5)
     for n in (2, 3, 7, 16):
         masses = rng.uniform(0.1, 10.0, size=n)
+        k = rng.uniform(0.0, 5.0, size=n)
         kbar = np.triu(rng.uniform(0.0, 5.0, size=(n, n)), 1)
-        qf = build_quadratic_form(masses, rng.uniform(0.0, 5.0, size=n), kbar + kbar.T)
-        u, b, pair = loop_reference(masses, kbar)
-        assert np.array_equal(qf.u, u)
-        assert np.array_equal(qf.b, b)
-        g = np.outer(qf.lam, qf.lam) * pair
-        assert np.max(np.abs(qf.g - g)) <= 1e-13 * np.max(np.abs(g))
+        form = build_quadratic_form(masses, k, kbar + kbar.T)
+        reference = loop_reference(masses, k, kbar)
+        assert form.shape == (n - 1, n - 1) and form.dtype == float
+        assert np.max(np.abs(form - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_only_strict_upper_triangle_of_kbar_is_read():
@@ -119,7 +118,7 @@ def test_only_strict_upper_triangle_of_kbar_is_read():
     garbage[1, 1], garbage[4, 2] = math.nan, -math.inf
     clean = build_quadratic_form(masses, k, upper + upper.T)
     dirty = build_quadratic_form(masses, k, upper + garbage)
-    assert np.array_equal(dirty.j, clean.j)
+    assert np.array_equal(dirty, clean)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +240,7 @@ def test_general_beyond_33_particles_matches_library_eigenvalues(n):
     upper = np.triu(rng.uniform(0.0, 5.0, size=(n, n)), 1)
     modes = ((1, 2),) + ((0, 0),) * (n - 3) + ((0, 1),)
     entry = ho_energies_general(masses, k, upper + upper.T, modes)
-    evals = np.linalg.eigvalsh(build_quadratic_form(masses, k, upper + upper.T).j)
+    evals = np.linalg.eigvalsh(build_quadratic_form(masses, k, upper + upper.T))
     omegas = np.sqrt(2.0 * evals / masses[0])
     assert np.max(np.abs(np.array(entry.omegas) - omegas)) <= 1e-12 * omegas[-1]
     energy = sum(w * (2 * ni + li + 1.5) for w, (ni, li) in zip(omegas, modes))
@@ -252,6 +251,43 @@ def test_general_energy_past_the_float_range_raises():
     # a subnormal mass makes every frequency sqrt(2 d / m) inf
     with pytest.raises(NumericalError):
         ho_energies_general([2.2e-309] * 3, [2.0] * 3, pair_matrix(3, 0.0), [(0, 0)] * 2)
+
+
+@pytest.mark.parametrize(
+    "masses, k, kbar12",
+    [
+        # the pair spring times the kinematic factor 2 overflows the form
+        pytest.param((3.0, 3.0), (0.0, 1e-200), 1.7e308, id="spring-overflow"),
+        # the kinematic factor (1 + a2) / a2 of a mass ratio a2 = 2e-320 overflows
+        pytest.param((0.5, 1e-320), (0.5, -1.0), 1e-320, id="mass-ratio-overflow"),
+    ],
+)
+def test_general_form_past_the_float_range_raises_before_the_eigensolver(
+    monkeypatch, masses, k, kbar12
+):
+    # numpy warned of the overflow, and the eigensolver ran 100 sweeps on the
+    # inf or NaN form before it raised NonConvergence
+    monkeypatch.setattr(ho, "symmetric_eigen", lambda form: pytest.fail("eigensolver reached"))
+    kbar = np.array([[0.0, kbar12], [kbar12, 0.0]])
+    with pytest.raises(NumericalError):
+        ho_energies_general(masses, k, kbar, [(0, 0)])
+
+
+@pytest.mark.parametrize(
+    "masses, k, pairs",
+    [
+        # a mass ratio of 3e200 overflows its square
+        pytest.param((1e-200, 3.0, 1e-200), (1e-320, 1e200, 1e-320), (-1.0, 1e-200, -1.0),
+                     id="square-overflow"),
+        # P = a1 a2 a3 (a1 + a2 + a3) underflows to 0 in the prefactor 1 / sqrt(m P)
+        pytest.param((0.5, 5e-324, 1e-320), (1.7e308, 0.5, 5e-324), (0.5, 0.5, 0.5),
+                     id="mass-product-underflow"),
+    ],
+)
+def test_three_body_closed_at_the_float_range_ends_raises_typed(masses, k, pairs):
+    # these raised OverflowError and ZeroDivisionError
+    with pytest.raises(NumericalError):
+        ho_energy_3body_closed(masses, k, pairs, (0, 0), (0, 0))
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,6 @@ import copy
 import math
 import pickle
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,7 +27,7 @@ from auxfield.model import (
     SystemSpec,
     validate,
 )
-from auxfield.ho import HOSpectrumEntry, QuadraticForm
+from auxfield.ho import HOSpectrumEntry
 from auxfield.oracles import OracleReport, Verdict, _FieldTerm
 from auxfield.systems import BaryonParams, BaryonVariant, GaussianSpectrum
 from conftest import gaussian_system, ground, power_system
@@ -308,16 +307,6 @@ RECORDS = [
 ]
 
 
-def _quadratic_form():
-    return QuadraticForm(*(np.full((1, 1), float(k)) for k in range(6)))
-
-
-QUADRATIC_FORM_REPR = (
-    "QuadraticForm(u=array([[0.]]), b=array([[1.]]), lam=array([[2.]]), "
-    "f=array([[3.]]), g=array([[4.]]), j=array([[5.]]))"
-)
-
-
 def _field_values(value):
     return [getattr(value, name) for name in value.__slots__]
 
@@ -348,10 +337,7 @@ def test_values_of_different_classes_never_compare_equal():
             assert a != b and b != a
 
 
-@pytest.mark.parametrize(
-    "make, text",
-    RECORDS + [pytest.param(_quadratic_form, QUADRATIC_FORM_REPR, id="QuadraticForm")],
-)
+@pytest.mark.parametrize("make, text", RECORDS)
 def test_fields_cannot_be_assigned_or_deleted(make, text):
     value = make()
     for name in value.__slots__:
@@ -386,15 +372,6 @@ def test_missing_unknown_or_duplicate_field_raises_type_error(make, text):
         cls(*values, **{names[0]: values[0]})
     with pytest.raises(TypeError):
         cls(*values, 1.0)
-
-
-def test_quadratic_form_keeps_identity_equality():
-    form = _quadratic_form()
-    assert form == form and hash(form) == hash(form)
-    assert form != _quadratic_form()  # arrays have no value equality
-    for back in (pickle.loads(pickle.dumps(form)), copy.copy(form), copy.deepcopy(form)):
-        assert type(back) is QuadraticForm
-        assert all(np.array_equal(x, y) for x, y in zip(_field_values(back), _field_values(form)))
 
 
 def test_record_defaults():

@@ -1,15 +1,20 @@
+import io
 import itertools
+import json
 import math
 import random
 
 import pytest
 
+from auxfield import cli, errors
 from auxfield.engine import afm_mass, equal_power_mass, linear_mass
 from auxfield.errors import (
     AuxFieldError,
     DomainError,
     InvalidCoefficient,
     NoBoundState,
+    NonConvergence,
+    NotSymmetric,
     NumericalError,
     OverCritical,
     SingularMasses,
@@ -38,6 +43,8 @@ from auxfield.model import (
     SystemSpec,
     validate,
 )
+from auxfield.oracles import gaussian_trial_bound, numeric_afm_minimize
+from auxfield.special import symmetric_eigen
 from auxfield.systems import (
     BaryonParams,
     BaryonVariant,
@@ -651,10 +658,38 @@ def _baryon(lam, als, variant, n_tot, l_tot):
     return baryon_mass(BaryonParams(lam, als, variant), n_tot, l_tot)
 
 
-# every public closed form of systems and ho whose arguments are scalars, and
-# linear_mass: (the mass or energy it returns, one axis of values per argument).
-# ho_energies_general and ho_energy_3body_closed take arrays and are not swept.
+def _edge_draws(ns, count):
+    """Seeded points of the grid, count per N.
+
+    Each holds N, then N masses, N one-body springs and the N(N-1)/2 pair
+    springs (12, 13, ..., 23, ...), each a value of EDGES.
+    """
+    rng = random.Random(24)
+    return [
+        (n,) + tuple(rng.choice(EDGES) for _ in range(n * (n + 3) // 2))
+        for n in ns
+        for _ in range(count)
+    ]
+
+
+def _ho_general(draw):
+    n, x = draw[0], draw[1:]
+    pairs = iter(x[2 * n:])  # only the strict upper triangle of kbar is read
+    kbar = [[next(pairs) if j > i else 0.0 for j in range(n)] for i in range(n)]
+    return ho_energies_general(x[:n], x[n:2 * n], kbar, [(0, 0)] * (n - 1)).energy
+
+
+def _ho_3body(draw):
+    return ho_energy_3body_closed(draw[1:4], draw[4:7], draw[7:], (0, 0), (0, 0))
+
+
+# every public closed form of systems and ho, and linear_mass: (the mass or
+# energy it returns, one axis of values per argument). The oscillator solvers
+# that take arrays have grids of 9^5 and 9^9 points, so they sweep one axis of
+# seeded draws from them; the closed three-body form exists at N = 3 only.
 CONTRACT = {
+    "ho_energies_general": (_ho_general, (_edge_draws(NS, 1500),)),
+    "ho_energy_3body_closed": (_ho_3body, (_edge_draws((3,), 1500),)),
     "linear_mass": (_linear_mass, (NS,) + (EDGES,) * 4),
     "srho_mass": (lambda *x: srho_mass(*x).mass, (NS,) + (EDGES,) * 4),
     "ho_energy_identical": (ho_energy_identical, (NS,) + (EDGES,) * 4),
@@ -711,7 +746,7 @@ OFF_GRID = [
 
 
 def test_closed_forms_return_a_finite_value_or_a_typed_error():
-    # every argument at every value of EDGES, at N = 2 and 3: about 190 000
+    # every argument at every value of EDGES, at N = 2 and 3: about 155 000
     # calls, none of which may return inf or NaN or raise outside AuxFieldError
     calls = [
         (name, args)
@@ -898,3 +933,55 @@ def _validate(masses=Identical(1.0), one_body=(), pairwise=_PAIR_SPRING, modes=N
 def test_typed_raise(fn, args, error):
     with pytest.raises(error):
         fn(*args)
+
+
+def _cli(tmp_path, argv, doc=None):
+    """Run cli.main with --format json and raise the error type it reports.
+
+    doc, when given, is written to a spec file passed as --spec. The exit
+    code must be 2 for a ValidationError and 3 for any other error.
+    """
+    if doc is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--spec", str(path)]
+    out = io.StringIO()
+    code = cli.main(argv + ["--format", "json"], out=out)
+    report = json.loads(out.getvalue().splitlines()[-1])["error"]
+    error = getattr(errors, report["type"])
+    validation = issubclass(error, ValidationError)
+    assert code == (cli.EXIT_VALIDATION if validation else cli.EXIT_NUMERICAL)
+    raise error(report["message"])
+
+
+_SPRING_FORM = SystemSpec(3, Identical(1.0), _NR, (), (PotentialTerm(Scope.PAIRWISE, "spring"),))
+
+
+@pytest.mark.parametrize(
+    "patch, call, error",
+    [
+        # special
+        pytest.param(None, lambda tmp: symmetric_eigen([[1.0, 2.0, 3.0]]), NotSymmetric,
+                     id="eigen-not-square"),
+        # oracles: a pass tolerance no pass meets runs out the pass limit
+        pytest.param(("auxfield.oracles._PASS_TOL", -1.0),
+                     lambda tmp: numeric_afm_minimize(power_system(3, 1.0, _NR, pair=(1.0, 1.0)),
+                                                      ground(3)),
+                     NonConvergence, id="oracle-pass-limit"),
+        pytest.param(None, lambda tmp: numeric_afm_minimize(_SPRING_FORM, ground(3)),
+                     UnsupportedForm, id="oracle-unknown-form"),
+        pytest.param(None, lambda tmp: gaussian_trial_bound(_SPRING_FORM), UnsupportedForm,
+                     id="trial-bound-unknown-form"),
+        # cli
+        pytest.param(None, lambda tmp: _cli(tmp, ["solve"], [1.0, 2.0]), ValidationError,
+                     id="cli-spec-not-an-object"),
+        pytest.param(("auxfield.systems.duality_identities", lambda n: [("broken", 1.0, 2.0)]),
+                     lambda tmp: _cli(tmp, ["duality-check", "--n", "3"]), NumericalError,
+                     id="cli-duality-violated"),
+    ],
+)
+def test_typed_raise_in_special_oracles_and_cli(tmp_path, monkeypatch, patch, call, error):
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    with pytest.raises(error):
+        call(tmp_path)
