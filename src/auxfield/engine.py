@@ -7,9 +7,11 @@ everything collapses to a single positive scale X0 = sqrt(2 mu0 (nu0 + N
 nubar0)), and the mass follows from one scalar equation for X0. Closed forms
 for specific interactions live in dedicated functions; afm_mass has no
 closed-form branch and always solves the X0 equation numerically, so the two
-routes stay independent checks of each other. equal_power_mass hands a spec to
-afm_mass only where it has no closed form: massive kinematics at exponents
-outside {-1, 1, 2}, or a massive amplitude that is not a positive float.
+routes stay independent checks of each other. equal_power_mass hands massive
+semirelativistic specs at exponents 1 and 2 to the named closed forms
+linear_mass and ho.srho_mass, and a spec to afm_mass only where it has no
+closed form: massive kinematics at exponents outside {-1, 1, 2}, or a massive
+amplitude that is not a positive float.
 
 The scale equation has one solver for every spec: in t' = -ln r_one^2 it is a
 sum of terms s exp(a + e t' - c e^(-t')), whose roots _isolate counts and
@@ -44,7 +46,7 @@ from .model import (
     _tangency_radii,
     validate,
 )
-from .special import cubic_root, quartic_root
+from .special import cubic_root
 
 _EPS = sys.float_info.epsilon
 _LN2 = math.log(2.0)
@@ -467,9 +469,10 @@ def equal_power_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
     ln X0 and the log of the mass's binding part are formed from the logs of
     their factors, and X0 and the mass are exponentiated once, past the float
     range as inf (which AFMSolution.at_scale rejects). With a finite mass the
-    equation is algebraic for lam in {-1, 1, 2}; other exponents, and an
-    amplitude C that is not a positive float, take the numeric solve of
-    afm_mass.
+    equation is algebraic for lam in {-1, 1, 2}: lam = 1 and 2 are handed to
+    linear_mass and ho.srho_mass, and lam = -1 gives
+    M = N m sqrt(1 - C^2 Q / N). Other exponents, and an amplitude C that is
+    not a positive float, take the numeric solve of afm_mass.
     """
     validate(spec, q)
     a, b, lam = _extract_equal_powers(spec)
@@ -499,23 +502,18 @@ def equal_power_mass(spec: SystemSpec, q: QuantumNumbers) -> AFMSolution:
         c = _exp(log_c)
         if lam not in (2.0, 1.0, -1.0) or not 0.0 < c < math.inf:
             return afm_mass(spec, q)
+        if lam == 1.0:
+            return linear_mass(n, m, a, b, qq)
         if lam == 2.0:
-            s = (c * c * qq / (2.0 * n)) ** (1.0 / 3.0)
-            y = 4.0 * c * c * m * m / (3.0 * s**4)
-            x0 = s * quartic_root(y)
-        elif lam == 1.0:
-            s = c * math.sqrt(qq / (3.0 * n))
-            y = c * c * m * m / (2.0 * s**3)
-            x0 = s * cubic_root(y)
-        else:
-            frac = c * c * qq / n
-            if frac >= 1.0:
-                raise NoPositiveRoot("attraction beyond the collapse threshold")
-            x0 = c * c * m * m / (1.0 - frac)
-        mass = (n * lam * m * m + qq * (lam + 1.0) * x0) / (
-            lam * math.sqrt(m * m + qq * x0 / n)
-        )
-        return AFMSolution.at_scale(n, m, qq, x0, mass, bound)
+            from .ho import srho_mass  # solve and verify never load ho
+
+            return srho_mass(n, m, a, b, qq)
+        # lam = -1: X0 = (C m)^2 / (1 - C^2 Q / N), M = N m sqrt(1 - C^2 Q / N)
+        frac = c * c * qq / n
+        if frac >= 1.0:
+            raise NoPositiveRoot("attraction beyond the collapse threshold")
+        x0 = (c * m) * (c * m) / (1.0 - frac)
+        return AFMSolution.at_scale(n, m, qq, x0, n * m * math.sqrt(1.0 - frac), bound)
     if spec.kinematics is Kinematics.NONRELATIVISTIC:
         # X0 = (m C)^g, M = N m + (lam+2)/(2 lam) Q C^g m^(-lam/(lam+2)), g = 2/(lam+2)
         g = 2.0 / (lam + 2.0)
@@ -539,10 +537,11 @@ def linear_mass(n: int, m: float, a: float, b: float, q: float) -> AFMSolution:
     """Semirelativistic mass for linear confinement, one-body and/or pairwise.
 
     The two slopes combine into c = a + b sqrt(N(N-1)/2); eliminating the
-    fields leaves the cubic x^3 - 3x - 2Y = 0 with Y = 3^(3/2) N m^2 / (2Qc),
-    giving M = N m sqrt(F/(2Y)) (F + 3/F). Massless particles give the linear
-    trajectory M^2 = 4NcQ, its limit as Y -> 0; a Y below the smallest normal
-    float takes it too, since F/(2Y) would overflow or divide by zero.
+    fields leaves the cubic x^3 - 3x - 2Y = 0 with Y = 3^(3/2) N m^2 / (2Qc)
+    and root F, so X0 = c F / sqrt(3) and M = sqrt(NQcF / 3^(3/2)) (F + 3/F).
+    m enters only through Y: m = 0 is its Y = 0 end, F = sqrt(3), the linear
+    trajectory M^2 = 4NcQ. Where Y overflows, F is its asymptote (2Y)^(1/3),
+    formed from m / t with t = sqrt(Qc/N).
     """
     require_finite(n=n, m=m, a=a, b=b, q=q)
     c = a + b * math.sqrt(n * (n - 1) / 2.0)
@@ -550,13 +549,10 @@ def linear_mass(n: int, m: float, a: float, b: float, q: float) -> AFMSolution:
         raise NonPositiveSlope(f"combined slope {c} <= 0")
     if m < 0.0:
         raise SingularMasses(f"mass must be non-negative, got {m}")
-    y = _ratio(3.0**1.5 * n * m * m, 2.0 * q * c)
-    if y < sys.float_info.min:
-        mass = math.sqrt(4.0 * n * c * q)
-        x0 = c
-    else:
-        froot = cubic_root(y)
-        x0 = c * froot / math.sqrt(3.0)
-        mass = n * m * math.sqrt(froot / (2.0 * y)) * (froot + 3.0 / froot)
+    t = math.sqrt(q / n) * math.sqrt(c)
+    r = _ratio(m, t)
+    y = 0.5 * 3.0**1.5 * r * r
+    froot = cubic_root(y) if y < math.inf else 3.0**0.5 * math.cbrt(r) ** 2
+    mass = n * t * (math.sqrt(froot / 3.0**1.5) * (froot + 3.0 / froot))
     bound = BoundCharacter.of(Kinematics.SEMIRELATIVISTIC, (PowerLaw(a, 1.0), PowerLaw(b, 1.0)))
-    return AFMSolution.at_scale(n, m, q, x0, mass, bound)
+    return AFMSolution.at_scale(n, m, q, c * froot / math.sqrt(3.0), mass, bound)

@@ -243,9 +243,12 @@ def srho_mass(n: int, m: float, k: float, kbar: float, q: float) -> AFMSolution:
 
     Replacing each kinetic square root by (mu + (p^2 + m^2)/mu)/2 leaves an
     exactly solvable oscillator; eliminating mu reduces to the positive root
-    of 4X^4 - 8X - 3Y = 0 with Y = (4m^2/3) (2N^2 / ((k + N kbar) Q^2))^(2/3).
-    The result is an upper bound on the exact level. Massless particles give
-    the simple limit M = (3/2) (2N (k + N kbar) Q^2)^(1/3).
+    G of 4X^4 - 8X - 3Y = 0 with Y = 4r^2/3, r = m/s and
+    s = ((k + N kbar) Q^2 / (2N^2))^(1/3). Then mu0 = s G^2 and
+    M = N s (1/G + G^2), an upper bound on the exact level, in which m enters
+    only through Y: massless particles are the Y = 0 end, G = 2^(1/3), the
+    limit M = (3/2) (2N (k + N kbar) Q^2)^(1/3). Where Y overflows, G takes
+    its asymptote sqrt(r).
     """
     require_finite(n=n, m=m, k=k, kbar=kbar, q=q)
     if m < 0.0:
@@ -253,17 +256,12 @@ def srho_mass(n: int, m: float, k: float, kbar: float, q: float) -> AFMSolution:
     kappa = k + n * kbar
     if kappa <= 0.0:
         raise NoRestoringForce(f"k + N kbar = {kappa} must be positive")
-
-    y = 4.0 * m * m / 3.0
-    if y != 0.0:
-        y *= _ratio(2.0 * n * n, kappa * q * q) ** (2.0 / 3.0)
-    if y == 0.0:  # massless, or so light that Y underflows: the massless limit
-        mass = 1.5 * (2.0 * n * kappa * q * q) ** (1.0 / 3.0)
-        mu0 = (2.0 * kappa * q * q / (n * n)) ** (1.0 / 3.0)
-    else:
-        g = quartic_root(y)
-        mu0 = 2.0 * m * g * g / math.sqrt(3.0 * y)
-        mass = 2.0 * n * m / math.sqrt(3.0 * y) * (1.0 / g + g * g)
-    x0 = math.sqrt(2.0 * mu0 * kappa)
+    s = math.cbrt(0.5 * kappa) * math.cbrt(q / n) ** 2
+    r = _ratio(m, s)
+    y = 4.0 / 3.0 * r * r
+    g = quartic_root(y) if y < math.inf else math.sqrt(r)
+    mu0 = s * g * g
+    mass = n * s * (1.0 / g + g * g)
+    x0 = math.sqrt(2.0 * mu0) * math.sqrt(kappa)
     bound = BoundCharacter.of(Kinematics.SEMIRELATIVISTIC, (PowerLaw(k, 2.0), PowerLaw(kbar, 2.0)))
     return AFMSolution.at_scale(n, m, q, x0, mass, bound)

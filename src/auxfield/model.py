@@ -310,16 +310,17 @@ class AFMSolution(_Value):
         so mu0^2 - m^2 = Q X0 / N holds by construction, and the tangency
         radii are r0_one = sqrt(Q / (N X0)) and r0_pair = sqrt(2Q / ((N-1) X0)).
         An X0 that is not a positive float (it under- or overflowed) raises
-        DomainError, and a mass that is not a finite float raises
-        NumericalError (_finite), so no solver returns either.
+        DomainError, and a mass, mu0 or radius that is not a finite float
+        raises NumericalError (_finite), so no solver returns either.
         """
         if not 0.0 < x0 < math.inf:
             raise DomainError(f"auxiliary scale X0 = {x0} is not a positive float")
         r_one, r_pair = _tangency_radii(n, q, x0)
         mu0 = math.sqrt(m * m + q * x0 / n)
-        if mu0 == math.inf:  # m * m overflowed
-            mu0 = math.hypot(m, math.sqrt(q * x0 / n))
-        return cls(_finite(mass), x0, mu0, r_one, r_pair, bound)
+        if mu0 == math.inf:  # m * m or Q X0 overflowed
+            mu0 = math.hypot(m, math.sqrt(q / n) * math.sqrt(x0))
+        radii = _finite(r_one, "r0_one"), _finite(r_pair, "r0_pair")
+        return cls(_finite(mass), x0, _finite(mu0, "mu0"), *radii, bound)
 
 
 def _finite(value: float, what: str = "mass") -> float:
@@ -338,7 +339,7 @@ def _tangency_radii(n: int, q: float, x0: float) -> tuple[float, float]:
     r_one, r_pair = math.sqrt(q / (n * x0)), math.sqrt(2.0 * q / ((n - 1) * x0))
     if r_pair == math.inf or r_one == 0.0:  # a quotient left the float range
         root = math.sqrt(x0)
-        r_one, r_pair = math.sqrt(q / n) / root, math.sqrt(2.0 * q / (n - 1)) / root
+        r_one, r_pair = math.sqrt(q / n) / root, math.sqrt(2.0) * math.sqrt(q / (n - 1)) / root
     return r_one, r_pair
 
 

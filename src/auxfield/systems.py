@@ -421,20 +421,19 @@ def duality_identities(n: int) -> list[tuple[str, float, float]]:
 def two_body_linear_mass(sigma: float, m: float, slope: float, q2: float) -> float:
     """Mass of sigma sqrt(p^2 + m^2) + slope * r.
 
-    Same cubic-root structure as the N-body linear system with sigma in place
-    of N; massless particles give M^2 = 4 sigma slope Q, as does a Y below the
-    smallest normal float (linear_mass has the reason).
+    linear_mass's formula with sigma in place of N and slope in place of c;
+    m = 0 is its Y = 0 end, M^2 = 4 sigma slope Q.
     """
     require_finite(sigma=sigma, m=m, slope=slope, q2=q2)
     if slope <= 0.0:
         raise InvalidCoefficient(f"slope {slope} must be positive")
     if m < 0.0:
         raise SingularMasses(f"mass must be non-negative, got {m}")
-    y = _ratio(3.0**1.5 * sigma * m * m, 2.0 * q2 * slope)
-    if y < _MIN_NORMAL:
-        return _finite(math.sqrt(4.0 * sigma * slope * q2))
-    froot = cubic_root(y)
-    return _finite(sigma * m * math.sqrt(froot / (2.0 * y)) * (froot + 3.0 / froot))
+    t = math.sqrt(q2 / sigma) * math.sqrt(slope)
+    r = _ratio(m, t)
+    y = 0.5 * 3.0**1.5 * r * r
+    froot = cubic_root(y) if y < math.inf else 3.0**0.5 * math.cbrt(r) ** 2
+    return _finite(sigma * t * (math.sqrt(froot / 3.0**1.5) * (froot + 3.0 / froot)))
 
 
 def two_body_funnel_ur(sigma: float, a: float, b: float, q2: float) -> float:

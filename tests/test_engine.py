@@ -35,7 +35,13 @@ from auxfield.model import (
     _tangency_radii,
 )
 from auxfield.oracles import _field_term, numeric_afm_minimize
-from auxfield.systems import baryonic_ur, gaussian_critical_coupling, gaussian_spectrum
+from auxfield.systems import (
+    atomic_mass,
+    baryonic_ur,
+    gaussian_critical_coupling,
+    gaussian_spectrum,
+    two_body_linear_mass,
+)
 from conftest import gaussian_system, ground, power_system
 
 NR = Kinematics.NONRELATIVISTIC
@@ -470,6 +476,41 @@ def test_equal_power_sr_linear_matches_linear_mass():
     sol = equal_power_mass(spec, ground(4))
     closed = linear_mass(4, 1.2, 0.3, 0.25, ground(4).q)
     assert sol.mass == pytest.approx(closed.mass, rel=1e-13)
+
+
+@pytest.mark.parametrize("n, m", [(2, 0.5), (3, 1.0), (4, 2.7), (3, 1e-200), (3, 1e300)])
+def test_equal_power_massive_linear_and_oscillator_are_the_named_closed_forms(n, m):
+    # the cubic and the quartic elimination live in linear_mass and srho_mass only
+    q = ground(n)
+    linear = power_system(n, m, SR, one=(0.3, 1.0), pair=(0.25, 1.0))
+    assert equal_power_mass(linear, q) == linear_mass(n, m, 0.3, 0.25, q.q)
+    oscillator = power_system(n, m, SR, one=(0.4, 2.0), pair=(0.2, 2.0))
+    assert equal_power_mass(oscillator, q) == srho_mass(n, m, 0.4, 0.2, q.q)
+
+
+def test_equal_power_inverse_distance_is_the_atomic_form():
+    # M = N m sqrt(1 - C^2 Q / N) is atomic_mass's N m sqrt(1 - D^2)
+    spec = power_system(3, 1.3, SR, one=(0.6, -1.0), pair=(-0.2, -1.0))
+    sol = equal_power_mass(spec, ground(3))
+    assert sol.mass == pytest.approx(atomic_mass(3, 1.3, 0.6, 0.2, 3.0), rel=1e-15)
+    assert sol.mass == pytest.approx(afm_mass(spec, ground(3)).mass, rel=1e-12)
+    # m^2 = 0 beside a subnormal amplitude divided by zero here
+    light = power_system(2, 5e-324, SR, pair=(1e-320, -1.0))
+    with pytest.raises(DomainError):
+        equal_power_mass(light, ground(2))
+
+
+@pytest.mark.parametrize("m", [1e160, 1e200, 1e300])
+def test_closed_forms_where_m_squared_overflows_match_afm_mass(m):
+    # Y overflows; the cubic and quartic roots take their asymptotes
+    for lam, solve in ((1.0, linear_mass), (2.0, srho_mass)):
+        spec = power_system(3, m, SR, one=(0.2, lam), pair=(0.1, lam))
+        ref = afm_mass(spec, ground(3))
+        for sol in (solve(3, m, 0.2, 0.1, 3.0), equal_power_mass(spec, ground(3))):
+            assert sol.mass == pytest.approx(ref.mass, rel=1e-12)
+            assert sol.x0 == pytest.approx(ref.x0, rel=1e-12)
+    two_body = two_body_linear_mass(2.0, m, 0.3, 1.5)
+    assert two_body == pytest.approx(linear_mass(2, m, 0.0, 0.3, 1.5).mass, rel=1e-14)
 
 
 STEEP_MASSLESS = [(60.0, (2000, 0)), (150.0, (2000, 0)), (300.0, (2000, 0)), (300.0, (55, 1))]

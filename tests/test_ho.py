@@ -339,6 +339,40 @@ def test_identical_energy_requires_restoring_force():
         ho_energy_identical(3, 1.0, 0.0, 0.0, 3.0)
 
 
+# Open defects: the general and the closed three-body solver must agree on a
+# fully bound level, and each test fails (strictly) until they do.
+
+
+def _both_solvers(masses):
+    general = ho_energies_general(masses, [1.0] * 3, pair_matrix(3, 1.0), [(0, 0)] * 2).energy
+    closed = ho_energy_3body_closed(masses, [1.0] * 3, [1.0] * 3, (0, 0), (0, 0))
+    return general, closed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NoRestoringForce,
+    reason="CHANGES.md line 60 (FOUND): the general solver reads a light particle's"
+    " spring eigenvalue 4.0 as a free mode and raises NoRestoringForce",
+)
+def test_general_solver_binds_a_light_particle():
+    general, closed = _both_solvers([1.0, 1e-20, 1.0])
+    assert closed == pytest.approx(3.674234614599e10, rel=1e-10)
+    assert general == pytest.approx(closed, rel=1e-10)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NumericalError,
+    reason="CHANGES.md line 61 (FOUND): the closed three-body form squares a mass"
+    " ratio past 1e154 and raises NumericalError",
+)
+def test_closed_three_body_form_at_a_mass_ratio_past_1e154():
+    general, closed = _both_solvers([1e-200, 3.0, 1e-200])
+    assert general == pytest.approx(7.242640687119285e100, rel=1e-10)
+    assert closed == pytest.approx(general, rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # ground-state principal number
 
@@ -386,7 +420,7 @@ def test_srho_massless_continuity():
 
 
 def test_srho_mass_below_float_range_takes_massless_limit():
-    # m^2 underflows in Y: the massless limit, not a division by zero
+    # m^2 underflows in Y: the Y = 0 end of the formula, the massless level
     light = srho_mass(3, 4.5e-203, 1.2e-38, 0.0, 3000.0)
     assert light.mass == pytest.approx(srho_mass(3, 0.0, 1.2e-38, 0.0, 3000.0).mass, rel=1e-15)
 

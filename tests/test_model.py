@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from auxfield.errors import (
     InvalidCoefficient,
     InvalidExponent,
+    NumericalError,
     UnsupportedForm,
     ValidationError,
     WrongModeCount,
@@ -27,9 +28,9 @@ from auxfield.model import (
     SystemSpec,
     validate,
 )
-from auxfield.ho import HOSpectrumEntry
+from auxfield.ho import HOSpectrumEntry, srho_mass
 from auxfield.oracles import OracleReport, Verdict, _FieldTerm
-from auxfield.systems import BaryonParams, BaryonVariant, GaussianSpectrum
+from auxfield.systems import BaryonParams, BaryonVariant, GaussianSpectrum, baryonic_ur
 from conftest import gaussian_system, ground, power_system
 
 
@@ -231,6 +232,29 @@ def test_at_scale_mu0_is_the_plain_square_root_below_overflow():
     m, q, x0 = 1.7, 3.0, 2.3
     sol = AFMSolution.at_scale(3, m, q, x0, 1.0, BoundCharacter.UPPER_BOUND)
     assert sol.mu0 == math.sqrt(m * m + q * x0 / 3)
+
+
+def test_at_scale_fields_stay_finite_where_q_x0_and_2q_overflow():
+    # Q X0 = 1e400 and 2Q = 3.4e308 overflow; mu0 = sqrt(Q/N) sqrt(X0) and
+    # r0_pair = sqrt(2) sqrt(Q/(N-1)) / sqrt(X0) do not (these read inf)
+    sol = baryonic_ur(2, 1e200, 0.0, 1e200)
+    assert sol.mu0 == pytest.approx(math.sqrt(0.5e200) * 1e100, rel=1e-15)
+    sol = srho_mass(2, 0.0, 0.0, 5e-324, 1.7e308)
+    assert sol.r0_pair == pytest.approx(2.0 * sol.r0_one, rel=1e-15)  # sqrt(2N/(N-1))
+    assert sol.r0_pair == pytest.approx(3.25253082750063e210, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "n, m, q, x0, field",
+    [
+        (2, 0.0, 1.7e308, 5e-324, "r0_one"),  # sqrt(Q/N) / sqrt(X0) = 9.2e315
+        (3, 0.0, 1.7e308, 4e-309, "r0_pair"),  # r0_one = 1.2e308 stays finite
+        (2, 1.7e308, 1.7e308, 1.7e308, "mu0"),
+    ],
+)
+def test_at_scale_raises_where_a_field_leaves_the_float_range(n, m, q, x0, field):
+    with pytest.raises(NumericalError, match=field):
+        AFMSolution.at_scale(n, m, q, x0, 1.0, BoundCharacter.UPPER_BOUND)
 
 
 # ---------------------------------------------------------------------------

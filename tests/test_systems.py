@@ -587,11 +587,14 @@ def _gaussian_energy(*args):
     return gaussian_spectrum(*args).energy
 
 
+_SUBNORMAL_SLACK = 4 * 5e-324
+
+
 @pytest.mark.parametrize(
     "fn,args,expected",
     [
         # Y = 3^(3/2) N m^2 / (2 Q c) below the smallest normal float: the
-        # massless limit, where F / (2Y) would divide by zero or overflow
+        # massless end of the formula
         pytest.param(_linear_mass, (3, 1e-170, 0.2, 0.1, 3.0), 3.665430794224324,
                      id="linear-y-zero"),
         pytest.param(two_body_linear_mass, (2.0, 1e-170, 0.3, 1.5), 1.8973665961010275,
@@ -610,10 +613,15 @@ def _gaussian_energy(*args):
                      -2.9999999999265153e-160, id="gaussian-root-subnormal"),
         # a product in a denominator underflows to 0: a zero numerator takes
         # the massless (or uncoupled) limit, any other raises a typed error;
-        # a two-body weight sigma or coupling g <= 0 is refused
-        pytest.param(_linear_mass, (2, 0.0, 0.0, 1e-320, 1e-320), 0.0, id="linear-massless"),
+        # subnormal masses are held to a few units of the subnormal spacing
+        # (the references are 2 sqrt(N Q c) and the oscillator level at 50
+        # digits); a two-body weight sigma or coupling g <= 0 is refused
+        pytest.param(_linear_mass, (2, 0.0, 0.0, 1e-320, 1e-320),
+                     pytest.approx(2.0 * math.sqrt(2.0) * 1e-320, abs=_SUBNORMAL_SLACK),
+                     id="linear-massless"),
         pytest.param(_linear_mass, (2, 1.0, 0.0, 1e-320, 1e-320), DomainError, id="linear"),
-        pytest.param(srho_mass, (2, 1e-320, 0.0, 1e-320, 1e-320), DomainError,
+        pytest.param(lambda *x: srho_mass(*x).mass, (2, 1e-320, 0.0, 1e-320, 1e-320),
+                     pytest.approx(3.7995624532904732e-320, abs=_SUBNORMAL_SLACK),
                      id="srho-massless"),
         pytest.param(srho_mass, (2, 1.0, 0.0, 1e-320, 1e-320), DomainError, id="srho"),
         pytest.param(coulomb_nbody, (2, 1e-320, 0.0, 1e-320), coulomb_nbody(2, 1e-320, 0.0),
@@ -623,8 +631,8 @@ def _gaussian_energy(*args):
                      id="two-body-coulomb-uncoupled"),
         pytest.param(two_body_coulomb_ground, (0.0, 1e-320, 0.0, 1e-320), InvalidCoefficient,
                      id="two-body-coulomb-sigma0"),
-        pytest.param(two_body_linear_mass, (1.0, 0.0, 1e-320, 1e-320), 0.0,
-                     id="two-body-linear-massless"),
+        pytest.param(two_body_linear_mass, (1.0, 0.0, 1e-320, 1e-320),
+                     pytest.approx(2e-320, abs=_SUBNORMAL_SLACK), id="two-body-linear-massless"),
         pytest.param(two_body_linear_mass, (0.0, 0.0, 1e-320, 1e-320), InvalidCoefficient,
                      id="two-body-linear-sigma0"),
         pytest.param(two_body_linear_mass, (-1.0, 0.0, 1e-320, 0.5), InvalidCoefficient,
@@ -638,6 +646,8 @@ def _gaussian_energy(*args):
 def test_closed_forms_at_the_ends_of_the_float_range(fn, args, expected):
     if isinstance(expected, float):
         assert fn(*args) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    elif not isinstance(expected, type):
+        assert fn(*args) == expected
     else:
         with pytest.raises(expected):
             fn(*args)
@@ -683,18 +693,39 @@ def _ho_3body(draw):
     return ho_energy_3body_closed(draw[1:4], draw[4:7], draw[7:], (0, 0), (0, 0))
 
 
-# every public closed form of systems and ho, and linear_mass: (the mass or
-# energy it returns, one axis of values per argument). The oscillator solvers
-# that take arrays have grids of 9^5 and 9^9 points, so they sweep one axis of
-# seeded draws from them; the closed three-body form exists at N = 3 only.
+def _record(solve):
+    """Every field of the solution record that solve returns, as a list."""
+    def fields(*args):
+        sol = solve(*args)
+        return [sol.mass, sol.x0, sol.mu0, sol.r0_one, sol.r0_pair]
+
+    return fields
+
+
+def _equal_power(n, kinematics, lam, m, a, b):
+    spec = power_system(n, m, kinematics, one=(a, lam), pair=(b, lam))
+    return equal_power_mass(spec, ground(n))
+
+
+# every public closed form of systems and ho, linear_mass and equal_power_mass:
+# (the mass or energy it returns, or every field of its solution record; one
+# axis of values per argument). The oscillator solvers that take arrays have
+# grids of 9^5 and 9^9 points, so they sweep one axis of seeded draws from
+# them; the closed three-body form exists at N = 3 only. equal_power_mass
+# takes a one-body and a pairwise term of one exponent: -1 and 0.5 keep their
+# own branches, 1 and 2 are handed to linear_mass and srho_mass.
 CONTRACT = {
     "ho_energies_general": (_ho_general, (_edge_draws(NS, 1500),)),
     "ho_energy_3body_closed": (_ho_3body, (_edge_draws((3,), 1500),)),
-    "linear_mass": (_linear_mass, (NS,) + (EDGES,) * 4),
-    "srho_mass": (lambda *x: srho_mass(*x).mass, (NS,) + (EDGES,) * 4),
+    "linear_mass": (_record(linear_mass), (NS,) + (EDGES,) * 4),
+    "equal_power_mass": (
+        _record(_equal_power),
+        (NS, (SR, Kinematics.NONRELATIVISTIC), (-1.0, 0.5, 1.0, 2.0)) + (EDGES,) * 3,
+    ),
+    "srho_mass": (_record(srho_mass), (NS,) + (EDGES,) * 4),
     "ho_energy_identical": (ho_energy_identical, (NS,) + (EDGES,) * 4),
     "coulomb_nbody": (coulomb_nbody, (NS,) + (EDGES,) * 3),
-    "baryonic_ur": (lambda *x: baryonic_ur(*x).mass, (NS,) + (EDGES,) * 3),
+    "baryonic_ur": (_record(baryonic_ur), (NS,) + (EDGES,) * 3),
     "atomic_mass": (atomic_mass, (NS,) + (EDGES,) * 4),
     "atomic_mass_nr": (atomic_mass_nr, (NS,) + (EDGES,) * 4),
     "gaussian_spectrum": (_gaussian_energy, (NS,) + (EDGES,) * 4),
@@ -746,8 +777,9 @@ OFF_GRID = [
 
 
 def test_closed_forms_return_a_finite_value_or_a_typed_error():
-    # every argument at every value of EDGES, at N = 2 and 3: about 155 000
-    # calls, none of which may return inf or NaN or raise outside AuxFieldError
+    # every argument at every value of EDGES, at N = 2 and 3: about 167 000
+    # calls, none of which may return inf or NaN (in any field of a solution
+    # record) or raise outside AuxFieldError
     calls = [
         (name, args)
         for name, (_, axes) in CONTRACT.items()
