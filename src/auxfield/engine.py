@@ -538,10 +538,9 @@ def linear_mass(n: int, m: float, a: float, b: float, q: float) -> AFMSolution:
 
     The two slopes combine into c = a + b sqrt(N(N-1)/2); eliminating the
     fields leaves the cubic x^3 - 3x - 2Y = 0 with Y = 3^(3/2) N m^2 / (2Qc)
-    and root F, so X0 = c F / sqrt(3) and M = sqrt(NQcF / 3^(3/2)) (F + 3/F).
-    m enters only through Y: m = 0 is its Y = 0 end, F = sqrt(3), the linear
-    trajectory M^2 = 4NcQ. Where Y overflows, F is its asymptote (2Y)^(1/3),
-    formed from m / t with t = sqrt(Qc/N).
+    and root F, so X0 = c F / sqrt(3) and M = sqrt(NQcF / 3^(3/2)) (F + 3/F)
+    (_linear_cubic). m enters only through Y: m = 0 is its Y = 0 end,
+    F = sqrt(3), the linear trajectory M^2 = 4NcQ.
     """
     require_finite(n=n, m=m, a=a, b=b, q=q)
     c = a + b * math.sqrt(n * (n - 1) / 2.0)
@@ -549,10 +548,15 @@ def linear_mass(n: int, m: float, a: float, b: float, q: float) -> AFMSolution:
         raise NonPositiveSlope(f"combined slope {c} <= 0")
     if m < 0.0:
         raise SingularMasses(f"mass must be non-negative, got {m}")
-    t = math.sqrt(q / n) * math.sqrt(c)
-    r = _ratio(m, t)
-    y = 0.5 * 3.0**1.5 * r * r
-    froot = cubic_root(y) if y < math.inf else 3.0**0.5 * math.cbrt(r) ** 2
-    mass = n * t * (math.sqrt(froot / 3.0**1.5) * (froot + 3.0 / froot))
+    mass, froot = _linear_cubic(n, m, c, q)
     bound = BoundCharacter.of(Kinematics.SEMIRELATIVISTIC, (PowerLaw(a, 1.0), PowerLaw(b, 1.0)))
     return AFMSolution.at_scale(n, m, q, c * froot / math.sqrt(3.0), mass, bound)
+
+
+def _linear_cubic(weight: float, m: float, c: float, q: float) -> tuple[float, float]:
+    """linear_mass's M and F, weight in place of N; where Y overflows, F = (2Y)^(1/3)."""
+    t = math.sqrt(q / weight) * math.sqrt(c)
+    r = _ratio(m, t)
+    y = 0.5 * 3.0**1.5 * r * r
+    froot = cubic_root(y) if y < math.inf else 3.0**0.5 * r ** (2.0 / 3.0)
+    return weight * t * (math.sqrt(froot / 3.0**1.5) * (froot + 3.0 / froot)), froot

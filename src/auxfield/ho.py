@@ -256,7 +256,7 @@ def srho_mass(n: int, m: float, k: float, kbar: float, q: float) -> AFMSolution:
     kappa = k + n * kbar
     if kappa <= 0.0:
         raise NoRestoringForce(f"k + N kbar = {kappa} must be positive")
-    s = math.cbrt(0.5 * kappa) * math.cbrt(q / n) ** 2
+    s = (0.5 * kappa) ** (1.0 / 3.0) * (q / n) ** (2.0 / 3.0)
     r = _ratio(m, s)
     y = 4.0 / 3.0 * r * r
     g = quartic_root(y) if y < math.inf else math.sqrt(r)

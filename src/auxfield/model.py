@@ -317,7 +317,7 @@ class AFMSolution(_Value):
             raise DomainError(f"auxiliary scale X0 = {x0} is not a positive float")
         r_one, r_pair = _tangency_radii(n, q, x0)
         mu0 = math.sqrt(m * m + q * x0 / n)
-        if mu0 == math.inf:  # m * m or Q X0 overflowed
+        if not sys.float_info.min <= mu0 * mu0 < math.inf:  # a square left the normal range
             mu0 = math.hypot(m, math.sqrt(q / n) * math.sqrt(x0))
         radii = _finite(r_one, "r0_one"), _finite(r_pair, "r0_pair")
         return cls(_finite(mass), x0, _finite(mu0, "mu0"), *radii, bound)

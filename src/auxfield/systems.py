@@ -20,7 +20,7 @@ from .errors import (
     require_finite,
 )
 from .model import AFMSolution, BoundCharacter, Kinematics, PowerLaw, _finite, _ratio, _Value
-from .special import cubic_root, lambert_w0
+from .special import lambert_w0
 
 _MIN_NORMAL = math.ldexp(1.0, -1022)  # the smallest normal float
 
@@ -421,19 +421,16 @@ def duality_identities(n: int) -> list[tuple[str, float, float]]:
 def two_body_linear_mass(sigma: float, m: float, slope: float, q2: float) -> float:
     """Mass of sigma sqrt(p^2 + m^2) + slope * r.
 
-    linear_mass's formula with sigma in place of N and slope in place of c;
-    m = 0 is its Y = 0 end, M^2 = 4 sigma slope Q.
+    linear_mass's formula (engine._linear_cubic) with sigma in place of N and
+    slope in place of c; m = 0 is its Y = 0 end, M^2 = 4 sigma slope Q.
     """
+    from .engine import _linear_cubic  # the duals load engine, baryon tables do not
     require_finite(sigma=sigma, m=m, slope=slope, q2=q2)
     if slope <= 0.0:
         raise InvalidCoefficient(f"slope {slope} must be positive")
     if m < 0.0:
         raise SingularMasses(f"mass must be non-negative, got {m}")
-    t = math.sqrt(q2 / sigma) * math.sqrt(slope)
-    r = _ratio(m, t)
-    y = 0.5 * 3.0**1.5 * r * r
-    froot = cubic_root(y) if y < math.inf else 3.0**0.5 * math.cbrt(r) ** 2
-    return _finite(sigma * t * (math.sqrt(froot / 3.0**1.5) * (froot + 3.0 / froot)))
+    return _finite(_linear_cubic(sigma, m, slope, q2)[0])
 
 
 def two_body_funnel_ur(sigma: float, a: float, b: float, q2: float) -> float:

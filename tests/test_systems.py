@@ -614,14 +614,16 @@ _SUBNORMAL_SLACK = 4 * 5e-324
         # a product in a denominator underflows to 0: a zero numerator takes
         # the massless (or uncoupled) limit, any other raises a typed error;
         # subnormal masses are held to a few units of the subnormal spacing
-        # (the references are 2 sqrt(N Q c) and the oscillator level at 50
-        # digits); a two-body weight sigma or coupling g <= 0 is refused
+        # (the references are 2 sqrt(N Q c) and the oscillator level and mu0
+        # at 50 digits); a two-body weight sigma or coupling g <= 0 is refused
         pytest.param(_linear_mass, (2, 0.0, 0.0, 1e-320, 1e-320),
                      pytest.approx(2.0 * math.sqrt(2.0) * 1e-320, abs=_SUBNORMAL_SLACK),
                      id="linear-massless"),
         pytest.param(_linear_mass, (2, 1.0, 0.0, 1e-320, 1e-320), DomainError, id="linear"),
-        pytest.param(lambda *x: srho_mass(*x).mass, (2, 1e-320, 0.0, 1e-320, 1e-320),
-                     pytest.approx(3.7995624532904732e-320, abs=_SUBNORMAL_SLACK),
+        pytest.param(lambda *x: (srho_mass(*x).mass, srho_mass(*x).mu0),
+                     (2, 1e-320, 0.0, 1e-320, 1e-320),
+                     pytest.approx((3.7995624532904732e-320, 1.4901995297961257e-320),
+                                   abs=_SUBNORMAL_SLACK),
                      id="srho-massless"),
         pytest.param(srho_mass, (2, 1.0, 0.0, 1e-320, 1e-320), DomainError, id="srho"),
         pytest.param(coulomb_nbody, (2, 1e-320, 0.0, 1e-320), coulomb_nbody(2, 1e-320, 0.0),
