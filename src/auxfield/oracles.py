@@ -10,7 +10,8 @@ and those it maximizes. Line searches use function values only, except
 along fields whose stationary point is a maximum: there one Newton function
 steps on the analytic derivatives of the mass, accepts the point they reach
 on three mass values (itself and its two neighbours), and leaves Brent's
-search as the safeguard. gaussian_trial_bound evaluates a one-parameter
+search as the safeguard; a field past the kinetic barrier s > 0 moves inside
+it before either runs. gaussian_trial_bound evaluates a one-parameter
 correlated-Gaussian variational state analytically and is a true upper bound
 on the exact ground level of nonrelativistic pairwise systems.
 """
@@ -55,7 +56,8 @@ _LOG_LO = -700.0  # fields confined to roughly [1e-304, 1e304], where exp is fin
 _LOG_HI = 700.0
 # A field starts at its |K| at unit radius, clamped to [e^-40, e^40]: from
 # further out, as for steep powers with tiny coefficients, the mass can be
-# flat to rounding along the field and the searches stall there.
+# flat to rounding along the field and the searches stall there. A field
+# whose offset the clamp takes out of the float range starts unclamped.
 _START_LO = math.exp(-40.0)
 _START_HI = math.exp(40.0)
 # First bracket step in log space. Within one solve each search direction
@@ -231,37 +233,21 @@ def _extremize_log_line(
     """Extremize f over a positive variable by Brent's method in log space.
 
     sense +1 minimizes, -1 maximizes; non-finite values act as a barrier for
-    either sense. The bracket is grown outward from x0 by doubling steps that
-    start at `step`. Returns the extremum and how far it lies from x0 in log
-    space. A minimizing search whose bracket grows to _LOG_LO or _LOG_HI and
-    still descends there, or meets a non-finite value only there, raises
-    UnboundedBelow: f falls until the field leaves the float range.
+    either sense. The caller starts the search inside that barrier: a start x0
+    where f is not finite has nothing to search from and is returned as it
+    is. The bracket is grown outward from x0 by doubling steps that start at
+    `step`. Returns the extremum and how far it lies from x0 in log space. A
+    minimizing search whose bracket grows to _LOG_LO or _LOG_HI and still
+    descends there raises UnboundedBelow: f falls until the field leaves the
+    float range. A non-finite value at that edge is a barrier like any other.
     """
     g = _log_objective(f, sense)
     u_start = u0 = min(max(math.log(x0), _LOG_LO), _LOG_HI)
     f0 = g(u0)
     if not math.isfinite(f0):
-        # the warm start sits outside the valid field region; probe outward
-        # geometrically until some direction gives a finite value
-        probe = 0.5
-        while probe <= _LOG_HI - _LOG_LO:
-            for cand in (u0 - probe, u0 + probe):
-                if _LOG_LO <= cand <= _LOG_HI:
-                    fc = g(cand)
-                    if math.isfinite(fc):
-                        u0, f0 = cand, fc
-                        break
-            else:
-                probe *= 2.0
-                continue
-            break
-        if not math.isfinite(f0):
-            return x0, 0.0  # no valid point anywhere along this line
+        return x0, 0.0
     ul, fl, u0, f0, uh, fh = _bracket_min(g, u0, f0, _LOG_LO, _LOG_HI, step)
-    if sense > 0 and (
-        (ul == _LOG_LO and not f0 <= fl < math.inf)
-        or (uh == _LOG_HI and not f0 <= fh < math.inf)
-    ):
+    if sense > 0 and ((ul == _LOG_LO and fl < f0) or (uh == _LOG_HI and fh < f0)):
         raise UnboundedBelow("the mass still falls at the edge of the field range")
     u = _brent_min(g, ul, u0, f0, uh)[0]
     return math.exp(u), abs(u - u_start)
@@ -272,7 +258,7 @@ class _FieldTerm(_Value):
     weight: float        # N, or N(N-1)/2 for a pairwise term
     sense: int           # +1: stationary point is a minimum along this field
     offset: Callable[[float], float]  # V(I) - nu I^2 as a function of |field|
-    init: float          # |K| at unit radius
+    init: float          # |K| at unit radius; a gaussian well's at r = 1/range_
     power: float | None  # d ln|offset| / d ln|field| of a power law, else None
 
 
@@ -321,7 +307,8 @@ def _field_term(term, n: int) -> _FieldTerm:
             return math.inf
         return t / (rng * rng) * (math.log(t / cap) - 1.0)
 
-    return _FieldTerm(float(fold), weight, +1, offset, cap * math.exp(-(rng * rng)), None)
+    # inside t < cap at any range; at unit radius, cap e^(-range^2) rounds to cap or 0
+    return _FieldTerm(float(fold), weight, +1, offset, cap / math.e, None)
 
 
 def _newton_max(
@@ -335,10 +322,9 @@ def _newton_max(
     """Maximum of f along one power-law field, by Newton steps from the field t.
 
     Along the field the mass f is weight offset(t) + qq sqrt(2 s / mu) plus a
-    constant, with s = base + spring t. Where t lies past the kinetic barrier
-    (s <= 0, with spring < 0 < base), the steps start halfway to it instead,
-    at t = base / (2 |spring|). They run in u = ln t: since
-    offset = scale (t/mag)^power, its first and second u-derivatives are
+    constant, with s = base + spring t; the caller starts t inside the kinetic
+    barrier s > 0, and a start past it is refused. The steps run in u = ln t:
+    since offset = scale (t/mag)^power, its first and second u-derivatives are
     power offset and power^2 offset; those of the kinetic root
     K = qq sqrt(2 s / mu) are K r and K r (1 - r), with r = spring t / (2 s).
     Every iterate must give finite values and a negative second derivative;
@@ -349,8 +335,6 @@ def _newton_max(
     _NEWTON_ITERS steps do not converge or the point is refused.
     """
     c, power = field.spring, field.power
-    if c < 0.0 < base and base + c * t <= 0.0:
-        t = base / (-2.0 * c)
     u = math.log(t)
     weight_power, two_over_mu = field.weight * power, 2.0 / mu
     for _ in range(_NEWTON_ITERS):
@@ -403,17 +387,22 @@ def numeric_afm_minimize(
     when it is free, then the min-sense fields; they are cyclically
     minimized by Brent's method until two passes in a row change the mass by
     at most 1e-12 max(1, |M|). Each innermost maximum is found by safeguarded
-    Newton steps on the analytic derivatives of M along that field, started
-    halfway to the kinetic barrier where the warm field lies past it; the
-    point they converge to is accepted when M there is not below M 2.5e-7
-    away in the log on either side, three mass evaluations in all. Where that
-    is refused, Brent's search from a grown bracket runs instead. Every
-    mass evaluation counts toward max_evals. A minimizing search that still
-    descends where a coordinate leaves the float range raises UnboundedBelow,
-    and so does a settled point whose mass is not finite 2.5e-7 away in the
-    log along some coordinate in mins: the mass fell until it left the float
-    range and read as a barrier there, so the point is a boundary, not a
-    stationary point. Deterministic for fixed input.
+    Newton steps on the analytic derivatives of M along that field; the point
+    they converge to is accepted when M there is not below M 2.5e-7 away in
+    the log on either side, three mass evaluations in all. Where that is
+    refused, Brent's search from a grown bracket runs instead. Every mass
+    evaluation counts toward max_evals.
+
+    M is finite only inside the kinetic barrier s = nu + N nubar > 0: along a
+    max-sense field of spring c, on one side of t* = -(s - c t) / c. Before
+    Newton or Brent runs, a field on the other side moves to t*/2 (c < 0) or
+    2 t* (c > 0). A start whose mass is still not finite raises
+    UnboundedBelow: with one term per scope, s stays <= 0 only where a term
+    -|a| r^lam with lam >= 2 outgrows every other, so the potential falls
+    without bound. So does a minimizing search that still descends where a
+    coordinate leaves the float range, and a settled point whose mass is not
+    finite 2.5e-7 away in the log along a coordinate in mins: a boundary,
+    not a stationary point. Deterministic.
     """
     validate(spec, q)
     if not spec.terms:
@@ -459,13 +448,9 @@ def numeric_afm_minimize(
 
     # x[0] is mu, pinned to m for nonrelativistic kinematics; x[j + 1] is field j
     x = [math.sqrt(m * m + qq) if semirel else m]
-    x += [min(max(ft.init, _START_LO), _START_HI) for ft in field_terms]
-    for _ in range(200):  # deterministic repair of an invalid start
-        if math.isfinite(mass(x)):
-            break
-        for j, ft in enumerate(field_terms, 1):
-            if ft.spring < 0.0:
-                x[j] *= 0.5
+    for ft in field_terms:
+        t = min(max(ft.init, _START_LO), _START_HI)
+        x.append(t if math.isfinite(ft.offset(t)) else ft.init)
 
     maxs = [j for j, ft in enumerate(field_terms, 1) if ft.sense < 0]
     mins = ([0] if semirel else []) + [j for j, ft in enumerate(field_terms, 1) if ft.sense > 0]
@@ -479,9 +464,10 @@ def numeric_afm_minimize(
     def hull(x_: list[float]) -> float:
         """Resolve the max-sense fields for fixed minimized coordinates (in place).
 
-        Each is a power-law field: Newton steps on the mass along it
-        (_newton_max); where they are refused, the derivative-free search runs
-        as for every other coordinate. Returns the mass at the resolved fields.
+        Each is a power-law field, first moved inside the kinetic barrier:
+        Newton steps on the mass along it (_newton_max), or where they are
+        refused the derivative-free search from the same start. Returns the
+        mass at the resolved fields.
         """
         value = None
         for j in maxs:
@@ -493,35 +479,25 @@ def numeric_afm_minimize(
                 x_[j] = prev
                 return v
 
+            ft = field_terms[j - 1]
             base = s0 + sum(
-                ft.spring * t for k, (ft, t) in enumerate(zip(field_terms, x_[1:]), 1) if k != j
+                fk.spring * t for k, (fk, t) in enumerate(zip(field_terms, x_[1:]), 1) if k != j
             )
-            found = _newton_max(fj, field_terms[j - 1], base, x_[0], qq, x_[j])
-            if found is None:
-                x_[j], value = search(fj, x_[j], -1, j), None
-            else:
-                x_[j], value = found
+            t_star = -base / ft.spring  # the kinetic barrier s = 0 along this field
+            if base + ft.spring * x_[j] <= 0.0 and t_star > 0.0:
+                x_[j] = 0.5 * t_star if ft.spring < 0.0 else 2.0 * t_star
+            found = _newton_max(fj, ft, base, x_[0], qq, x_[j])
+            x_[j], value = found or (search(fj, x_[j], -1, j), None)
         return mass(x_) if value is None else value
 
-    # a max-sense field that adds to s can always lift it above 0
-    lifted = any(field_terms[j - 1].spring > 0.0 for j in maxs)
-
     def interior() -> bool:
-        """Whether the settled point has a finite mass _NEWTON_DELTA either
-        side in the log along each minimized coordinate. A point where the
-        max-sense fields cannot make s > 0 is past the kinetic barrier and is
-        not counted."""
-        for k in mins:
-            for r in (math.exp(-_NEWTON_DELTA), math.exp(_NEWTON_DELTA)):
-                x_ = list(x)
-                x_[k] *= r
-                # mu, coordinate 0, adds nothing to s
-                s_min = s0 + sum(field_terms[i - 1].spring * x_[i] for i in mins if i)
-                if (lifted or s_min > 0.0) and not math.isfinite(hull(x_)):
-                    return False
-        return True
+        """Whether M is finite _NEWTON_DELTA either side of x in each log of mins."""
+        rs = (math.exp(-_NEWTON_DELTA), math.exp(_NEWTON_DELTA))
+        return all(math.isfinite(hull(x[:k] + [x[k] * r] + x[k + 1 :])) for k in mins for r in rs)
 
     cur = hull(x)
+    if not math.isfinite(cur):
+        raise UnboundedBelow("no max-sense field lifts the start above the kinetic barrier")
     small_steps = 0
     for _ in range(120):
         prev = cur

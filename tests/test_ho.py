@@ -352,8 +352,8 @@ def _both_solvers(masses):
 @pytest.mark.xfail(
     strict=True,
     raises=NoRestoringForce,
-    reason="CHANGES.md line 60 (FOUND): the general solver reads a light particle's"
-    " spring eigenvalue 4.0 as a free mode and raises NoRestoringForce",
+    reason='FOUND: "`ho.ho_energies_general` raises `NoRestoringForce` (exit 2, a spec error)'
+    ' for fully bound systems with one light particle"',
 )
 def test_general_solver_binds_a_light_particle():
     general, closed = _both_solvers([1.0, 1e-20, 1.0])
@@ -364,8 +364,8 @@ def test_general_solver_binds_a_light_particle():
 @pytest.mark.xfail(
     strict=True,
     raises=NumericalError,
-    reason="CHANGES.md line 61 (FOUND): the closed three-body form squares a mass"
-    " ratio past 1e154 and raises NumericalError",
+    reason='FOUND: "`ho.ho_energy_3body_closed` raises `NumericalError` where a mass ratio'
+    ' passes ~1.3e154 although the level is finite and `ho_energies_general` solves it"',
 )
 def test_closed_three_body_form_at_a_mass_ratio_past_1e154():
     general, closed = _both_solvers([1e-200, 3.0, 1e-200])
