@@ -2,9 +2,10 @@
 
 The two polynomial roots show up when eliminating the kinetic auxiliary field
 against linear and quadratic interactions; the Lambert function appears for
-gaussian wells. Closed forms are evaluated first and then polished with a few
-Newton steps, because the quartic expression cancels badly for large
-arguments while Newton converges in one or two steps from it.
+gaussian wells. Each root starts from a seed and is ended by one rule
+(_refine): Newton or Halley corrections are applied for as long as each is
+smaller in magnitude than the one before, so the iteration runs to the
+rounding floor and needs neither a tolerance nor a cap.
 
 The eigenvalue routine is round-robin Jacobi: each sweep visits the pairs in
 the circle-method ordering of Brent and Luk (SIAM J. Sci. Stat. Comput. 6
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, NonConvergence, NotSymmetric
 
@@ -24,6 +25,21 @@ if TYPE_CHECKING:
     import numpy as np
 
 _INV_E = math.exp(-1.0)
+
+
+def _refine(x: float, step: Callable[[float], float]) -> float:
+    """x less the corrections step(x) for as long as each is smaller than the last.
+
+    A strictly shrinking run of float magnitudes must end, and a NaN
+    correction ends it at once, so no tolerance and no cap is needed: the
+    iterate returned is the one whose correction stopped shrinking.
+    """
+    last = math.inf
+    dx = step(x)
+    while abs(dx) < last:
+        x, last = x - dx, abs(dx)
+        dx = step(x)
+    return x
 
 
 def lambert_residual(w: float, x: float) -> float:
@@ -34,10 +50,10 @@ def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert function, W*exp(W) = x for x >= -1/e.
 
     Series initial guesses (near the branch point, near zero, asymptotic for
-    large x) followed by Halley iteration; the residual |W exp(W) - x| is
-    driven below 1e-14 * max(1, |x|). Returns W >= -1.
+    large x), then Halley steps for as long as each is smaller than the one
+    before. An x that rounds to the branch point gives -1. Returns W >= -1.
     """
-    if x < -_INV_E:
+    if x <= -_INV_E:
         if x > -_INV_E - 1e-15 * _INV_E:  # rounding at the branch point
             return -1.0
         raise DomainError(f"lambert_w0 argument {x} < -1/e")
@@ -56,19 +72,15 @@ def lambert_w0(x: float) -> float:
         l2 = math.log(l1)
         w = l1 - l2 + l2 / l1
 
-    for _ in range(64):
-        e = math.exp(w)
-        f = w * e - x
-        if abs(f) <= 1e-15 * max(1.0, abs(x)):
-            break
+    def halley(w: float) -> float:
+        # Halley's correction, written with the residual over exp(w) so that
+        # it stays finite up to x = 1.8e308, and multiplied through by w + 1
+        # so that it stays finite at the branch point w = -1
+        g = w - x * math.exp(-w)
         w1 = w + 1.0
-        # Halley step; the correction to the denominator keeps it stable
-        # when w approaches the branch point at -1.
-        dw = f / (e * w1 - (w + 2.0) * f / (2.0 * w1))
-        w -= dw
-        if abs(dw) <= 1e-17 * (1.0 + abs(w)):
-            break
-    return max(w, -1.0)
+        return 2.0 * g * w1 / (2.0 * w1 * w1 - (w + 2.0) * g)
+
+    return max(_refine(w, halley), -1.0)
 
 
 def cubic_residual(x: float, y: float) -> float:
@@ -78,8 +90,8 @@ def cubic_residual(x: float, y: float) -> float:
 def cubic_root(y: float) -> float:
     """Root x >= sqrt(3) of x**3 - 3x - 2y = 0 for y >= 0.
 
-    Trigonometric branch for y < 1, Cardano branch for y >= 1, then Newton
-    polish down to a residual of 1e-12 * max(1, 2y). Where y^2 overflows,
+    Trigonometric seed for y < 1, Cardano seed for y >= 1, then Newton steps
+    for as long as each is smaller than the one before. Where y^2 overflows,
     y^2 - 1 rounds to y^2 and 1/t vanishes beside t, so x = (2y)^(1/3),
     polished by one Newton step on x^3 = 2y formed without x^3 or 2y.
     """
@@ -93,12 +105,7 @@ def cubic_root(y: float) -> float:
     else:
         x = 2.0 ** (1.0 / 3.0) * y ** (1.0 / 3.0)
         return (2.0 * x + 2.0 * (y / x / x)) / 3.0
-    for _ in range(4):
-        f = cubic_residual(x, y)
-        if abs(f) <= 1e-13 * max(1.0, 2.0 * y):
-            break
-        x -= f / (3.0 * x * x - 3.0)
-    return x
+    return _refine(x, lambda x: cubic_residual(x, y) / (3.0 * x * x - 3.0))
 
 
 def quartic_residual(x: float, y: float) -> float:
@@ -108,31 +115,17 @@ def quartic_residual(x: float, y: float) -> float:
 def quartic_root(y: float) -> float:
     """Positive root of 4x**4 - 8x - 3y = 0 for y >= 0.
 
-    The auxiliary quantity v(y) loses precision for large y (difference of two
-    nearly equal cube-root terms), so the closed form only seeds a Newton
-    iteration that enforces a residual of 1e-12 * max(1, 3y). Where 3y
-    overflows, so does that residual: the seed takes one Newton step on
-    4x^4 = 3y instead, formed without x^4 or 3y (8x is below its last bit).
+    Newton steps on the quarter residual x^4 - 2x - 3y/4, finite for every
+    finite y, for as long as each is smaller than the one before. They start
+    at s + c with s = (3y/4)^(1/4) and c = 2^(1/3), above the root because
+    (s + c)^4 >= 3y/4 + 8s + 2c, and descend on the convex residual.
     """
     if not 0.0 <= y < math.inf:
         raise DomainError(f"quartic_root argument {y} outside [0, inf)")
-    try:
-        t = (2.0 + math.sqrt(4.0 + y**3)) ** (1.0 / 3.0)
-        v = t - y / t
-    except OverflowError:  # y**3 past the float range: v has cancelled anyway
-        v = 0.0
-    if v <= 0.0:  # cancellation for very large y; asymptotic seed instead
-        x = (0.75 * y) ** 0.25
-    else:
-        x = 0.5 * math.sqrt(v) + 0.5 * math.sqrt(max(4.0 / math.sqrt(v) - v, 0.0))
-    if 3.0 * y == math.inf:
-        return 0.75 * x + 0.1875 * (y / x / x / x)
-    for _ in range(16):
-        f = quartic_residual(x, y)
-        if abs(f) <= 1e-13 * max(1.0, 3.0 * y):
-            break
-        x -= f / (16.0 * x**3 - 8.0)
-    return x
+    return _refine(
+        (0.75 * y) ** 0.25 + 2.0 ** (1.0 / 3.0),
+        lambda x: (x**4 - 2.0 * x - 0.75 * y) / (4.0 * x**3 - 2.0),
+    )
 
 
 @functools.lru_cache(maxsize=64)

@@ -320,15 +320,18 @@ def funnel_nbody_ur(n: int, a: float, b: float, q: float) -> float:
     """Massless N-body mass for pairwise funnel interactions a r - b/r.
 
     M^2 = a sqrt(8 N (N-1)) N Q - a b N^2 (N-1)^2; equals the route through
-    the two-body duality map, which is a useful cross-check.
+    the two-body duality map, which is a useful cross-check. It is formed
+    factored, M = 2 sqrt(a) P^(1/4) sqrt(N Q - b P^(3/2)) with P = N(N-1)/2,
+    so that M^2 never has to be a float.
     """
     require_finite(n=n, a=a, b=b, q=q)
     if a <= 0.0:
         raise InvalidCoefficient(f"slope a = {a} must be positive")
-    msq = a * math.sqrt(8.0 * n * (n - 1.0)) * n * q - a * b * n * n * (n - 1.0) ** 2
-    if msq <= 0.0:
+    pairs = n * (n - 1.0) / 2.0
+    arg = n * q - b * pairs**1.5
+    if arg <= 0.0:
         raise OverCritical(f"Coulomb part b = {b} beyond the critical value")
-    return _finite(math.sqrt(msq))
+    return _finite(2.0 * math.sqrt(a) * pairs**0.25 * math.sqrt(arg))
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +441,10 @@ def two_body_funnel_ur(sigma: float, a: float, b: float, q2: float) -> float:
     require_finite(sigma=sigma, a=a, b=b, q2=q2)
     if a <= 0.0:
         raise InvalidCoefficient(f"slope a = {a} must be positive")
-    arg = a * (sigma * q2 - b)
+    arg = sigma * q2 - b
     if arg <= 0.0:
         raise OverCritical(f"Coulomb part b = {b} beyond sigma Q = {sigma * q2}")
-    return _finite(2.0 * math.sqrt(arg))
+    return _finite(2.0 * math.sqrt(a) * math.sqrt(arg))
 
 
 def two_body_coulomb_ground(sigma: float, m: float, b: float, q_c: float = 1.0) -> float:

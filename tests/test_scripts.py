@@ -1,4 +1,5 @@
 """The scripts under scripts/ run clean and exit 1 on a failed check."""
+import json
 import os
 import runpy
 import subprocess
@@ -56,3 +57,16 @@ def test_oracle_sweep_exits_1_on_a_violation(monkeypatch, capsys):
         runpy.run_path(str(SCRIPTS / "oracle_sweep.py"), run_name="__main__")
     assert exit_info.value.code == 1
     assert "VIOLATION" in capsys.readouterr().out
+
+
+def test_golden_script_rewrites_the_file_and_flags_a_moved_output(tmp_path):
+    path = tmp_path / "closed_forms.json"
+    result = run_script("golden.py", "--write", str(path))
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert path.read_bytes() == (ROOT / "tests" / "golden" / "closed_forms.json").read_bytes()
+    doc = json.loads(path.read_text())
+    doc["cubic_root"]["outputs"][0] = [(1.5).hex()]
+    path.write_text(json.dumps(doc))
+    result = run_script("golden.py", str(path))
+    assert result.returncode == 1
+    assert "cubic_root draw 0" in result.stdout

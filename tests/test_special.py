@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -153,15 +154,15 @@ def test_quartic_monotone():
 
 
 def test_quartic_huge_argument_stays_accurate():
-    # the closed form cancels badly here; Newton polish must rescue it
+    # far above the root's 2^(1/3) floor, where a closed form cancels badly
     for y in (1e6, 1e8, 1e10):
         x = quartic_root(y)
         assert abs(4 * x**4 - 8 * x - 3 * y) <= 1e-12 * 3 * y
 
 
 def test_quartic_argument_past_cube_range():
-    # y**3 overflows: the asymptotic seed still converges, and a non-finite
-    # argument is a domain error rather than a NaN root
+    # y**3 overflows, which the quartic's closed form could not survive; a
+    # non-finite argument is a domain error rather than a NaN root
     y = 1e202
     x = quartic_root(y)
     assert x == pytest.approx((0.75 * y) ** 0.25, rel=1e-12)
@@ -169,6 +170,78 @@ def test_quartic_argument_past_cube_range():
     for bad in (math.inf, math.nan):
         with pytest.raises(DomainError):
             quartic_root(bad)
+
+
+# ---------------------------------------------------------------------------
+# the three roots against 50 digits
+
+ULP4 = 4 * sys.float_info.epsilon  # four units in the last place, relative
+
+
+def _log_uniform(rng, lo, hi, count):
+    return [10.0 ** rng.uniform(lo, hi) for _ in range(count)]
+
+
+def _mp_newton(mpmath, f, df, x):
+    """Root of f by Newton from x, which lies above it on a convex rise."""
+    for _ in range(200):
+        dx = f(x) / df(x)
+        x -= dx
+        if abs(dx) <= mpmath.mpf(10) ** -45 * abs(x):
+            return x
+    raise AssertionError("the reference Newton iteration did not converge")
+
+
+def test_roots_within_four_ulp_of_50_digits():
+    # Each root is refined while its correction shrinks, so it ends at the
+    # rounding floor; the parent's residual tolerances left the quartic
+    # ~100 ulp and Lambert ~3e4 ulp (at |x| ~ 1e-4) short of it
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(28)
+    with mpmath.workdps(50):
+        mp = mpmath.mpf
+
+        def check(value, exact, what):
+            assert abs(value - exact) <= ULP4 * abs(exact), (what, value, exact)
+
+        for y in [0.0] + _log_uniform(rng, -300, 307, 150):
+            s = mp(y) * 3 / 4
+            exact = _mp_newton(
+                mpmath, lambda x: x**4 - 2 * x - s, lambda x: 4 * x**3 - 2,
+                mpmath.root(s, 4) + mpmath.cbrt(2),
+            )
+            check(quartic_root(y), exact, ("quartic", y))
+        for y in [0.0] + [rng.uniform(0.0, 2.0) for _ in range(50)] + _log_uniform(
+            rng, -300, 153, 150
+        ):
+            exact = _mp_newton(
+                mpmath, lambda x: x**3 - 3 * x - 2 * mp(y), lambda x: 3 * x * x - 3,
+                mpmath.cbrt(2 * mp(y)) + 2,
+            )
+            check(cubic_root(y), exact, ("cubic", y))
+        xs = [rng.uniform(-0.3, 10.0) for _ in range(100)] + _log_uniform(rng, 1, 308, 100)
+        xs += [rng.choice((-1.0, 1.0)) * x for x in _log_uniform(rng, -300, -1, 100)]
+        for x in xs + [1e308]:
+            check(lambert_w0(x), mpmath.lambertw(mp(x)).real, ("lambert", x))
+
+
+def test_lambert_next_to_the_branch_point_within_its_conditioning():
+    # W is ill-conditioned at x -> -1/e: a relative change eps in x moves W
+    # by eps |x| / (e^W (1 + W)), which no iteration can beat; stay within
+    # twice that
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(29)
+    xs, x = [], -math.exp(-1.0)
+    for _ in range(20):
+        x = math.nextafter(x, 0.0)
+        xs.append(x)
+    with mpmath.workdps(50):
+        branch = -mpmath.exp(-1)
+        xs += [float(branch + 10 ** mpmath.mpf(rng.uniform(-16, -0.6))) for _ in range(100)]
+        for x in xs:
+            w = mpmath.lambertw(mpmath.mpf(x)).real
+            bound = sys.float_info.epsilon * abs(x) / (mpmath.exp(w) * (1 + w) * abs(w))
+            assert abs(lambert_w0(x) - w) <= 2 * bound * abs(w), x
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -347,6 +348,34 @@ def test_funnel_without_coulomb_matches_pairwise_linear():
 def test_funnel_over_critical():
     with pytest.raises(OverCritical):
         funnel_nbody_ur(3, 0.2, 10.0, 3.0)
+
+
+def test_funnel_masses_whose_square_overflows():
+    # M^2 leaves the float range at a = 1e308 while M is 3.5e154: formed as
+    # one product, M^2 raised NumericalError ("mass inf") where baryonic_ur,
+    # with the same mass at N = 2 and b = 0, returns it
+    expected = baryonic_ur(2, 1e308, 0.0, 1.5).mass
+    assert funnel_nbody_ur(2, 1e308, 0.0, 1.5) == pytest.approx(expected, rel=1e-15)
+    assert two_body_funnel_ur(2.0, 1e308, 0.0, 1.5) == pytest.approx(expected, rel=1e-15)
+
+
+def test_funnel_masses_across_the_float_range():
+    # every normal mass on the grid is returned within 4 ulp of 50 digits;
+    # b is half its critical value, or 0
+    mpmath = pytest.importorskip("mpmath")
+    grid = [10.0**k for k in range(-300, 301, 25)]
+    with mpmath.workdps(50):
+        for a, q, half in itertools.product(grid, grid, (0.0, 0.5)):
+            b3, b2 = half * q / math.sqrt(3.0), half * 2.0 * q
+            a_, q_ = mpmath.mpf(a), mpmath.mpf(q)
+            for form, args, exact in (
+                (funnel_nbody_ur, (3, a, b3, q),
+                 mpmath.sqrt(a_ * mpmath.sqrt(48) * 3 * q_ - 36 * a_ * mpmath.mpf(b3))),
+                (two_body_funnel_ur, (2.0, a, b2, q),
+                 2 * mpmath.sqrt(a_ * (2 * q_ - mpmath.mpf(b2)))),
+            ):
+                if sys.float_info.min <= exact <= sys.float_info.max:
+                    assert abs(form(*args) - exact) <= 4 * sys.float_info.epsilon * exact, args
 
 
 # ---------------------------------------------------------------------------
