@@ -1,12 +1,15 @@
-"""Check or regenerate the closed-form golden file.
+"""Check or regenerate the golden files.
 
-Runs every closed form on its seeded draws (tests/golden_forms.py) and
-compares the outputs bitwise with the golden file, printing the worst
-relative delta per form and one line per moved output; the exit code is 1 if
-any output moved. With --write, the file is regenerated instead.
+Runs every form of a slice on its seeded draws (tests/golden_forms.py): the
+scalar closed forms (`closed_forms`) and afm_mass on the verify_sweep
+families (`afm_mass`). It compares the outputs bitwise with the slice's
+golden file, printing the worst relative delta per form and one line per
+moved output; the exit code is 1 if any output moved. With --write, the
+files are regenerated instead.
 
-Usage: python scripts/golden.py [--write] [FILE]
-FILE defaults to tests/golden/closed_forms.json.
+Usage: python scripts/golden.py [--write] [FILE ...]
+Each FILE's name (closed_forms.json, afm_mass.json) picks its slice; with no
+FILE, every slice's file under tests/golden/ is used.
 """
 import json
 import sys
@@ -19,15 +22,25 @@ import golden_forms  # noqa: E402
 
 def main(argv: list[str]) -> int:
     write = "--write" in argv
-    paths = [arg for arg in argv if arg != "--write"]
-    path = Path(paths[0]) if paths else golden_forms.GOLDEN
-    if write:
-        golden_forms.write(path)
-        print(f"wrote {path}")
-        return 0
-    moved, worst = golden_forms.compare(json.loads(path.read_text()), golden_forms.records())
-    for name, delta in worst.items():
-        print(f"{name:24s} worst relative delta {delta:.3e}")
+    paths = [Path(arg) for arg in argv if arg != "--write"]
+    paths = paths or [golden_forms.golden(name) for name in golden_forms.SLICES]
+    unknown = [path for path in paths if path.stem not in golden_forms.SLICES]
+    if unknown:
+        print(f"error: no slice named {unknown[0].stem}; "
+              f"the slices are {', '.join(golden_forms.SLICES)}", file=sys.stderr)
+        return 2
+    moved = []
+    for path in paths:
+        if write:
+            golden_forms.write(path.stem, path)
+            print(f"wrote {path}")
+            continue
+        lines, worst = golden_forms.compare(
+            json.loads(path.read_text()), golden_forms.records(path.stem)
+        )
+        for name, delta in worst.items():
+            print(f"{name:24s} worst relative delta {delta:.3e}")
+        moved += lines
     for line in moved:
         print(line)
     return 1 if moved else 0

@@ -554,9 +554,14 @@ def linear_mass(n: int, m: float, a: float, b: float, q: float) -> AFMSolution:
 
 
 def _linear_cubic(weight: float, m: float, c: float, q: float) -> tuple[float, float]:
-    """linear_mass's M and F, weight in place of N; where Y overflows, F = (2Y)^(1/3)."""
-    t = math.sqrt(q / weight) * math.sqrt(c)
-    r = _ratio(m, t)
+    """linear_mass's M and F, weight in place of N: r = m / t with t = sqrt(Q c / weight).
+
+    t and the factor weight t of M take their roots one factor at a time. Where
+    Y overflows, F = sqrt(3) x^2 with x^3 = r, and cubic_root(r / 2) is x to 1e-100.
+    """
+    root_q, root_c = math.sqrt(q), math.sqrt(c)
+    r = _ratio(m, root_q / math.sqrt(weight) * root_c)
     y = 0.5 * 3.0**1.5 * r * r
-    froot = cubic_root(y) if y < math.inf else 3.0**0.5 * r ** (2.0 / 3.0)
-    return weight * t * (math.sqrt(froot / 3.0**1.5) * (froot + 3.0 / froot)), froot
+    froot = cubic_root(y) if y < math.inf else 3.0**0.5 * cubic_root(0.5 * r) ** 2
+    scale = math.sqrt(weight) * root_q * root_c
+    return scale * (math.sqrt(froot / 3.0**1.5) * (froot + 3.0 / froot)), froot

@@ -30,8 +30,8 @@ if TYPE_CHECKING:
 
 ModePair = tuple[int, int]
 
-# Jacobi leaves a zero eigenvalue of the quadratic form within about eps of
-# the largest one; up to this multiple of that it is read as zero.
+# An eigensolver leaves a zero eigenvalue of the unit-diagonal form within
+# about eps of the largest one; up to this multiple of that it is read as zero.
 _FREE_MODE_RTOL = 8.0 * sys.float_info.epsilon
 
 
@@ -103,25 +103,52 @@ def ho_energies_general(
     omega_i = sqrt(2 d_i / m_ref); the level energy is
     sum_i omega_i (2 n_i + l_i + 3/2). Eigenvalues are sorted ascending and
     paired with the caller's mode list in order, so the caller controls which
-    mode is excited. A mode without a restoring force, an eigenvalue at or
-    below zero, raises NoRestoringForce; an eigenvalue up to _FREE_MODE_RTOL
-    times the largest one is rounding of zero and counts as zero. A form or
-    an energy that is not finite raises NumericalError, the form before the
-    eigensolver sees it.
+    mode is excited. A mode without a restoring force, a form that is not
+    positive definite (_lowest_unit_eigenvalue), raises NoRestoringForce. A
+    form or an energy that is not finite raises NumericalError, the form
+    before the eigensolver sees it.
     """
     n = len(masses)
     if len(modes) != n - 1:
         raise ValidationError(f"need {n - 1} modes for {n} particles")
     if reference_mass is None:
         reference_mass = float(masses[0])
-    evals = symmetric_eigen(build_quadratic_form(masses, k, kbar, reference_mass)).tolist()
-    if evals[0] <= _FREE_MODE_RTOL * evals[-1]:
-        raise NoRestoringForce(f"an internal mode has spring eigenvalue {evals[0]}, not > 0")
+    form = build_quadratic_form(masses, k, kbar, reference_mass)
+    lowest = _lowest_unit_eigenvalue(form)
+    if lowest <= 0.0:
+        raise NoRestoringForce(f"an internal mode has scaled spring eigenvalue {lowest}, not > 0")
+    evals = symmetric_eigen(form).tolist()
+    if evals[0] <= 0.0:
+        raise NumericalError(f"the eigensolver lost a positive eigenvalue: {evals[0]}")
     omegas = tuple(math.sqrt(2.0 * d / reference_mass) for d in evals)
     energy = sum(
         w * (2 * ni + li + 1.5) for w, (ni, li) in zip(omegas, modes)
     )
     return HOSpectrumEntry(omegas, _finite(energy, "energy"))
+
+
+def _lowest_unit_eigenvalue(form: np.ndarray) -> float:
+    """Smallest eigenvalue of D^(-1/2) A D^(-1/2), D = diag(A), or 0 where it is rounding.
+
+    By Sylvester's law of inertia this unit-diagonal form is positive definite
+    exactly when A is, and a fixed threshold on it means the same at every
+    mass ratio: an eigenvalue up to _FREE_MODE_RTOL times the largest is read
+    as 0. A diagonal entry <= 0 already shows a mode without a restoring
+    force. On a definite form every scaled entry is at most 1 in magnitude,
+    so one that is not finite shows an indefinite one.
+    """
+    import numpy as np
+
+    diag = np.diag(form)
+    if not (diag > 0.0).all():
+        return 0.0
+    with np.errstate(all="ignore"):  # a subnormal diagonal may overflow an indefinite form
+        root = np.sqrt(diag)
+        unit = form / root[:, None] / root
+    if not np.isfinite(unit).all():
+        return 0.0
+    evals = np.linalg.eigvalsh(unit)
+    return float(evals[0]) if evals[0] > _FREE_MODE_RTOL * evals[-1] else 0.0
 
 
 def ho_energy_3body_closed(
@@ -135,9 +162,10 @@ def ho_energy_3body_closed(
 
     kbar_pairs holds (kbar_12, kbar_13, kbar_23). The result is symmetric
     under any relabeling of the three particles and independent of the
-    reference mass (fixed internally to the first mass). mode1 excites the
-    stiffer internal mode (the larger frequency), mode2 the softer one. A
-    mode without a restoring force raises NoRestoringForce, as in
+    reference mass, fixed internally to sqrt(m_min) sqrt(m_max) so that the
+    mass ratios and their squares are floats wherever the level is. mode1
+    excites the stiffer internal mode (the larger frequency), mode2 the softer
+    one. A mode without a restoring force raises NoRestoringForce, as in
     ho_energies_general; an energy that is not a finite float raises
     NumericalError.
     """
@@ -145,7 +173,7 @@ def ho_energy_3body_closed(
         raise ValidationError("three masses, three one-body and three pairwise constants")
     if min(masses) <= 0.0:
         raise SingularMasses("all masses must be positive")
-    mref = float(masses[0])
+    mref = math.sqrt(float(min(masses))) * math.sqrt(float(max(masses)))
     # Python floats, so that a square past the float range raises, not warns
     a1, a2, a3 = (float(mi) / mref for mi in masses)
     k1, k2, k3 = map(float, k)

@@ -441,10 +441,8 @@ def numeric_afm_minimize(
             total += ft.weight * ft.offset(t)
         if s <= 0.0:
             return math.inf
-        kinetic = math.sqrt(2.0 * s / mu)
-        if kinetic == math.inf:  # only the quotient left the float range
-            kinetic = math.sqrt(2.0 * s) / math.sqrt(mu)
-        return total + kinetic * qq
+        # one root per factor: a float wherever sqrt(2 s / mu) is
+        return total + math.sqrt(2.0) * math.sqrt(s) / math.sqrt(mu) * qq
 
     # x[0] is mu, pinned to m for nonrelativistic kinematics; x[j + 1] is field j
     x = [math.sqrt(m * m + qq) if semirel else m]

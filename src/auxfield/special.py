@@ -49,9 +49,9 @@ def lambert_residual(w: float, x: float) -> float:
 def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert function, W*exp(W) = x for x >= -1/e.
 
-    Series initial guesses (near the branch point, near zero, asymptotic for
-    large x), then Halley steps for as long as each is smaller than the one
-    before. An x that rounds to the branch point gives -1. Returns W >= -1.
+    The branch-point series seeds x < -1/4, and log(1 + x) >= W(x) every
+    other x; Halley steps then run for as long as each is smaller than the
+    one before. An x that rounds to the branch point gives -1. Returns W >= -1.
     """
     if x <= -_INV_E:
         if x > -_INV_E - 1e-15 * _INV_E:  # rounding at the branch point
@@ -63,14 +63,8 @@ def lambert_w0(x: float) -> float:
     if x < -0.25:
         p = math.sqrt(2.0 * (math.e * x + 1.0))
         w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
-    elif abs(x) < 0.5:
-        w = x * (1.0 - x + 1.5 * x * x)
-    elif x < 2.0:
-        w = 0.7 * math.log1p(x)
     else:
-        l1 = math.log(x)
-        l2 = math.log(l1)
-        w = l1 - l2 + l2 / l1
+        w = math.log1p(x)
 
     def halley(w: float) -> float:
         # Halley's correction, written with the residual over exp(w) so that
@@ -90,22 +84,21 @@ def cubic_residual(x: float, y: float) -> float:
 def cubic_root(y: float) -> float:
     """Root x >= sqrt(3) of x**3 - 3x - 2y = 0 for y >= 0.
 
-    Trigonometric seed for y < 1, Cardano seed for y >= 1, then Newton steps
-    for as long as each is smaller than the one before. Where y^2 overflows,
-    y^2 - 1 rounds to y^2 and 1/t vanishes beside t, so x = (2y)^(1/3),
-    polished by one Newton step on x^3 = 2y formed without x^3 or 2y.
+    Newton steps, for as long as each is smaller than the one before, from
+    x = u + sqrt(3) with u = (2y)^(1/3): the residual there is
+    3 sqrt(3) u^2 + 6u >= 0, so they descend on the convex cubic from above.
+    Where y^2 overflows, x^3 would too; there x = (2y)^(1/3) is the root to
+    rounding, polished by one Newton step on x^3 = 2y formed without x^3 or 2y.
     """
     if not 0.0 <= y < math.inf:
         raise DomainError(f"cubic_root argument {y} outside [0, inf)")
-    if y < 1.0:
-        x = 2.0 * math.cos(math.acos(y) / 3.0)
-    elif y * y < math.inf:
-        t = (y + math.sqrt(y * y - 1.0)) ** (1.0 / 3.0)
-        x = t + 1.0 / t
-    else:
+    if y * y == math.inf:
         x = 2.0 ** (1.0 / 3.0) * y ** (1.0 / 3.0)
         return (2.0 * x + 2.0 * (y / x / x)) / 3.0
-    return _refine(x, lambda x: cubic_residual(x, y) / (3.0 * x * x - 3.0))
+    return _refine(
+        (2.0 * y) ** (1.0 / 3.0) + math.sqrt(3.0),
+        lambda x: cubic_residual(x, y) / (3.0 * x * x - 3.0),
+    )
 
 
 def quartic_residual(x: float, y: float) -> float:

@@ -22,8 +22,6 @@ from .errors import (
 from .model import AFMSolution, BoundCharacter, Kinematics, PowerLaw, _finite, _ratio, _Value
 from .special import lambert_w0
 
-_MIN_NORMAL = math.ldexp(1.0, -1022)  # the smallest normal float
-
 
 # ---------------------------------------------------------------------------
 # ground-state reduction to a two-body problem
@@ -80,18 +78,18 @@ def baryonic_ur(n: int, a: float, b: float, q: float) -> AFMSolution:
     """Massless N-body mass for one-body linear confinement a r_i plus
     pairwise Coulomb attraction -b/r_ij.
 
-    M = 2 sqrt(a) sqrt(Q N - b (N(N-1)/2)^(3/2)); the square-root argument
-    must stay positive, which caps either the particle number at fixed b or
-    the coupling at fixed N.
+    M = 2 sqrt(a) sqrt(N) sqrt(Q - (b/N) (N(N-1)/2)^(3/2)); the last root's
+    argument must stay positive, which caps either the particle number at
+    fixed b or the coupling at fixed N.
     """
     require_finite(n=n, a=a, b=b, q=q)
     if a <= 0.0:
         raise InvalidCoefficient(f"string tension a = {a} must be positive")
-    pair_pull = b * (n * (n - 1.0) / 2.0) ** 1.5
-    if q * n - pair_pull <= 0.0:
+    pull = b * ((n * (n - 1.0) / 2.0) ** 1.5 / n)
+    if q - pull <= 0.0:
         raise OverCritical(f"Coulomb coupling {b} beyond the critical value")
-    mass = 2.0 * math.sqrt(a) * math.sqrt(q * n - pair_pull)
-    x0 = a / (1.0 - pair_pull / (q * n))
+    mass = 2.0 * math.sqrt(a) * math.sqrt(n) * math.sqrt(q - pull)
+    x0 = a / (1.0 - pull / q)
     bound = BoundCharacter.of(Kinematics.SEMIRELATIVISTIC, (PowerLaw(a, 1.0), PowerLaw(b, -1.0)))
     return AFMSolution.at_scale(n, 0.0, q, x0, mass, bound)
 
@@ -253,14 +251,10 @@ def gaussian_critical_coupling(n: int, q: float) -> float:
 def _gaussian_y(n: int, m: float, alpha: float, beta: float, q: float) -> float:
     """Y = -beta Q / ((N-1) sqrt(2 N m alpha)) of the gaussian level.
 
-    Where 2 N m alpha is below the smallest normal float it has lost digits,
-    or all of them, so its root is taken factor by factor.
+    The root is taken factor by factor, so it keeps its digits where
+    2 N m alpha would leave the normal range.
     """
-    if 2.0 * n * m * alpha >= _MIN_NORMAL:
-        root = math.sqrt(2.0 * n * m * alpha)
-    else:
-        root = math.sqrt(2.0 * n * m) * math.sqrt(alpha)
-    return -beta * q / ((n - 1.0) * root)
+    return -beta * q / ((n - 1.0) * (math.sqrt(2.0 * n * m) * math.sqrt(alpha)))
 
 
 def gaussian_spectrum(
@@ -321,17 +315,17 @@ def funnel_nbody_ur(n: int, a: float, b: float, q: float) -> float:
 
     M^2 = a sqrt(8 N (N-1)) N Q - a b N^2 (N-1)^2; equals the route through
     the two-body duality map, which is a useful cross-check. It is formed
-    factored, M = 2 sqrt(a) P^(1/4) sqrt(N Q - b P^(3/2)) with P = N(N-1)/2,
-    so that M^2 never has to be a float.
+    factored, M = 2 sqrt(a) P^(1/4) sqrt(N) sqrt(Q - b P^(3/2) / N) with
+    P = N(N-1)/2, so that neither M^2 nor N Q has to be a float.
     """
     require_finite(n=n, a=a, b=b, q=q)
     if a <= 0.0:
         raise InvalidCoefficient(f"slope a = {a} must be positive")
     pairs = n * (n - 1.0) / 2.0
-    arg = n * q - b * pairs**1.5
+    arg = q - b * (pairs**1.5 / n)
     if arg <= 0.0:
         raise OverCritical(f"Coulomb part b = {b} beyond the critical value")
-    return _finite(2.0 * math.sqrt(a) * pairs**0.25 * math.sqrt(arg))
+    return _finite(2.0 * math.sqrt(a) * pairs**0.25 * math.sqrt(n) * math.sqrt(arg))
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +431,14 @@ def two_body_linear_mass(sigma: float, m: float, slope: float, q2: float) -> flo
 
 
 def two_body_funnel_ur(sigma: float, a: float, b: float, q2: float) -> float:
-    """Massless funnel mass 2 sqrt(a (sigma Q - b)) for sigma sqrt(p^2) + ar - b/r."""
+    """Massless funnel mass 2 sqrt(a) sqrt(sigma) sqrt(Q - b/sigma), sigma |p| + ar - b/r."""
     require_finite(sigma=sigma, a=a, b=b, q2=q2)
     if a <= 0.0:
         raise InvalidCoefficient(f"slope a = {a} must be positive")
-    arg = sigma * q2 - b
+    arg = q2 - b / sigma
     if arg <= 0.0:
         raise OverCritical(f"Coulomb part b = {b} beyond sigma Q = {sigma * q2}")
-    return _finite(2.0 * math.sqrt(a) * math.sqrt(arg))
+    return _finite(2.0 * math.sqrt(a) * math.sqrt(sigma) * math.sqrt(arg))
 
 
 def two_body_coulomb_ground(sigma: float, m: float, b: float, q_c: float = 1.0) -> float:

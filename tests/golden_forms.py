@@ -1,4 +1,4 @@
-"""Seeded draws of every closed form, and the golden file that pins their outputs.
+"""Seeded draws of every closed form and of afm_mass, and the golden files that pin them.
 
 Each form gets DRAWS argument tuples from its own `random.Random`, seeded by
 the form's name; only `Random.random` is used, whose sequence Python keeps
@@ -9,8 +9,11 @@ as ``{"raise": type name, "message": str(error)}``. The inputs are not stored
 (they would triple the file); a digest of them per form tells a changed draw
 apart from a moved output.
 
-`tests/test_golden.py` compares a fresh run with GOLDEN bitwise;
-`scripts/golden.py --write` regenerates the file.
+The forms fall into SLICES, one golden file each under GOLDEN_DIR, named
+after the slice: `closed_forms` holds every scalar closed form, `afm_mass`
+the generic solve on the six families of the verify_sweep benchmark.
+`tests/test_golden.py` compares a fresh run with each file bitwise;
+`scripts/golden.py --write` regenerates them.
 """
 from __future__ import annotations
 
@@ -21,10 +24,11 @@ import random
 from enum import Enum
 from pathlib import Path
 
-from auxfield.engine import equal_power_mass, linear_mass
+from auxfield.engine import afm_mass, equal_power_mass, linear_mass
 from auxfield.errors import AuxFieldError
 from auxfield.ho import srho_mass
 from auxfield.model import (
+    GaussianWell,
     Identical,
     Kinematics,
     PotentialTerm,
@@ -46,9 +50,10 @@ from auxfield.systems import (
     two_body_linear_mass,
 )
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "closed_forms.json"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SEED = "closed-forms-1"
 DRAWS = 90
+AFM_DRAWS = 64
 
 
 class _Draw:
@@ -76,10 +81,16 @@ class _Draw:
         return QuantumNumbers(((self.count(0, 3), 0),) + ((0, 0),) * (n - 2))
 
 
-def _spec(n: int, m: float, kinematics: Kinematics, a: float, b: float, lam: float):
-    one = (PotentialTerm(Scope.ONE_BODY, PowerLaw(a, lam)),) if a else ()
-    pair = (PotentialTerm(Scope.PAIRWISE, PowerLaw(b, lam)),) if b else ()
+def _system(n: int, m: float, kinematics: Kinematics, one=None, pair=None) -> SystemSpec:
+    """one and pair: None, or a potential form (a power law or a gaussian well)."""
+    one = (PotentialTerm(Scope.ONE_BODY, one),) if one else ()
+    pair = (PotentialTerm(Scope.PAIRWISE, pair),) if pair else ()
     return SystemSpec(n, Identical(m), kinematics, one, pair)
+
+
+def _spec(n: int, m: float, kinematics: Kinematics, a: float, b: float, lam: float):
+    one, pair = (PowerLaw(a, lam) if a else None), (PowerLaw(b, lam) if b else None)
+    return _system(n, m, kinematics, one, pair)
 
 
 def _equal_power(d: _Draw, kinematics: Kinematics) -> tuple:
@@ -141,6 +152,71 @@ def _lambert(d: _Draw) -> tuple:
     return (d.log(-1.0, 308.0),)
 
 
+# afm_mass on the six verify_sweep families, with that benchmark's ranges; the
+# first mode is raised by 0-3 quanta (the gaussian wells stay in their ground
+# state, whose critical depth the draw clears)
+
+
+def _afm_srho(d: _Draw) -> tuple:
+    n = d.count(2, 6)
+    m = d.uniform(0.0, 4.0) if d.uniform(0.0, 1.0) > 0.15 else 0.0
+    k, kbar = d.uniform(0.0, 3.0), d.uniform(0.05, 3.0)
+    one = PowerLaw(k, 2.0) if k > 0.0 else None
+    return _system(n, m, Kinematics.SEMIRELATIVISTIC, one, PowerLaw(kbar, 2.0)), d.state(n)
+
+
+def _afm_linear(d: _Draw) -> tuple:
+    n = d.count(2, 6)
+    m = d.uniform(0.0, 3.0) if d.uniform(0.0, 1.0) > 0.2 else 0.0
+    a, b = d.uniform(0.0, 1.5), d.uniform(0.05, 1.5)
+    one = PowerLaw(a, 1.0) if a > 0.0 else None
+    return _system(n, m, Kinematics.SEMIRELATIVISTIC, one, PowerLaw(b, 1.0)), d.state(n)
+
+
+def _afm_equal_power(d: _Draw) -> tuple:
+    n = d.count(2, 6)
+    if d.uniform(0.0, 1.0) < 0.5:
+        kinematics = Kinematics.NONRELATIVISTIC
+        lam = (-1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.5, 3.0)[d.count(0, 7)]
+        m = d.uniform(0.3, 4.0)
+    else:  # massless only for rising potentials, one draw in five
+        kinematics = Kinematics.SEMIRELATIVISTIC
+        lam = (-1.0, -0.5, 0.5, 1.0, 2.0)[d.count(0, 4)]
+        m = d.uniform(0.3, 3.0) if lam < 0.0 or d.uniform(0.0, 1.0) > 0.2 else 0.0
+    a, b, q = d.uniform(0.05, 2.0), d.uniform(0.05, 2.0), d.state(n)
+    if kinematics is Kinematics.SEMIRELATIVISTIC and lam == -1.0:
+        # keep inverse-distance attraction clear of the collapse threshold
+        amp = a * (n / q.q) ** 1.5 + b * n * ((n - 1) / (2.0 * q.q)) ** 1.5
+        strength = amp * math.sqrt(q.q / n)
+        scale = min(1.0, 0.7 / strength)
+        a, b = a * scale, b * scale
+    return _spec(n, m, kinematics, a, b, lam), q
+
+
+def _afm_baryonic(d: _Draw) -> tuple:
+    n, a = d.count(2, 5), d.uniform(0.05, 1.0)
+    q = d.state(n)
+    b = d.uniform(0.05, 0.8) * q.q * n / (n * (n - 1) / 2.0) ** 1.5
+    spec = _system(n, 0.0, Kinematics.SEMIRELATIVISTIC, PowerLaw(a, 1.0), PowerLaw(b, -1.0))
+    return spec, q
+
+
+def _afm_atomic(d: _Draw) -> tuple:
+    n, m = d.count(2, 6), d.uniform(0.5, 5.0)
+    q = d.state(n)
+    alpha = d.uniform(0.1, 0.8) * q.q / n
+    alphabar = d.uniform(0.1, 0.6) * alpha * n * n / (n * (n - 1) / 2.0) ** 1.5
+    one, pair = PowerLaw(alpha, -1.0), PowerLaw(-alphabar, -1.0)
+    return _system(n, m, Kinematics.SEMIRELATIVISTIC, one, pair), q
+
+
+def _afm_gaussian(d: _Draw) -> tuple:
+    n, m, beta = d.count(2, 6), d.uniform(0.5, 3.0), d.uniform(0.3, 2.0)
+    q = QuantumNumbers.ground(n)
+    alpha = d.uniform(2.0, 50.0) * gaussian_critical_coupling(n, q.q) * beta * beta / m
+    return _system(n, m, Kinematics.NONRELATIVISTIC, None, GaussianWell(alpha, beta)), q
+
+
 FORMS = {
     "quartic_root": (quartic_root, lambda d: (d.scale() if d.count(0, 9) else 0.0,)),
     "cubic_root": (cubic_root, lambda d: (d.scale() if d.count(0, 9) else 0.0,)),
@@ -168,12 +244,27 @@ FORMS = {
     "gaussian_spectrum": (gaussian_spectrum, _gaussian),
     "gaussian_energy_alt": (gaussian_energy_alt, _gaussian),
 }
+AFM_FORMS = {
+    "afm_srho": (afm_mass, _afm_srho),
+    "afm_linear": (afm_mass, _afm_linear),
+    "afm_equal_power": (afm_mass, _afm_equal_power),
+    "afm_baryonic": (afm_mass, _afm_baryonic),
+    "afm_atomic": (afm_mass, _afm_atomic),
+    "afm_gaussian": (afm_mass, _afm_gaussian),
+}
+SLICES = {"closed_forms": list(FORMS), "afm_mass": list(AFM_FORMS)}
+FORMS.update(AFM_FORMS)
+
+
+def golden(slice_name: str) -> Path:
+    return GOLDEN_DIR / f"{slice_name}.json"
 
 
 def draws(name: str) -> list[tuple]:
-    """The DRAWS argument tuples of one form."""
+    """The argument tuples of one form: AFM_DRAWS for afm_mass, DRAWS otherwise."""
     d = _Draw(name)
-    return [FORMS[name][1](d) for _ in range(DRAWS)]
+    count = AFM_DRAWS if name in AFM_FORMS else DRAWS
+    return [FORMS[name][1](d) for _ in range(count)]
 
 
 def _encode(value) -> list[str]:
@@ -196,23 +287,25 @@ def digest(name: str) -> str:
     return hashlib.sha256(repr(draws(name)).encode()).hexdigest()[:16]
 
 
-def records() -> dict:
-    """Every form's input digest and output records, as the golden file holds them."""
+def records(slice_name: str) -> dict:
+    """Each form's input digest and output records, as the slice's golden file holds them."""
     return {
         name: {"inputs": digest(name), "outputs": [run(name, args) for args in draws(name)]}
-        for name in FORMS
+        for name in SLICES[slice_name]
     }
 
 
-def write(path: Path = GOLDEN) -> None:
+def write(slice_name: str, path: Path | None = None) -> None:
     """Write records() with one output record per line, so a diff shows each moved draw."""
+    forms = records(slice_name)
     lines = ["{"]
-    for i, (name, form) in enumerate(records().items()):
+    for i, (name, form) in enumerate(forms.items()):
         lines.append(f'"{name}": {{"inputs": "{form["inputs"]}", "outputs": [')
         body = [json.dumps(out, separators=(",", ":")) for out in form["outputs"]]
         lines.append(",\n".join(body))
-        lines.append("]}" + ("," if i < len(FORMS) - 1 else ""))
+        lines.append("]}" + ("," if i < len(forms) - 1 else ""))
     lines.append("}")
+    path = path or golden(slice_name)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -276,8 +277,9 @@ def test_general_form_past_the_float_range_raises_before_the_eigensolver(
 @pytest.mark.parametrize(
     "masses, k, pairs",
     [
-        # a mass ratio of 3e200 overflows its square
-        pytest.param((1e-200, 3.0, 1e-200), (1e-320, 1e200, 1e-320), (-1.0, 1e-200, -1.0),
+        # the mass ratio 1.7e308 / sqrt(5e-324 * 1.7e308) overflows even from the
+        # geometric-mean reference mass
+        pytest.param((5e-324, 1.7e308, 5e-324), (1e-320, 1e200, 1e-320), (-1.0, 1e-200, -1.0),
                      id="square-overflow"),
         # P = a1 a2 a3 (a1 + a2 + a3) underflows to 0 in the prefactor 1 / sqrt(m P)
         pytest.param((0.5, 5e-324, 1e-320), (1.7e308, 0.5, 5e-324), (0.5, 0.5, 0.5),
@@ -339,8 +341,8 @@ def test_identical_energy_requires_restoring_force():
         ho_energy_identical(3, 1.0, 0.0, 0.0, 3.0)
 
 
-# Open defects: the general and the closed three-body solver must agree on a
-# fully bound level, and each test fails (strictly) until they do.
+# The general and the closed three-body solver agree on a fully bound level
+# at mass ratios across the float range.
 
 
 def _both_solvers(masses):
@@ -349,28 +351,50 @@ def _both_solvers(masses):
     return general, closed
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=NoRestoringForce,
-    reason='FOUND: "`ho.ho_energies_general` raises `NoRestoringForce` (exit 2, a spec error)'
-    ' for fully bound systems with one light particle"',
-)
 def test_general_solver_binds_a_light_particle():
+    # the free-mode rule compared the smallest eigenvalue with 8 eps times the
+    # largest one, and a light particle spreads the spectrum past 1/(8 eps)
     general, closed = _both_solvers([1.0, 1e-20, 1.0])
     assert closed == pytest.approx(3.674234614599e10, rel=1e-10)
     assert general == pytest.approx(closed, rel=1e-10)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=NumericalError,
-    reason='FOUND: "`ho.ho_energy_3body_closed` raises `NumericalError` where a mass ratio'
-    ' passes ~1.3e154 although the level is finite and `ho_energies_general` solves it"',
-)
 def test_closed_three_body_form_at_a_mass_ratio_past_1e154():
+    # the first mass as the reference squared the ratio 3e200 past the float range
     general, closed = _both_solvers([1e-200, 3.0, 1e-200])
     assert general == pytest.approx(7.242640687119285e100, rel=1e-10)
     assert closed == pytest.approx(general, rel=1e-10)
+
+
+def test_graded_masses_keep_every_level_to_1e_12():
+    # N = 4-8 with two masses in five log-uniform in 1e-14..1e-8: the form's
+    # spectrum spans up to ~1e14, and each level sum_i sqrt(2 d_i / m) (2 n_i +
+    # l_i + 3/2) stays within 1e-12 of the 60-digit eigenvalues of the same
+    # float form, so neither the restoring-force rule nor the eigensolver may
+    # lose the light modes
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(30)
+    for _ in range(60):
+        n = 4 + int(5 * rng.random())
+        masses = [
+            10.0 ** rng.uniform(-14.0, -8.0) if rng.random() < 0.4 else rng.uniform(0.5, 3.0)
+            for _ in range(n)
+        ]
+        k = [rng.uniform(0.0, 2.0) for _ in range(n)]
+        kbar = np.zeros((n, n))
+        for i, j in zip(*np.triu_indices(n, 1)):
+            kbar[i, j] = kbar[j, i] = rng.uniform(0.5, 2.0)
+        modes = [(0, 0)] * (n - 1)
+        modes[int(rng.random() * (n - 1))] = (1, 2)
+        form = build_quadratic_form(masses, k, kbar)
+        with mpmath.workdps(60):
+            d = sorted(mpmath.eigsy(mpmath.matrix(form.tolist()), eigvals_only=True))
+            exact = sum(
+                mpmath.sqrt(2 * di / masses[0]) * (2 * ni + li + mpmath.mpf(1.5))
+                for di, (ni, li) in zip(d, modes)
+            )
+        level = ho_energies_general(masses, k, kbar, modes).energy
+        assert abs(level - exact) <= 1e-12 * exact, masses
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import copy
 import math
 import pickle
+import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -255,6 +257,38 @@ def test_at_scale_fields_stay_finite_where_q_x0_and_2q_overflow():
 def test_at_scale_raises_where_a_field_leaves_the_float_range(n, m, q, x0, field):
     with pytest.raises(NumericalError, match=field):
         AFMSolution.at_scale(n, m, q, x0, 1.0, BoundCharacter.UPPER_BOUND)
+
+
+def test_at_scale_fields_within_four_ulp_of_50_digits():
+    # mu0 = hypot(m, sqrt(Q/N) sqrt(X0)), r0_one = sqrt(Q/N) / sqrt(X0) and
+    # r0_pair = sqrt(2) sqrt(Q/(N-1)) / sqrt(X0) are one formula each across
+    # the float range: every field whose value is a normal float comes back
+    # within 4 ulp of it, and a raise means some field leaves the float range
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(29)
+    ulp4 = 4 * sys.float_info.epsilon
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    with mpmath.workdps(50):
+        mp = mpmath.mpf
+        for _ in range(2000):
+            n = 2 + int(5 * rng.random())
+            m = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-320.0, 308.0)
+            q = 10.0 ** rng.uniform(-300.0, 300.0)
+            x0 = 10.0 ** rng.uniform(-320.0, 308.0)
+            exact = {
+                "mu0": mpmath.sqrt(mp(m) ** 2 + mp(q) * mp(x0) / n),
+                "r0_one": mpmath.sqrt(mp(q) / (n * mp(x0))),
+                "r0_pair": mpmath.sqrt(2 * mp(q) / ((n - 1) * mp(x0))),
+            }
+            args = (n, m, q, x0)
+            try:
+                sol = AFMSolution.at_scale(n, m, q, x0, 1.0, BoundCharacter.UPPER_BOUND)
+            except NumericalError:
+                assert any(value > huge for value in exact.values()), args
+                continue
+            for name, value in exact.items():
+                if tiny <= value <= huge:
+                    assert abs(getattr(sol, name) - value) <= ulp4 * value, (name, args)
 
 
 # ---------------------------------------------------------------------------

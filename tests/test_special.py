@@ -129,8 +129,9 @@ def test_quartic_domain_error():
     "y", [1e100, 1.34e154, 1.35e154, 1e200, 6e307, 7e307, 9e307, 1e308, sys.float_info.max]
 )
 def test_roots_up_to_the_float_range(y):
-    # y^2 overflows in the Cardano branch past 1.34e154, and 3y in the
-    # quartic's residual past 6e307; the residuals are formed exactly here
+    # y^2, and x^3 with it, overflows past 1.34e154, where cubic_root takes
+    # its asymptote, and 3y in the quartic's residual past 6e307; the
+    # residuals are formed exactly here
     x, fy = cubic_root(y), Fraction(y)
     assert math.isfinite(x)
     assert abs(Fraction(x) ** 3 - 3 * Fraction(x) - 2 * fy) <= 1e-13 * 2 * fy

@@ -73,6 +73,7 @@ from auxfield.systems import (
     two_body_funnel_ur,
     two_body_gaussian_energy,
     two_body_linear_mass,
+    _gaussian_y,
 )
 from conftest import gaussian_system, ground, power_system
 
@@ -314,6 +315,24 @@ def test_gaussian_limit_past_float_range(m, alpha, beta):
     assert level.energy == pytest.approx(-3.0 * alpha, rel=1e-12)
 
 
+def test_gaussian_y_within_four_ulp_of_50_digits():
+    # Y = -beta Q / ((N-1) sqrt(2 N m) sqrt(alpha)) is one formula across the
+    # float range: where 2 N m alpha leaves the normal range, its factors
+    # do not, so every Y that is a normal float comes back within 4 ulp
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(29)
+    with mpmath.workdps(50):
+        mp = mpmath.mpf
+        for _ in range(2000):
+            n = 2 + int(5 * rng.random())
+            m, alpha, beta = (10.0 ** rng.uniform(-300.0, 300.0) for _ in range(3))
+            q = rng.uniform(0.0, 6.0) + 1.5 * (n - 1)
+            exact = -mp(beta) * q / ((n - 1) * mpmath.sqrt(2 * n * mp(m) * mp(alpha)))
+            if sys.float_info.min <= -exact <= sys.float_info.max:
+                args = (n, m, alpha, beta, q)
+                assert abs(_gaussian_y(*args) - exact) <= 4 * sys.float_info.epsilon * -exact, args
+
+
 # ---------------------------------------------------------------------------
 # funnel potential
 
@@ -376,6 +395,48 @@ def test_funnel_masses_across_the_float_range():
             ):
                 if sys.float_info.min <= exact <= sys.float_info.max:
                     assert abs(form(*args) - exact) <= 4 * sys.float_info.epsilon * exact, args
+
+
+def _mp_linear(mpmath, n, m, c, q):
+    """(M, X0) of linear_mass at 50 digits: the cubic's root by Newton from above."""
+    mp = mpmath.mpf
+    t = mpmath.sqrt(mp(q) * c / n)
+    y = mp(3) ** 1.5 / 2 * (mp(m) / t) ** 2
+    f = mpmath.cbrt(2 * y) + 2
+    for _ in range(200):
+        step = (f**3 - 3 * f - 2 * y) / (3 * f * f - 3)
+        f -= step
+        if abs(step) <= mp(10) ** -45 * f:
+            break
+    return n * t * mpmath.sqrt(f / mp(3) ** 1.5) * (f + 3 / f), c * f / mpmath.sqrt(3)
+
+
+def test_closed_forms_where_n_q_or_the_linear_scale_leaves_the_float_range():
+    # N Q (sigma Q) and t = sqrt(Q c / N) left the float range in these calls,
+    # which raised NumericalError or DomainError although each answer is a
+    # float; the roots are now taken one factor at a time
+    mpmath = pytest.importorskip("mpmath")
+    ulp4 = 4 * sys.float_info.epsilon
+    with mpmath.workdps(50):
+        mp = mpmath.mpf
+        a, q = mp(1e-300), mp(1.7e308)
+        pairs = [
+            (funnel_nbody_ur(3, 1e-300, 0.0, 1.7e308), mpmath.sqrt(a * mpmath.sqrt(48) * 3 * q)),
+            (two_body_funnel_ur(2.0, 1e-300, 0.0, 1.7e308), 2 * mpmath.sqrt(a * 2 * q)),
+            (baryonic_ur(3, 1e-300, 0.0, 1.7e308).mass, 2 * mpmath.sqrt(a * 3 * q)),
+            (
+                two_body_linear_mass(1e-200, 0.0, 1e200, 1e308),
+                2 * mpmath.sqrt(mp(1e-200) * mp(1e200) * mp(1e308)),
+            ),
+        ]
+        sol = linear_mass(3, 1.0, 0.2, 0.1, 5e-324)
+        mass, x0 = _mp_linear(mpmath, 3, 1.0, mp(0.2) + mp(0.1) * mpmath.sqrt(3), 5e-324)
+        pairs += [(sol.mass, mass), (sol.x0, x0)]
+        for value, exact in pairs:
+            assert abs(value - exact) <= ulp4 * exact, (value, exact)
+        assert [float(exact) for _, exact in pairs] == pytest.approx(
+            [5.94e4, 3.69e4, 4.52e4, 2e154, 3.0, 4.39e107], rel=1e-2
+        )
 
 
 # ---------------------------------------------------------------------------
