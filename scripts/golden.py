@@ -1,15 +1,16 @@
 """Check or regenerate the golden files.
 
 Runs every form of a slice on its seeded draws (tests/golden_forms.py): the
-scalar closed forms (`closed_forms`) and afm_mass on the verify_sweep
-families (`afm_mass`). It compares the outputs bitwise with the slice's
-golden file, printing the worst relative delta per form and one line per
-moved output; the exit code is 1 if any output moved. With --write, the
-files are regenerated instead.
+scalar closed forms (`closed_forms`), afm_mass on the verify_sweep
+families (`afm_mass`) and the field-extremization oracle on the same draws
+(`oracle`). It compares the outputs bitwise with the slice's golden file,
+printing the worst relative delta per form and one line per moved output;
+the exit code is 1 if any output moved. With --write, the files are
+regenerated instead.
 
 Usage: python scripts/golden.py [--write] [FILE ...]
-Each FILE's name (closed_forms.json, afm_mass.json) picks its slice; with no
-FILE, every slice's file under tests/golden/ is used.
+Each FILE's name (closed_forms.json, afm_mass.json, oracle.json) picks its
+slice; with no FILE, every slice's file under tests/golden/ is used.
 """
 import json
 import sys

@@ -11,9 +11,11 @@ along fields whose stationary point is a maximum: there one Newton function
 steps on the analytic derivatives of the mass, accepts the point they reach
 on three mass values (itself and its two neighbours), and leaves Brent's
 search as the safeguard; a field past the kinetic barrier s > 0 moves inside
-it before either runs. gaussian_trial_bound evaluates a one-parameter
-correlated-Gaussian variational state analytically and is a true upper bound
-on the exact ground level of nonrelativistic pairwise systems.
+it before either runs. The searches only search; one verdict on the settled
+point tells a stationary point from a boundary, and the passes stop on a
+change of M relative to max(|M|, N m), alike at every length scale.
+gaussian_trial_bound evaluates a one-parameter correlated-Gaussian state
+analytically: a true upper bound on nonrelativistic pairwise ground levels.
 """
 from __future__ import annotations
 
@@ -72,15 +74,13 @@ _KAPPA_SPAN = 34.5  # trial widths confined to roughly [1e-15, 1e15]
 # after _NEWTON_ITERS steps. The point is accepted only if the mass there is
 # not below the mass _NEWTON_DELTA away on either side. A converged point lies
 # within _NEWTON_TOL of the maximizer, far inside the ~sqrt(eps) ~ 1.5e-8
-# rounding plateau where values cannot place it any closer. The settled point
-# of the whole extremization must likewise have a finite mass _NEWTON_DELTA
-# away along each minimized direction, or it lies against a barrier.
+# rounding plateau where values cannot place it any closer.
 _NEWTON_STEP = 1.0
 _NEWTON_TOL = 1e-9
 _NEWTON_ITERS = 40
 _NEWTON_DELTA = 2.5e-7
 # Field extremization ends after two passes in a row that move the mass by
-# at most this much relative to max(1, |M|).
+# at most this much relative to max(|M|, N m), which scales as M does.
 _PASS_TOL = 1e-12
 
 
@@ -235,20 +235,15 @@ def _extremize_log_line(
     sense +1 minimizes, -1 maximizes; non-finite values act as a barrier for
     either sense. The caller starts the search inside that barrier: a start x0
     where f is not finite has nothing to search from and is returned as it
-    is. The bracket is grown outward from x0 by doubling steps that start at
-    `step`. Returns the extremum and how far it lies from x0 in log space. A
-    minimizing search whose bracket grows to _LOG_LO or _LOG_HI and still
-    descends there raises UnboundedBelow: f falls until the field leaves the
-    float range. A non-finite value at that edge is a barrier like any other.
+    is. The bracket grows from x0 by doubling steps from `step`, inside
+    [_LOG_LO, _LOG_HI]. Returns the extremum and its log distance from x0.
     """
     g = _log_objective(f, sense)
     u_start = u0 = min(max(math.log(x0), _LOG_LO), _LOG_HI)
     f0 = g(u0)
     if not math.isfinite(f0):
         return x0, 0.0
-    ul, fl, u0, f0, uh, fh = _bracket_min(g, u0, f0, _LOG_LO, _LOG_HI, step)
-    if sense > 0 and ((ul == _LOG_LO and fl < f0) or (uh == _LOG_HI and fh < f0)):
-        raise UnboundedBelow("the mass still falls at the edge of the field range")
+    ul, _, u0, f0, uh, _ = _bracket_min(g, u0, f0, _LOG_LO, _LOG_HI, step)
     u = _brent_min(g, ul, u0, f0, uh)[0]
     return math.exp(u), abs(u - u_start)
 
@@ -386,7 +381,8 @@ def numeric_afm_minimize(
     terms); they are solved innermost. The list mins holds the rest, mu first
     when it is free, then the min-sense fields; they are cyclically
     minimized by Brent's method until two passes in a row change the mass by
-    at most 1e-12 max(1, |M|). Each innermost maximum is found by safeguarded
+    at most 1e-12 max(|M|, N m), alike at every length scale (r -> r/s takes
+    m to s m and M to s M). Each innermost maximum is found by safeguarded
     Newton steps on the analytic derivatives of M along that field; the point
     they converge to is accepted when M there is not below M 2.5e-7 away in
     the log on either side, three mass evaluations in all. Where that is
@@ -399,10 +395,11 @@ def numeric_afm_minimize(
     2 t* (c > 0). A start whose mass is still not finite raises
     UnboundedBelow: with one term per scope, s stays <= 0 only where a term
     -|a| r^lam with lam >= 2 outgrows every other, so the potential falls
-    without bound. So does a minimizing search that still descends where a
-    coordinate leaves the float range, and a settled point whose mass is not
-    finite 2.5e-7 away in the log along a coordinate in mins: a boundary,
-    not a stationary point. Deterministic.
+    without bound. The searches stay in [e^-700, e^700] and only search; a
+    settled point raises it too where it is a boundary, not a stationary
+    point: where the log of a searched coordinate lies within 4e-9 (four
+    line-search widths) of that range's edge, or M is not finite 4e-9 away
+    in the log along a coordinate in mins. Deterministic.
     """
     validate(spec, q)
     if not spec.terms:
@@ -489,8 +486,11 @@ def numeric_afm_minimize(
         return mass(x_) if value is None else value
 
     def interior() -> bool:
-        """Whether M is finite _NEWTON_DELTA either side of x in each log of mins."""
-        rs = (math.exp(-_NEWTON_DELTA), math.exp(_NEWTON_DELTA))
+        """No boundary: searched logs lie w inside the range, and M is finite w off x along mins."""
+        w = 4.0 * _LINE_TOL  # just past a line search's resolution
+        if not all(_LOG_LO + w <= math.log(x[k]) <= _LOG_HI - w for k in mins + maxs):
+            return False
+        rs = (math.exp(-w), math.exp(w))
         return all(math.isfinite(hull(x[:k] + [x[k] * r] + x[k + 1 :])) for k in mins for r in rs)
 
     cur = hull(x)
@@ -508,7 +508,7 @@ def numeric_afm_minimize(
 
             x[k] = search(fk, x[k], +1, k)
         cur = hull(x)
-        if abs(prev - cur) <= _PASS_TOL * max(1.0, abs(cur)):
+        if abs(prev - cur) <= _PASS_TOL * max(abs(cur), n * m):
             small_steps += 1
             if small_steps >= 2:
                 if not interior():

@@ -1,4 +1,4 @@
-"""Seeded draws of every closed form and of afm_mass, and the golden files that pin them.
+"""Seeded draws of every closed form, afm_mass and the oracle, and the golden files that pin them.
 
 Each form gets DRAWS argument tuples from its own `random.Random`, seeded by
 the form's name; only `Random.random` is used, whose sequence Python keeps
@@ -11,7 +11,8 @@ apart from a moved output.
 
 The forms fall into SLICES, one golden file each under GOLDEN_DIR, named
 after the slice: `closed_forms` holds every scalar closed form, `afm_mass`
-the generic solve on the six families of the verify_sweep benchmark.
+the generic solve on the six families of the verify_sweep benchmark, and
+`oracle` the field-extremization oracle on the same draws of those families.
 `tests/test_golden.py` compares a fresh run with each file bitwise;
 `scripts/golden.py --write` regenerates them.
 """
@@ -37,6 +38,7 @@ from auxfield.model import (
     Scope,
     SystemSpec,
 )
+from auxfield.oracles import numeric_afm_minimize
 from auxfield.special import cubic_root, lambert_w0, quartic_root
 from auxfield.systems import (
     atomic_mass,
@@ -252,8 +254,14 @@ AFM_FORMS = {
     "afm_atomic": (afm_mass, _afm_atomic),
     "afm_gaussian": (afm_mass, _afm_gaussian),
 }
-SLICES = {"closed_forms": list(FORMS), "afm_mass": list(AFM_FORMS)}
+# the oracle on the same draws as the afm_mass slice (see draws)
+ORACLE_FORMS = {
+    name.replace("afm_", "oracle_", 1): (numeric_afm_minimize, draw)
+    for name, (_, draw) in AFM_FORMS.items()
+}
+SLICES = {"closed_forms": list(FORMS), "afm_mass": list(AFM_FORMS), "oracle": list(ORACLE_FORMS)}
 FORMS.update(AFM_FORMS)
+FORMS.update(ORACLE_FORMS)
 
 
 def golden(slice_name: str) -> Path:
@@ -261,9 +269,12 @@ def golden(slice_name: str) -> Path:
 
 
 def draws(name: str) -> list[tuple]:
-    """The argument tuples of one form: AFM_DRAWS for afm_mass, DRAWS otherwise."""
-    d = _Draw(name)
-    count = AFM_DRAWS if name in AFM_FORMS else DRAWS
+    """The argument tuples of one form: DRAWS for a closed form, AFM_DRAWS otherwise.
+
+    oracle_<family> reads the stream of afm_<family>, so both solve the same specs.
+    """
+    d = _Draw(name.replace("oracle_", "afm_", 1))
+    count = DRAWS if name in SLICES["closed_forms"] else AFM_DRAWS
     return [FORMS[name][1](d) for _ in range(count)]
 
 

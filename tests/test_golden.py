@@ -1,5 +1,5 @@
-"""Every closed form, and afm_mass on the verify_sweep families, reproduces its
-golden outputs bit for bit.
+"""Every closed form, and afm_mass and the oracle on the verify_sweep families,
+reproduces its golden outputs bit for bit.
 
 A change that moves a number regenerates the files with
 `python scripts/golden.py --write` and records in CHANGES.md the worst
@@ -24,6 +24,10 @@ def test_closed_forms_match_the_golden_file():
 
 def test_afm_mass_matches_the_golden_file():
     _assert_unmoved("afm_mass")
+
+
+def test_oracle_matches_the_golden_file():
+    _assert_unmoved("oracle")
 
 
 def test_golden_file_stays_small():
