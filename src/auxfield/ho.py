@@ -23,7 +23,7 @@ from .errors import (
     require_finite,
 )
 from .model import AFMSolution, BoundCharacter, Kinematics, PowerLaw, _finite, _ratio, _Value
-from .special import quartic_root, symmetric_eigen
+from .special import cbrt, quartic_root, symmetric_eigen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -272,11 +272,12 @@ def srho_mass(n: int, m: float, k: float, kbar: float, q: float) -> AFMSolution:
     Replacing each kinetic square root by (mu + (p^2 + m^2)/mu)/2 leaves an
     exactly solvable oscillator; eliminating mu reduces to the positive root
     G of 4X^4 - 8X - 3Y = 0 with Y = 4r^2/3, r = m/s and
-    s = ((k + N kbar) Q^2 / (2N^2))^(1/3). Then mu0 = s G^2 and
-    M = N s (1/G + G^2), an upper bound on the exact level, in which m enters
-    only through Y: massless particles are the Y = 0 end, G = 2^(1/3), the
-    limit M = (3/2) (2N (k + N kbar) Q^2)^(1/3). Where Y overflows, G takes
-    its asymptote sqrt(r).
+    s = ((k + N kbar) Q^2 / (2N^2))^(1/3), formed from cube roots alone
+    (special.cbrt), so its error does not grow with |ln kappa|. Then
+    mu0 = s G^2 and M = N s (1/G + G^2), an upper bound on the exact level,
+    in which m enters only through Y: massless particles are the Y = 0 end,
+    G = 2^(1/3), the limit M = (3/2) (2N (k + N kbar) Q^2)^(1/3). Where Y
+    overflows, G takes its asymptote sqrt(r).
     """
     require_finite(n=n, m=m, k=k, kbar=kbar, q=q)
     if m < 0.0:
@@ -284,7 +285,7 @@ def srho_mass(n: int, m: float, k: float, kbar: float, q: float) -> AFMSolution:
     kappa = k + n * kbar
     if kappa <= 0.0:
         raise NoRestoringForce(f"k + N kbar = {kappa} must be positive")
-    s = (0.5 * kappa) ** (1.0 / 3.0) * (q / n) ** (2.0 / 3.0)
+    s = cbrt(0.5 * kappa) * cbrt(q / n) ** 2
     r = _ratio(m, s)
     y = 4.0 / 3.0 * r * r
     g = quartic_root(y) if y < math.inf else math.sqrt(r)

@@ -340,6 +340,91 @@ def _tangency_radii(n: int, q: float, x0: float) -> tuple[float, float]:
     return math.sqrt(q / n) / root, math.sqrt(2.0) * math.sqrt(q / (n - 1)) / root
 
 
+def _times_pow2(x: float, e: float) -> float:
+    """x 2^e: exact where e is whole and the result a normal float; inf past the float range."""
+    whole = math.floor(e)
+    try:
+        return math.ldexp(x * 2.0 ** (e - whole), whole)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def rescale(spec: SystemSpec, k: int) -> SystemSpec:
+    """spec with every length times 2^k, so that every mass M of it is 2^-k times spec's.
+
+    The particle mass goes to 2^-k m and each power-law coefficient c of
+    r^lam to 2^(-k (lam + 1)) c, so that the potential at 2^k r is 2^-k times
+    the old one at r; a gaussian well's depth and its range_ (an inverse
+    length) each go to 2^-k times themselves. One law serves both
+    kinematics, since p and p^2 / 2m both scale as 2^-k when m does. Exact
+    where each factor is a whole power of two and each result a normal
+    float; a value past the float range reads as inf. Identical masses
+    only: per-particle masses raise SingularMasses.
+    """
+    if not k:
+        return spec
+
+    def term(t: PotentialTerm) -> PotentialTerm:
+        f = t.form
+        if isinstance(f, PowerLaw):
+            f = PowerLaw(_times_pow2(f.coefficient, -k * (f.exponent + 1.0)), f.exponent)
+        else:
+            f = GaussianWell(_times_pow2(f.depth, -k), _times_pow2(f.range_, -k))
+        return PotentialTerm(t.scope, f)
+
+    masses = Identical(_times_pow2(spec.identical_mass, -k))
+    one_body, pairwise = tuple(map(term, spec.one_body)), tuple(map(term, spec.pairwise))
+    return SystemSpec(spec.n, masses, spec.kinematics, one_body, pairwise)
+
+
+def _unit_scale(spec: SystemSpec) -> int:
+    """The k at which rescale(spec, k) has its typical mass scale nearest 1.
+
+    k is the rounded median of log2 of the mass scales of an identical-mass
+    spec: m where m > 0, and for each term the inverse of the length at which
+    it balances the kinetic energy, |c|^(1/(lam+1)) semirelativistically,
+    (m |c|)^(1/(lam+2)) nonrelativistically and range_ for a gaussian well;
+    a scale-free term (lam = -1 semirelativistically) has none, and k = 0
+    where no scale is left. The median, unlike the mean, is not pulled away
+    by a term too weak to matter. k is then clamped to the interval where
+    every rescaled input x keeps |log2 |x|| <= 511, so that its square is a
+    normal float, or set to 0 where that interval is empty. A gaussian well's
+    curvature at its bottom, depth range_^2, counts as an input: it goes to
+    2^-3k times itself, and the oracle starts the well's field there.
+    """
+    m = spec.identical_mass
+    semirel = spec.kinematics is Kinematics.SEMIRELATIVISTIC
+    logs = [math.log2(m)] if m > 0.0 else []
+    inputs = [(math.log2(m), -1.0)] if m > 0.0 else []  # log2 |x| and its change per unit of k
+    for t in spec.terms:
+        f = t.form
+        if isinstance(f, PowerLaw):
+            if f.coefficient:
+                power = f.exponent + (1.0 if semirel else 2.0)
+                if power:
+                    log_c = math.log2(abs(f.coefficient)) + (0.0 if semirel else math.log2(m))
+                    logs.append(log_c / power)
+                inputs.append((math.log2(abs(f.coefficient)), -(f.exponent + 1.0)))
+        else:
+            log_depth, log_range = math.log2(f.depth), math.log2(f.range_)
+            logs.append(log_range)
+            inputs += [(log_depth, -1.0), (log_range, -1.0), (log_depth + 2.0 * log_range, -3.0)]
+    logs.sort()
+    half = len(logs) // 2
+    k = round((logs[half] + logs[~half]) / 2.0) if logs else 0
+    edge = sys.float_info.max_exp // 2 - 1  # 511
+    lo, hi = -math.inf, math.inf
+    for log_x, rate in inputs:
+        if rate:
+            ends = [(e - log_x) / rate for e in (-edge, edge)]
+            lo, hi = max(lo, min(ends)), min(hi, max(ends))
+    if k < lo:
+        k = math.ceil(lo)
+    if k > hi:
+        k = math.floor(hi)
+    return k if lo <= k <= hi else 0
+
+
 def _validate_term(term: PotentialTerm, kinematics: Kinematics) -> None:
     form = term.form
     if isinstance(form, PowerLaw):

@@ -9,13 +9,20 @@ mu then the fields, and two index lists name the coordinates it minimizes
 and those it maximizes. Line searches use function values only, except
 along fields whose stationary point is a maximum: there one Newton function
 steps on the analytic derivatives of the mass, accepts the point they reach
-on three mass values (itself and its two neighbours), and leaves Brent's
-search as the safeguard; a field past the kinetic barrier s > 0 moves inside
-it before either runs. The searches only search; one verdict on the settled
-point tells a stationary point from a boundary, and the passes stop on a
-change of M relative to max(|M|, N m), alike at every length scale.
+on three mass values (itself and its two neighbours; a lone such field whose
+maximum lies within float spacing of the kinetic barrier s > 0 settles at
+the barrier's last float inside), and leaves Brent's search as the
+safeguard; a field past the barrier moves inside it before either runs. The
+searches only search; one verdict on the settled point tells a stationary
+point from a boundary, and the passes stop on a change of M relative to
+max(|M|, N m), alike at every length scale.
 gaussian_trial_bound evaluates a one-parameter correlated-Gaussian state
 analytically: a true upper bound on nonrelativistic pairwise ground levels.
+
+Both solve the spec at unit scale: rescale(spec, k) (model.rescale, every
+length times 2^k) at the k of model._unit_scale, whose masses and levels are
+2^-k times the spec's, and return 2^k times the result, an exact product.
+So each is scale covariant wherever the clamp on k does not bind.
 """
 from __future__ import annotations
 
@@ -37,7 +44,11 @@ from .model import (
     Scope,
     SystemSpec,
     _exp,
+    _finite,
+    _times_pow2,
+    _unit_scale,
     _Value,
+    rescale,
     validate,
 )
 
@@ -56,10 +67,12 @@ _LEVEL_RTOL = 4.0 * sys.float_info.epsilon
 _FLOAT_MIN = sys.float_info.min  # smallest normal float
 _LOG_LO = -700.0  # fields confined to roughly [1e-304, 1e304], where exp is finite
 _LOG_HI = 700.0
-# A field starts at its |K| at unit radius, clamped to [e^-40, e^40]: from
-# further out, as for steep powers with tiny coefficients, the mass can be
-# flat to rounding along the field and the searches stall there. A field
-# whose offset the clamp takes out of the float range starts unclamped.
+# The spec is solved at unit scale (model._unit_scale). There a field starts
+# at its |K| at unit radius (a gaussian well's at r = 0, its cap), clamped to
+# [e^-40, e^40]: a steep power's |K| grows as a high power of r, so unit
+# scale leaves it far from its stationary value, where the mass can be flat
+# to rounding along the field and the searches stall. A field whose offset
+# the clamp takes out of the float range starts unclamped.
 _START_LO = math.exp(-40.0)
 _START_HI = math.exp(40.0)
 # First bracket step in log space. Within one solve each search direction
@@ -68,7 +81,7 @@ _START_HI = math.exp(40.0)
 _STEP_MAX = 0.5
 _STEP_MIN = 1e-4
 _WARM_GROWTH = 4.0
-_KAPPA_SPAN = 34.5  # trial widths confined to roughly [1e-15, 1e15]
+_KAPPA_SPAN = 34.5  # trial widths confined to roughly [1e-15, 1e15] at unit scale
 # Newton steps toward a max-sense field's maximum are clamped to _NEWTON_STEP
 # in log space; they converge once a step is at most _NEWTON_TOL and give up
 # after _NEWTON_ITERS steps. The point is accepted only if the mass there is
@@ -253,7 +266,7 @@ class _FieldTerm(_Value):
     weight: float        # N, or N(N-1)/2 for a pairwise term
     sense: int           # +1: stationary point is a minimum along this field
     offset: Callable[[float], float]  # V(I) - nu I^2 as a function of |field|
-    init: float          # |K| at unit radius; a gaussian well's at r = 1/range_
+    init: float          # |K| at unit radius; a gaussian well's at r = 0
     power: float | None  # d ln|offset| / d ln|field| of a power law, else None
 
 
@@ -297,13 +310,18 @@ def _field_term(term, n: int) -> _FieldTerm:
     depth, rng = form.depth, form.range_
     cap = depth * rng * rng
 
-    def offset(t: float, cap=cap, rng=rng):
+    # Past the cap t = depth range^2, the well's curvature at r = 0, the
+    # quadratic t r^2 touches the well only at its bottom, and the offset
+    # stays at -depth: continuous, with zero slope, so the cap is no barrier
+    # and a stationary field just below it is told from a boundary.
+    def offset(t: float, cap=cap, rng=rng, depth=depth):
         if t >= cap:
-            return math.inf
-        return t / (rng * rng) * (math.log(t / cap) - 1.0)
+            return -depth
+        y = t / cap  # formed in logs where it underflows
+        log_y = math.log(y) if y >= _FLOAT_MIN else math.log(t) - math.log(cap)
+        return t / (rng * rng) * (log_y - 1.0)
 
-    # inside t < cap at any range; at unit radius, cap e^(-range^2) rounds to cap or 0
-    return _FieldTerm(float(fold), weight, +1, offset, cap / math.e, None)
+    return _FieldTerm(float(fold), weight, +1, offset, cap, None)
 
 
 def _newton_max(
@@ -313,6 +331,7 @@ def _newton_max(
     mu: float,
     qq: float,
     t: float,
+    barrier_max: bool = False,
 ) -> tuple[float, float] | None:
     """Maximum of f along one power-law field, by Newton steps from the field t.
 
@@ -324,18 +343,26 @@ def _newton_max(
     K = qq sqrt(2 s / mu) are K r and K r (1 - r), with r = spring t / (2 s).
     Every iterate must give finite values and a negative second derivative;
     steps are clamped to _NEWTON_STEP, and the run converges once a step is
-    at most _NEWTON_TOL. The point it converges to is accepted if f is finite
-    there and at u -/+ _NEWTON_DELTA, and not below either neighbour: three
-    evaluations. Returns t and f there, or None where a safeguard fails,
-    _NEWTON_ITERS steps do not converge or the point is refused.
+    at most _NEWTON_TOL. A step that would cross the barrier s = 0 is
+    refused, unless barrier_max: then it goes to the last float inside the
+    barrier instead; where the step from there again points across, the
+    maximum lies within float spacing of the barrier (the kinetic root is too
+    small there to hold it off at the float's precision) and the run
+    converges at that float, and where it points back inside, the run is
+    refused. The point it converges to is accepted if f is finite there and
+    at u -/+ _NEWTON_DELTA, and not below either neighbour (the neighbour
+    past the barrier left out): three evaluations, two at the barrier.
+    Returns t and f there, or None where a safeguard fails, _NEWTON_ITERS
+    steps do not converge or the point is refused.
     """
     c, power = field.spring, field.power
     u = math.log(t)
+    t = math.exp(u)
     weight_power, two_over_mu = field.weight * power, 2.0 / mu
+    at_barrier = False
     for _ in range(_NEWTON_ITERS):
         if not _LOG_LO <= u <= _LOG_HI:
             return None
-        t = math.exp(u)
         ct = c * t
         s = base + ct
         if not s > 0.0:
@@ -348,7 +375,22 @@ def _newton_max(
         if not (-math.inf < d2 < 0.0 and math.isfinite(d1)):
             return None
         du = min(max(-d1 / d2, -_NEWTON_STEP), _NEWTON_STEP)
+        t_next = math.exp(u + du)
+        if not base + c * t_next > 0.0:  # the step crosses the barrier
+            if not barrier_max:
+                return None
+            if at_barrier:
+                break
+            # the last float inside: t* = -base / c, moved by whole floats
+            t, toward = -base / c, (math.inf if c > 0.0 else 0.0)
+            while not base + c * t > 0.0:
+                t = math.nextafter(t, toward)
+            u, at_barrier = math.log(t), True
+            continue
+        if at_barrier:
+            return None
         u += du
+        t = t_next
         if -_NEWTON_TOL <= du <= _NEWTON_TOL:
             break
     else:
@@ -357,10 +399,15 @@ def _newton_max(
     lo, hi = u - _NEWTON_DELTA, u + _NEWTON_DELTA
     if not _LOG_LO <= lo < hi <= _LOG_HI:
         return None
-    gu = g(u)
-    if not (gu < math.inf and gu <= g(lo) < math.inf and gu <= g(hi) < math.inf):
+    value = f(t)
+    gu = -value if math.isfinite(value) else math.inf
+    if not (  # the neighbour past the barrier is left out
+        gu < math.inf
+        and (at_barrier and c > 0.0 or gu <= g(lo) < math.inf)
+        and (at_barrier and c < 0.0 or gu <= g(hi) < math.inf)
+    ):
         return None
-    return math.exp(u), -gu
+    return t, value
 
 
 def numeric_afm_minimize(
@@ -385,9 +432,20 @@ def numeric_afm_minimize(
     m to s m and M to s M). Each innermost maximum is found by safeguarded
     Newton steps on the analytic derivatives of M along that field; the point
     they converge to is accepted when M there is not below M 2.5e-7 away in
-    the log on either side, three mass evaluations in all. Where that is
-    refused, Brent's search from a grown bracket runs instead. Every mass
-    evaluation counts toward max_evals.
+    the log on either side, three mass evaluations in all. A lone max-sense
+    field whose maximum lies closer to the kinetic barrier than float
+    spacing settles at the barrier's last float inside, checked on its one
+    inner side. Where that is refused, Brent's search from a grown bracket
+    runs instead. Every mass evaluation counts toward max_evals.
+
+    All of this runs at unit scale: on rescale(spec, k), every length times
+    2^k, with k the rounded median of log2 of the spec's mass scales (m, and
+    per term the inverse of the length where it balances the kinetic
+    energy), clamped so that every rescaled input, and a gaussian well's
+    curvature depth range_^2 where its field starts, keeps |log2| <= 511; the
+    mass returned is 2^k times that of the rescaled spec. Where the clamp
+    does not bind, a spec with every length times 2^j gives exactly 2^-j
+    times the mass; where it binds, the solve runs at the nearest allowed k.
 
     M is finite only inside the kinetic barrier s = nu + N nubar > 0: along a
     max-sense field of spring c, on one side of t* = -(s - c t) / c. Before
@@ -404,6 +462,12 @@ def numeric_afm_minimize(
     validate(spec, q)
     if not spec.terms:
         raise UnsupportedCombination("need at least one potential term")
+    k = _unit_scale(spec)
+    return _finite(_times_pow2(_extremize(rescale(spec, k), q, max_evals), k))
+
+
+def _extremize(spec: SystemSpec, q: QuantumNumbers, max_evals: int) -> float:
+    """The extremal mass of numeric_afm_minimize, searched at the spec's own scale."""
     n = spec.n
     m = spec.identical_mass
     qq = q.q
@@ -461,8 +525,11 @@ def numeric_afm_minimize(
 
         Each is a power-law field, first moved inside the kinetic barrier:
         Newton steps on the mass along it (_newton_max), or where they are
-        refused the derivative-free search from the same start. Returns the
-        mass at the resolved fields.
+        refused the derivative-free search from the same start. A maximum
+        within float spacing of the barrier is taken only for a lone
+        max-sense field: with two, each can stop at the barrier given the
+        other, a point of the sweep that is no joint maximum, since moving
+        both along s = 0 raises M. Returns the mass at the resolved fields.
         """
         value = None
         for j in maxs:
@@ -481,7 +548,7 @@ def numeric_afm_minimize(
             t_star = -base / ft.spring  # the kinetic barrier s = 0 along this field
             if base + ft.spring * x_[j] <= 0.0 and t_star > 0.0:
                 x_[j] = 0.5 * t_star if ft.spring < 0.0 else 2.0 * t_star
-            found = _newton_max(fj, ft, base, x_[0], qq, x_[j])
+            found = _newton_max(fj, ft, base, x_[0], qq, x_[j], len(maxs) == 1)
             x_[j], value = found or (search(fj, x_[j], -1, j), None)
         return mass(x_) if value is None else value
 
@@ -543,13 +610,19 @@ def gaussian_trial_bound(spec: SystemSpec) -> float:
     kappa > 0 by Brent's method; the result bounds the exact ground-state
     internal energy (rest mass excluded) from above. The quadratic pair
     potential is reproduced exactly since the trial family then contains the
-    true ground state.
+    true ground state. kappa runs over e^+-34.5 about 1 at unit scale, as in
+    numeric_afm_minimize, so the bound is scale covariant: with every length
+    times 2^j it is 2^-j times the bound (where the clamp on k does not
+    bind). Where the energy still falls at the span's edge, a value there
+    below -1e-12 raises UnboundedBelow, and one at the threshold is returned.
     """
     validate(spec, QuantumNumbers.ground(spec.n))
     if spec.kinematics is not Kinematics.NONRELATIVISTIC:
         raise UnsupportedCombination("trial bound is nonrelativistic only")
     if spec.one_body or len(spec.pairwise) != 1:
         raise UnsupportedCombination("trial bound needs exactly one pairwise term")
+    k = _unit_scale(spec)
+    spec = rescale(spec, k)
     n = spec.n
     m = spec.identical_mass
     npair = n * (n - 1) / 2.0
@@ -574,8 +647,9 @@ def gaussian_trial_bound(spec: SystemSpec) -> float:
     g = _log_objective(energy, +1)
     ul, fl, u0, f0, uh, fh = _bracket_min(g, 0.0, g(0.0), -_KAPPA_SPAN, _KAPPA_SPAN)
     if fl < f0 or fh < f0:  # still descending at the domain edge
-        edge = fl if fl < f0 else fh
-        if edge < -1e-12 * max(1.0, abs(f0)):
+        bound = fl if fl < f0 else fh
+        if bound < -1e-12 * max(1.0, abs(f0)):
             raise UnboundedBelow("trial expectation decreases without bound")
-        return edge
-    return _brent_min(g, ul, u0, f0, uh)[1]
+    else:
+        bound = _brent_min(g, ul, u0, f0, uh)[1]
+    return _finite(_times_pow2(bound, k), "bound")

@@ -5,7 +5,8 @@ against linear and quadratic interactions; the Lambert function appears for
 gaussian wells. Each root starts from a seed and is ended by one rule
 (_refine): Newton or Halley corrections are applied for as long as each is
 smaller in magnitude than the one before, so the iteration runs to the
-rounding floor and needs neither a tolerance nor a cap.
+rounding floor and needs neither a tolerance nor a cap. cbrt, the real cube
+root, stands in for math.cbrt, which Python 3.10 lacks.
 
 The eigenvalue routine is round-robin Jacobi: each sweep visits the pairs in
 the circle-method ordering of Brent and Luk (SIAM J. Sci. Stat. Comput. 6
@@ -42,8 +43,21 @@ def _refine(x: float, step: Callable[[float], float]) -> float:
     return x
 
 
-def lambert_residual(w: float, x: float) -> float:
-    return w * math.exp(w) - x
+def cbrt(x: float) -> float:
+    """Real cube root of a float, to within about an ulp over the float range.
+
+    x = f 2^(3e + r) with 1/2 <= f < 1 and r in {0, 1, 2}: the power 1/3 of
+    a = f 2^r in [1/2, 4), where the inexact float 1/3 costs at most ~1e-17,
+    is polished by one Newton step on y^3 = a and scaled by 2^e exactly.
+    """
+    if not x or not math.isfinite(x):
+        return x
+    f, e = math.frexp(abs(x))
+    e, r = divmod(e, 3)
+    a = math.ldexp(f, r)
+    y = a ** (1.0 / 3.0)
+    y -= (y - a / y / y) / 3.0
+    return math.copysign(math.ldexp(y, e), x)
 
 
 def lambert_w0(x: float) -> float:
@@ -99,10 +113,6 @@ def cubic_root(y: float) -> float:
         (2.0 * y) ** (1.0 / 3.0) + math.sqrt(3.0),
         lambda x: cubic_residual(x, y) / (3.0 * x * x - 3.0),
     )
-
-
-def quartic_residual(x: float, y: float) -> float:
-    return 4.0 * x**4 - 8.0 * x - 3.0 * y
 
 
 def quartic_root(y: float) -> float:

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -454,6 +455,34 @@ def test_srho_scale_identity():
     for n, m, k, kbar, q in ((3, 1.0, 0.0, 0.2, 3.0), (4, 2.5, 1.0, 0.3, 6.5)):
         sol = srho_mass(n, m, k, kbar, q)
         assert sol.mu0**2 - m * m == pytest.approx(q * sol.x0 / n, rel=1e-11)
+
+
+def test_srho_mass_within_two_eps_of_50_digits_across_the_spring_range():
+    # s is formed from cube roots (special.cbrt): (0.5 kappa) ** (1/3) carried
+    # the error of the inexact float 1/3 times ln kappa, up to 29.7 eps on
+    # these draws; measured now at 1.97 eps, half of them massless
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(75)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            m = 0.0 if rng.random() < 0.5 else rng.uniform(0.3, 3.0)
+            kappa = 10.0 ** rng.uniform(-150.0, 150.0)
+            share = rng.random()
+            k, kbar, q = kappa * share, kappa * (1.0 - share) / n, rng.uniform(1.5, 20.0)
+            s = mpmath.cbrt((mpmath.mpf(k) + n * mpmath.mpf(kbar)) * mpmath.mpf(q) ** 2 / (2 * n * n))
+            y = 4 * (mpmath.mpf(m) / s) ** 2 / 3
+            g = mpmath.cbrt(2) + (0.75 * y) ** 0.25  # above the root of 4g^4 - 8g - 3y
+            for _ in range(400):
+                step = (g**4 - 2 * g - 0.75 * y) / (4 * g**3 - 2)
+                g -= step
+                if abs(step) < g * mpmath.mpf(10) ** -45:
+                    break
+            exact = n * s * (1 / g + g * g)
+            got = srho_mass(n, m, k, kbar, q).mass
+            worst = max(worst, float(abs(got - exact) / exact) / sys.float_info.epsilon)
+    assert worst <= 2.0
 
 
 def test_srho_increasing_in_q():

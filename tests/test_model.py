@@ -4,6 +4,7 @@ import pickle
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,12 +29,15 @@ from auxfield.model import (
     QuantumNumbers,
     Scope,
     SystemSpec,
+    _unit_scale,
+    rescale,
     validate,
 )
+from auxfield.engine import afm_mass, equal_power_mass
 from auxfield.ho import HOSpectrumEntry, srho_mass
-from auxfield.oracles import OracleReport, Verdict, _FieldTerm
+from auxfield.oracles import OracleReport, Verdict, _FieldTerm, gaussian_trial_bound
 from auxfield.systems import BaryonParams, BaryonVariant, GaussianSpectrum, baryonic_ur
-from conftest import gaussian_system, ground, power_system
+from conftest import gaussian_system, ground, power_system, wide_draw
 
 
 def test_accepts_ground_state_quadratic():
@@ -289,6 +293,161 @@ def test_at_scale_fields_within_four_ulp_of_50_digits():
             for name, value in exact.items():
                 if tiny <= value <= huge:
                     assert abs(getattr(sol, name) - value) <= ulp4 * value, (name, args)
+
+
+# ---------------------------------------------------------------------------
+# the scaling law: rescale(spec, k) has every length times 2^k
+
+NR = Kinematics.NONRELATIVISTIC
+SR = Kinematics.SEMIRELATIVISTIC
+
+
+def test_rescale_applies_the_scaling_law():
+    spec = SystemSpec(
+        3, Identical(1.5), SR,
+        (PotentialTerm(Scope.ONE_BODY, PowerLaw(0.75, 1.0)),),
+        (PotentialTerm(Scope.PAIRWISE, PowerLaw(3.0, -0.5)),),
+    )
+    # m -> 2^-k m and c -> 2^(-k (lam + 1)) c
+    assert rescale(spec, 2) == SystemSpec(
+        3, Identical(0.375), SR,
+        (PotentialTerm(Scope.ONE_BODY, PowerLaw(0.046875, 1.0)),),
+        (PotentialTerm(Scope.PAIRWISE, PowerLaw(1.5, -0.5)),),
+    )
+    # a well's depth and its inverse length range_ each go to 2^-k times themselves
+    assert rescale(gaussian_system(3, 2.0, 8.0, 0.5), -3) == gaussian_system(3, 16.0, 64.0, 4.0)
+
+
+def test_rescale_round_trip_is_exact_and_validates():
+    # whole powers of two at every k of a half-integer exponent: exact where
+    # every input stays a normal float, and past the float range an input
+    # reads inf, which validate rejects
+    rng = random.Random(31)
+    exponents = (-1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+    for _ in range(200):
+        kinematics = rng.choice((NR, SR))
+        lams = [lam for lam in exponents if kinematics is NR or lam >= -1.0]
+        spec = power_system(rng.randint(2, 6), rng.uniform(0.1, 10.0), kinematics,
+                            one=(rng.uniform(0.1, 5.0), rng.choice(lams)),
+                            pair=(rng.uniform(0.1, 5.0), rng.choice(lams)))
+        q = ground(spec.n)
+        for k in range(-200, 201, 20):  # every input stays a normal float
+            scaled = rescale(spec, k)
+            assert rescale(scaled, -k) == spec, k
+            validate(scaled, q)
+    with pytest.raises(ValidationError):
+        validate(rescale(power_system(3, 1.0, SR, pair=(1.0, 1.0)), -600), ground(3))
+
+
+def test_unit_scale_keeps_every_input_square_a_normal_float():
+    # the oracle and the trial bound solve rescale(spec, k) at k = _unit_scale(spec):
+    # every input of that spec, and a well's curvature depth range_^2 where
+    # the oracle starts its field, keeps |log2 |x|| <= 511 unless no k does,
+    # and then k = 0; validate accepts the rescaled spec either way
+    rng = np.random.default_rng(77)
+    checked = 0
+    while checked < 300:
+        spec, q = wide_draw(rng, (NR, SR)[checked % 2])
+        try:
+            validate(spec, q)
+        except ValidationError:
+            continue
+        if not spec.terms:
+            continue
+        checked += 1
+        k = _unit_scale(spec)
+        scaled = rescale(spec, k)
+        validate(scaled, q)
+        logs = [math.log2(scaled.masses.m)] if scaled.masses.m else []
+        for t in scaled.terms:  # the coefficient of r^-1 does not scale
+            if not isinstance(t.form, PowerLaw):
+                log_depth, log_range = math.log2(t.form.depth), math.log2(t.form.range_)
+                logs += [log_depth, log_range, log_depth + 2.0 * log_range]
+            elif t.form.exponent != -1.0:
+                logs.append(math.log2(abs(t.form.coefficient)))
+        if k:
+            assert all(abs(x) <= 511.0 for x in logs), (spec, k)
+
+
+def test_unit_scale_is_covariant():
+    # k of the spec with every length times 2^j is k - j, wherever the clamp
+    # does not bind: both routes then solve the same spec
+    for kinematics in (NR, SR):
+        for lam in (-1.0, -0.5, 0.5, 1.0, 1.5, 3.0):
+            spec = power_system(3, 1.3, kinematics, one=(0.4, lam), pair=(0.3, lam))
+            k = _unit_scale(spec)
+            for j in range(-200, 201, 40):
+                assert _unit_scale(rescale(spec, j)) == k - j, (kinematics, lam, j)
+    assert _unit_scale(power_system(2, 0.0, SR, pair=(0.5, -1.0))) == 0  # no scale at all
+
+
+# One seeded covariance test per route: at k in _COVARIANCE_KS each value of
+# rescale(spec, k) equals its value on spec times its power of 2^-k (mass,
+# mu0: 1; X0: 2; the tangency radii: -1), within the pinned ulp counts of
+# (mass, the other fields). Measured, then pinned; a pin may only tighten.
+# afm_mass finds X0 by a search in logs, and a nonrelativistic mass is
+# N m + E: the 2048 is a mass of -0.047 next to N m = 14.1.
+_COVARIANCE_KS = (-200, -100, 0, 100, 200)
+_FIELD_POWERS = (("mass", 1), ("x0", 2), ("mu0", 1), ("r0_one", -1), ("r0_pair", -1))
+_ROUTE_PINS = {
+    "afm-sr": (32, 653),
+    "afm-nr": (2048, 2924),
+    "afm-gaussian": (48, 473),
+    "linear": (0, 0),
+    "srho": (0, 0),
+    "trial-bound": (0, 0),
+}
+
+
+def _route_draw(rng, route):
+    """A bound spec of the route and its quantum numbers."""
+    n = rng.randint(2, 5)
+    modes = [(0, 0)] * (n - 1)
+    modes[rng.randrange(n - 1)] = (rng.randint(0, 2), rng.randint(0, 2))
+    q = QuantumNumbers(tuple(modes))
+    m = rng.uniform(0.3, 3.0)
+    exponents = (-1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+    if route in ("afm-sr", "afm-nr"):
+        kinematics = SR if route == "afm-sr" else NR
+        lams = [lam for lam in exponents if kinematics is NR or lam >= -1.0]
+        if kinematics is SR and rng.random() < 0.3:
+            m = 0.0
+        return power_system(n, m, kinematics, one=(rng.uniform(0.05, 2.0), rng.choice(lams)),
+                            pair=(rng.uniform(0.05, 2.0), rng.choice(lams))), q
+    if route in ("afm-gaussian", "trial-bound") and (route == "afm-gaussian" or rng.random() < 0.3):
+        return gaussian_system(n, m, rng.uniform(5.0, 50.0), rng.uniform(0.05, 2.0)), ground(n)
+    if route == "trial-bound":
+        return power_system(n, m, NR, pair=(rng.uniform(0.05, 2.0), rng.choice(exponents[2:]))), None
+    lam = 1.0 if route == "linear" else 2.0  # equal_power_mass hands these to linear_mass, srho_mass
+    return power_system(n, m, SR, one=(rng.uniform(0.05, 2.0), lam), pair=(rng.uniform(0.05, 2.0), lam)), q
+
+
+def _route_values(route, spec, q):
+    """Each value of the route on spec with the power of 2^-k it scales by."""
+    if route == "trial-bound":
+        return {"bound": (gaussian_trial_bound(spec), 1)}
+    solve = afm_mass if route.startswith("afm") else equal_power_mass
+    sol = solve(spec, q)
+    return {name: (getattr(sol, name), power) for name, power in _FIELD_POWERS}
+
+
+@pytest.mark.parametrize("route", list(_ROUTE_PINS))
+def test_route_is_scale_covariant(route):
+    rng = random.Random(route)
+    mass_pin, field_pin = _ROUTE_PINS[route]
+    solved = 0
+    while solved < 40:
+        spec, q = _route_draw(rng, route)
+        try:
+            base = _route_values(route, spec, q)
+        except NumericalError:
+            continue  # no bound state
+        solved += 1
+        for k in _COVARIANCE_KS:
+            for name, (value, power) in _route_values(route, rescale(spec, k), q).items():
+                expected = math.ldexp(base[name][0], -power * k)
+                pin = mass_pin if name in ("mass", "bound") else field_pin
+                assert abs(value - expected) <= pin * math.ulp(expected), (name, spec, k)
 
 
 # ---------------------------------------------------------------------------

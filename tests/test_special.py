@@ -9,14 +9,21 @@ from hypothesis import given, settings, strategies as st
 
 from auxfield.errors import DomainError, NonConvergence, NotSymmetric
 from auxfield.special import (
+    cbrt,
     cubic_residual,
     cubic_root,
-    lambert_residual,
     lambert_w0,
-    quartic_residual,
     quartic_root,
     symmetric_eigen,
 )
+
+
+def lambert_residual(w, x):
+    return w * math.exp(w) - x
+
+
+def quartic_residual(x, y):
+    return 4.0 * x**4 - 8.0 * x - 3.0 * y
 
 
 def bisect(f, a, b, iters=200):
@@ -224,6 +231,29 @@ def test_roots_within_four_ulp_of_50_digits():
         xs += [rng.choice((-1.0, 1.0)) * x for x in _log_uniform(rng, -300, -1, 100)]
         for x in xs + [1e308]:
             check(lambert_w0(x), mpmath.lambertw(mp(x)).real, ("lambert", x))
+
+
+@pytest.mark.parametrize("x, root", [(8.0, 2.0), (-27.0, -3.0), (0.001, 0.1), (2.0**-1074, 2.0**-358)])
+def test_cbrt_exact_cubes(x, root):
+    assert cbrt(x) == root
+
+
+def test_cbrt_keeps_zero_and_non_finite_values():
+    for x in (0.0, -0.0, math.inf, -math.inf):
+        assert math.copysign(1.0, cbrt(x)) == math.copysign(1.0, x) and abs(cbrt(x)) == abs(x)
+    assert math.isnan(cbrt(math.nan))
+
+
+def test_cbrt_within_one_ulp_of_50_digits():
+    # the binary exponent is taken out before the power 1/3, so the inexact
+    # float 1/3 is never multiplied by a large log; measured at <= 0.63 eps
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(31)
+    xs = [rng.choice((-1.0, 1.0)) * x for x in _log_uniform(rng, -323, 308, 2000)]
+    with mpmath.workdps(50):
+        for x in xs + [sys.float_info.max, 5e-324]:
+            exact = mpmath.cbrt(abs(mpmath.mpf(x)))
+            assert abs(abs(cbrt(x)) - exact) <= sys.float_info.epsilon * exact, x
 
 
 def test_lambert_next_to_the_branch_point_within_its_conditioning():
