@@ -6,13 +6,8 @@ gaussian wells. Each root starts from a seed and is ended by one rule
 (_refine): Newton or Halley corrections are applied for as long as each is
 smaller in magnitude than the one before, so the iteration runs to the
 rounding floor and needs neither a tolerance nor a cap. cbrt, the real cube
-root, stands in for math.cbrt, which Python 3.10 lacks.
-
-The eigenvalue routine is round-robin Jacobi: each sweep visits the pairs in
-the circle-method ordering of Brent and Luk (SIAM J. Sci. Stat. Comput. 6
-(1985) 69-84), whose rounds hold disjoint pairs and so rotate as one block.
-Luk and Park (SIAM J. Sci. Stat. Comput. 10 (1989) 18-26) prove the ordering
-equivalent to the cyclic-by-rows one, so it converges in the same way.
+root, stands in for math.cbrt, which Python 3.10 lacks. The eigenvalue
+routine, symmetric_eigen, is round-robin Jacobi.
 """
 from __future__ import annotations
 
@@ -132,14 +127,15 @@ def quartic_root(y: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _round_robin(d: int) -> list[np.ndarray]:
+def _round_robin(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Flat indices of the circle-method rounds for a d x d matrix.
 
     The circle method pads an odd d with one idle index, keeps index 0 fixed
     and turns the others one place per round, so d - 1 rounds (d rounds for
     odd d) pair every index with every other exactly once; the pairs of a
     round are disjoint. Each round is a 4 x k array holding the flat
-    positions of (p,p), (q,q), (p,q) and (q,p) for its k pairs p < q.
+    positions of (p,p), (q,q), (p,q) and (q,p) for its k pairs p < q, kept
+    with its ravel, which places (c, c, s, -s) in one scatter.
     """
     import numpy as np
 
@@ -156,7 +152,8 @@ def _round_robin(d: int) -> list[np.ndarray]:
         ring = ring[-1:] + ring[:-1]
         if pairs:
             p, q = np.array(pairs, dtype=np.intp).T
-            rounds.append(np.stack([p * (d + 1), q * (d + 1), p * d + q, q * d + p]))
+            index = np.stack([p * (d + 1), q * (d + 1), p * d + q, q * d + p])
+            rounds.append((index, index.ravel()))
     return rounds
 
 
@@ -166,9 +163,10 @@ def symmetric_eigen(a: np.ndarray) -> np.ndarray:
     Each sweep visits the d(d-1)/2 off-diagonal pairs in the round-robin
     (circle-method) ordering of Brent and Luk, SIAM J. Sci. Stat. Comput. 6
     (1985) 69-84: d - 1 rounds of disjoint pairs (d rounds for odd d). The
-    rotations of one round commute, so each round is applied as one
-    orthogonal block, w <- J^T w J. Luk and Park, SIAM J. Sci. Stat. Comput.
-    10 (1989) 18-26, show this ordering is equivalent to the cyclic-by-rows
+    rotations of one round commute, so each round is one orthogonal matrix
+    J, assembled from the identity by one scatter of its cosines and sines,
+    and applied as w <- J^T w J. Luk and Park, SIAM J. Sci. Stat. Comput. 10
+    (1989) 18-26, show this ordering is equivalent to the cyclic-by-rows
     one, so it converges like it. Every rotation takes the minimal angle,
     |phi| <= pi/4; a pair whose |a_pq| is below about 1e-300 of the largest
     entry is left alone. The matrix is scaled by a power of two, so entries
@@ -179,26 +177,29 @@ def symmetric_eigen(a: np.ndarray) -> np.ndarray:
     and no eigenvector matrix is accumulated. A fixed ordering and a fixed
     convergence threshold (off-diagonal Frobenius mass below 1e-14 * ||a||)
     keep the result reproducible; a matrix that misses the threshold after
-    100 sweeps raises NonConvergence.
+    100 sweeps raises NonConvergence, and so does one holding inf or NaN,
+    at once and without a sweep.
     """
     import numpy as np
 
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonConvergence("the matrix holds inf or NaN")
     d = a.shape[0]
     scale = np.max(np.abs(a)) if d else 0.0
     # Work in units of the power of two at or just below the largest entry:
     # the scaling is exact, and the squares inside the norms neither
     # overflow nor underflow to 0 (which ended the sweeps before the first).
-    unit = math.ldexp(1.0, math.frexp(scale)[1] - 1) if 0.0 < scale < math.inf else 1.0
+    unit = math.ldexp(1.0, math.frexp(scale)[1] - 1) if scale > 0.0 else 1.0
     a = a / unit
     if scale > 0.0 and np.max(np.abs(a - a.T)) > 1e-12 * (scale / unit):
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
 
     w = 0.5 * (a + a.T)
     norm = np.linalg.norm(w)
-    rounds = _round_robin(d)
+    rounds, eye = _round_robin(d), np.eye(d)
     for sweep in range(101):
         if np.linalg.norm(w - np.diag(np.diag(w))) <= 1e-14 * norm:
             break
@@ -206,7 +207,7 @@ def symmetric_eigen(a: np.ndarray) -> np.ndarray:
             raise NonConvergence(
                 "off-diagonal mass above 1e-14 relative after 100 Jacobi sweeps"
             )
-        for index in rounds:
+        for index, flat in rounds:
             app, aqq, apq = w.ravel()[index[:3]]
             skip = np.abs(apq) <= 1e-300
             # t = tan(phi) = sign(theta) / (|theta| + sqrt(theta^2 + 1)) with
@@ -220,9 +221,8 @@ def symmetric_eigen(a: np.ndarray) -> np.ndarray:
             t[skip] = 0.0
             c = 1.0 / np.hypot(t, 1.0)
             s = t * c
-            j = np.eye(d)
-            j.ravel()[index[:2]] = c
-            j.ravel()[index[2:]] = np.stack([s, -s])
+            j = eye.copy()
+            j.ravel()[flat] = np.concatenate((c, c, s, -s))
             w = j.T @ w @ j
 
     evals = np.sort(np.diag(w))

@@ -234,19 +234,29 @@ def test_identical_energy_cross_check_general():
     assert direct == pytest.approx(general.energy, rel=1e-12)
 
 
+@pytest.mark.parametrize("identical", [False, True], ids=["distinct", "identical"])
 @pytest.mark.parametrize("n", [40, 64])
-def test_general_beyond_33_particles_matches_library_eigenvalues(n):
-    rng = np.random.default_rng(n)
-    masses = rng.uniform(0.1, 10.0, size=n)
-    k = rng.uniform(0.0, 5.0, size=n)
-    upper = np.triu(rng.uniform(0.0, 5.0, size=(n, n)), 1)
-    modes = ((1, 2),) + ((0, 0),) * (n - 3) + ((0, 1),)
-    entry = ho_energies_general(masses, k, upper + upper.T, modes)
-    evals = np.linalg.eigvalsh(build_quadratic_form(masses, k, upper + upper.T))
+def test_general_beyond_33_particles_matches_library_eigenvalues(n, identical):
+    # past the benchmark's largest N = 33: every frequency, and the level with
+    # the softest, a middle or the stiffest mode excited, within 1e-12 of
+    # eigvalsh on the same form
+    rng = np.random.default_rng([n, identical])
+    if identical:
+        masses, k = np.full(n, rng.uniform(0.1, 10.0)), np.full(n, rng.uniform(0.0, 5.0))
+        kbar = pair_matrix(n, rng.uniform(0.0, 5.0))
+    else:
+        masses, k = rng.uniform(0.1, 10.0, size=n), rng.uniform(0.0, 5.0, size=n)
+        upper = np.triu(rng.uniform(0.0, 5.0, size=(n, n)), 1)
+        kbar = upper + upper.T
+    evals = np.linalg.eigvalsh(build_quadratic_form(masses, k, kbar))
     omegas = np.sqrt(2.0 * evals / masses[0])
-    assert np.max(np.abs(np.array(entry.omegas) - omegas)) <= 1e-12 * omegas[-1]
-    energy = sum(w * (2 * ni + li + 1.5) for w, (ni, li) in zip(omegas, modes))
-    assert entry.energy == pytest.approx(energy, rel=1e-12)
+    for excited in (0, n // 2, n - 2):
+        modes = [(0, 0)] * (n - 1)
+        modes[excited] = (1, 2)
+        entry = ho_energies_general(masses, k, kbar, modes)
+        assert entry.omegas == pytest.approx(omegas, rel=1e-12)
+        energy = sum(w * (2 * ni + li + 1.5) for w, (ni, li) in zip(omegas, modes))
+        assert entry.energy == pytest.approx(energy, rel=1e-12)
 
 
 def test_general_energy_past_the_float_range_raises():

@@ -314,9 +314,27 @@ def test_eigen_reconstruction_many_small_matrices():
         assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-12 * np.max(np.abs(a)), i
 
 
-def test_eigen_raises_when_sweeps_run_out():
-    with pytest.raises(NonConvergence):
-        symmetric_eigen(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+def test_eigen_raises_when_sweeps_run_out(monkeypatch):
+    # with no rounds to rotate, the off-diagonal mass never shrinks
+    import auxfield.special
+
+    monkeypatch.setattr(auxfield.special, "_round_robin", lambda d: [])
+    with pytest.raises(NonConvergence, match="after 100 Jacobi sweeps"):
+        symmetric_eigen(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[1.0, math.inf], [math.inf, 1.0]],  # inf off the diagonal
+        [[math.inf, 0.0], [0.0, 1.0]],  # inf on the diagonal
+        [[1.0, math.nan], [math.nan, 1.0]],
+    ],
+)
+def test_eigen_raises_on_non_finite_entries_at_once(a):
+    # the message shows the check before the sweeps, not the 100-sweep cap
+    with pytest.raises(NonConvergence, match="inf or NaN"):
+        symmetric_eigen(np.array(a))
 
 
 def test_eigen_matches_library_solver():
