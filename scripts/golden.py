@@ -3,15 +3,16 @@
 Runs every form of a slice on its seeded draws (tests/golden_forms.py): the
 scalar closed forms (`closed_forms`), afm_mass on the verify_sweep
 families (`afm_mass`), the field-extremization oracle on the same draws
-(`oracle`) and the exact oscillator (`ho`). It compares the outputs with the
+(`oracle`), the Gaussian trial bound (`trial_bound`) and the exact
+oscillator (`ho`). It compares the outputs with the
 slice's golden file, bitwise unless golden_forms.TOLERANCE grants the form a
 relative delta, printing the worst relative delta per form and one line per
 output moved past it; the exit code is 1 if any output moved. With --write,
 the files are regenerated instead.
 
 Usage: python scripts/golden.py [--write] [FILE ...]
-Each FILE's name (closed_forms.json, afm_mass.json, oracle.json, ho.json)
-picks its slice; with no FILE, every slice's file under tests/golden/ is used.
+Each FILE's name (closed_forms.json, afm_mass.json, oracle.json,
+trial_bound.json, ho.json) picks its slice; with no FILE, every slice's file under tests/golden/ is used.
 """
 import json
 import sys

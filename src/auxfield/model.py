@@ -377,39 +377,42 @@ def rescale(spec: SystemSpec, k: int) -> SystemSpec:
     return SystemSpec(spec.n, masses, spec.kinematics, one_body, pairwise)
 
 
-def _unit_scale(spec: SystemSpec) -> int:
-    """The k at which rescale(spec, k) has its typical mass scale nearest 1.
+def _unit_scale(spec: SystemSpec) -> tuple[int, list[float | None]]:
+    """The k at which rescale(spec, k) has its typical mass scale nearest 1, and each term's scale.
 
-    k is the rounded median of log2 of the mass scales of an identical-mass
-    spec: m where m > 0, and for each term the inverse of the length at which
-    it balances the kinetic energy, |c|^(1/(lam+1)) semirelativistically,
-    (m |c|)^(1/(lam+2)) nonrelativistically and range_ for a gaussian well;
-    a scale-free term (lam = -1 semirelativistically) has none, and k = 0
-    where no scale is left. The median, unlike the mean, is not pulled away
-    by a term too weak to matter. k is then clamped to the interval where
-    every rescaled input x keeps |log2 |x|| <= 511, so that its square is a
-    normal float, or set to 0 where that interval is empty. A gaussian well's
-    curvature at its bottom, depth range_^2, counts as an input: it goes to
-    2^-3k times itself, and the oracle starts the well's field there.
+    A term's scale, in spec.terms order, is log2 of the inverse of the length
+    where it balances the kinetic energy (2^(k - scale) in rescale(spec, k)):
+    |c|^(1/(lam+1)) semirelativistically, (m |c|)^(1/(lam+2))
+    nonrelativistically and for a massive semirelativistic r^-1 term (the
+    Bohr scale m |c|), range_ for a gaussian well, and None where c = 0 or
+    an r^-1 term is massless. k is the
+    rounded median of the scales and of log2 m where m > 0, or 0 where there
+    are none; the median, unlike the mean, is not pulled away by a term too
+    weak to matter. k is then clamped to the interval where every rescaled
+    input x keeps |log2 |x|| <= 511, so that its square is a normal float, or
+    set to 0 where that interval is empty. A gaussian well's curvature at its
+    bottom, depth range_^2, counts as an input: it goes to 2^-3k times itself.
     """
     m = spec.identical_mass
     semirel = spec.kinematics is Kinematics.SEMIRELATIVISTIC
-    logs = [math.log2(m)] if m > 0.0 else []
+    scales: list[float | None] = []
     inputs = [(math.log2(m), -1.0)] if m > 0.0 else []  # log2 |x| and its change per unit of k
     for t in spec.terms:
         f = t.form
+        scale = None
         if isinstance(f, PowerLaw):
             if f.coefficient:
-                power = f.exponent + (1.0 if semirel else 2.0)
-                if power:
-                    log_c = math.log2(abs(f.coefficient)) + (0.0 if semirel else math.log2(m))
-                    logs.append(log_c / power)
-                inputs.append((math.log2(abs(f.coefficient)), -(f.exponent + 1.0)))
+                log_c = math.log2(abs(f.coefficient))
+                if semirel and f.exponent != -1.0:
+                    scale = log_c / (f.exponent + 1.0)
+                elif m > 0.0:
+                    scale = (log_c + math.log2(m)) / (f.exponent + 2.0)
+                inputs.append((log_c, -(f.exponent + 1.0)))
         else:
-            log_depth, log_range = math.log2(f.depth), math.log2(f.range_)
-            logs.append(log_range)
-            inputs += [(log_depth, -1.0), (log_range, -1.0), (log_depth + 2.0 * log_range, -3.0)]
-    logs.sort()
+            log_depth, scale = math.log2(f.depth), math.log2(f.range_)
+            inputs += [(log_depth, -1.0), (scale, -1.0), (log_depth + 2.0 * scale, -3.0)]
+        scales.append(scale)
+    logs = sorted([s for s in scales if s is not None] + ([math.log2(m)] if m > 0.0 else []))
     half = len(logs) // 2
     k = round((logs[half] + logs[~half]) / 2.0) if logs else 0
     edge = sys.float_info.max_exp // 2 - 1  # 511
@@ -422,7 +425,7 @@ def _unit_scale(spec: SystemSpec) -> int:
         k = math.ceil(lo)
     if k > hi:
         k = math.floor(hi)
-    return k if lo <= k <= hi else 0
+    return (k if lo <= k <= hi else 0), scales
 
 
 def _validate_term(term: PotentialTerm, kinematics: Kinematics) -> None:

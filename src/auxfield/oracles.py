@@ -3,19 +3,19 @@
 numeric_afm_minimize extremizes the three-field mass function directly, never
 touching the scale equation the closed forms come from, so agreement between
 the two routes is a genuine cross-check. Each field is one record: its spring
-in s = nu + N nubar, its weight in the mass, the sense of its stationary point
-and its offset V(I) - nu I^2. The search runs over one coordinate vector,
-mu then the fields, and two index lists name the coordinates it minimizes
-and those it maximizes. Line searches use function values only, except
-along fields whose stationary point is a maximum: there one Newton function
-steps on the analytic derivatives of the mass, accepts the point they reach
-on three mass values (itself and its two neighbours; a lone such field whose
-maximum lies within float spacing of the kinetic barrier s > 0 settles at
-the barrier's last float inside), and leaves Brent's search as the
-safeguard; a field past the barrier moves inside it before either runs. The
-searches only search; one verdict on the settled point tells a stationary
-point from a boundary, and the passes stop on a change of M relative to
-max(|M|, N m), alike at every length scale.
+in s = nu + N nubar, its weight in the mass, the sense of its stationary point,
+its offset V(I) - nu I^2 and its start, |K| at its term's balance radius. The
+search runs over one coordinate vector, mu then the fields, and two index lists
+name the coordinates it minimizes and those it maximizes. Line searches use
+function values only, except along fields whose stationary point is a maximum:
+there one Newton function steps on the analytic derivatives of the mass,
+accepts the point they reach on three mass values (itself and its two
+neighbours; a lone such field whose maximum lies within float spacing of the
+kinetic barrier s > 0 settles at the barrier's last float inside), and leaves
+Brent's search as the safeguard; a field past the barrier moves inside it
+before either runs. The searches only search; one verdict on the settled point
+tells a stationary point from a boundary, and the passes stop on a change of M
+relative to max(|M|, N m), alike at every length scale.
 gaussian_trial_bound evaluates a one-parameter correlated-Gaussian state
 analytically: a true upper bound on nonrelativistic pairwise ground levels.
 
@@ -67,14 +67,6 @@ _LEVEL_RTOL = 4.0 * sys.float_info.epsilon
 _FLOAT_MIN = sys.float_info.min  # smallest normal float
 _LOG_LO = -700.0  # fields confined to roughly [1e-304, 1e304], where exp is finite
 _LOG_HI = 700.0
-# The spec is solved at unit scale (model._unit_scale). There a field starts
-# at its |K| at unit radius (a gaussian well's at r = 0, its cap), clamped to
-# [e^-40, e^40]: a steep power's |K| grows as a high power of r, so unit
-# scale leaves it far from its stationary value, where the mass can be flat
-# to rounding along the field and the searches stall. A field whose offset
-# the clamp takes out of the float range starts unclamped.
-_START_LO = math.exp(-40.0)
-_START_HI = math.exp(40.0)
 # First bracket step in log space. Within one solve each search direction
 # starts its next bracket at _WARM_GROWTH times its last move, clamped to
 # [_STEP_MIN, _STEP_MAX]; doubling still reaches a far minimum.
@@ -266,12 +258,14 @@ class _FieldTerm(_Value):
     weight: float        # N, or N(N-1)/2 for a pairwise term
     sense: int           # +1: stationary point is a minimum along this field
     offset: Callable[[float], float]  # V(I) - nu I^2 as a function of |field|
-    init: float          # |K| at unit radius; a gaussian well's at r = 0
+    init: float          # the start: |K| at the term's balance radius, in [e^-700, e^700]
     power: float | None  # d ln|offset| / d ln|field| of a power law, else None
 
 
-def _field_term(term, n: int) -> _FieldTerm:
+def _field_term(term, n: int, log2_r: float = 0.0) -> _FieldTerm:
+    """The field of one non-quadratic term, starting at |K| = |V'(r) / 2r| at r = 2^log2_r."""
     form = term.form
+    log_r = log2_r * math.log(2.0)
     # a pairwise field enters s = nu + N nubar N times, and the mass once per pair
     weight, fold = (n * (n - 1) / 2.0, n) if term.scope is Scope.PAIRWISE else (n, 1)
     if isinstance(form, PowerLaw):
@@ -305,23 +299,28 @@ def _field_term(term, n: int) -> _FieldTerm:
         # Along a concave direction (binding below lam = 2) the stationary
         # point is a minimum; repulsion or convex growth flips it to a maximum.
         sense = +1 if form.curvature_sign() < 0.0 else -1
-        return _FieldTerm(sign * fold, weight, sense, offset, mag, power)
-    # a gaussian well: validate admits no third form
-    depth, rng = form.depth, form.range_
-    cap = depth * rng * rng
+        spring, k0, log_shape = sign * fold, mag, (lam - 2.0) * log_r  # |K| = mag r^(lam-2)
+    else:  # a gaussian well: validate admits no third form
+        depth, rng = form.depth, form.range_
+        cap = depth * rng * rng
 
-    # Past the cap t = depth range^2, the well's curvature at r = 0, the
-    # quadratic t r^2 touches the well only at its bottom, and the offset
-    # stays at -depth: continuous, with zero slope, so the cap is no barrier
-    # and a stationary field just below it is told from a boundary.
-    def offset(t: float, cap=cap, rng=rng, depth=depth):
-        if t >= cap:
-            return -depth
-        y = t / cap  # formed in logs where it underflows
-        log_y = math.log(y) if y >= _FLOAT_MIN else math.log(t) - math.log(cap)
-        return t / (rng * rng) * (log_y - 1.0)
+        # Past the cap t = depth range^2, the well's curvature at r = 0, the
+        # quadratic t r^2 touches the well only at its bottom, and the offset
+        # stays at -depth: continuous, with zero slope, so the cap is no
+        # barrier and a stationary field just below it is told from a boundary.
+        def offset(t: float, cap=cap, rng=rng, depth=depth):
+            if t >= cap:
+                return -depth
+            y = t / cap  # formed in logs where it underflows
+            log_y = math.log(y) if y >= _FLOAT_MIN else math.log(t) - math.log(cap)
+            return t / (rng * rng) * (log_y - 1.0)
 
-    return _FieldTerm(float(fold), weight, +1, offset, cap, None)
+        spring, sense, power, k0 = float(fold), +1, None, cap
+        log_shape = -_exp(2.0 * (math.log(rng) + log_r))  # |K| = cap e^-(range r)^2
+    if not 0.0 < k0 < math.inf:
+        raise DomainError(f"field scale {k0} of {form!r} is not a positive float")
+    init = math.exp(min(max(math.log(k0) + log_shape, _LOG_LO), _LOG_HI))
+    return _FieldTerm(spring, weight, sense, offset, init, power)
 
 
 def _newton_max(
@@ -442,10 +441,13 @@ def numeric_afm_minimize(
     2^k, with k the rounded median of log2 of the spec's mass scales (m, and
     per term the inverse of the length where it balances the kinetic
     energy), clamped so that every rescaled input, and a gaussian well's
-    curvature depth range_^2 where its field starts, keeps |log2| <= 511; the
-    mass returned is 2^k times that of the rescaled spec. Where the clamp
-    does not bind, a spec with every length times 2^j gives exactly 2^-j
-    times the mass; where it binds, the solve runs at the nearest allowed k.
+    curvature depth range_^2, keeps |log2| <= 511; the mass returned is 2^k
+    times that of the rescaled spec. Where the clamp does not bind, a spec
+    with every length times 2^j gives exactly 2^-j times the mass; where it
+    binds, the solve runs at the nearest allowed k. mu starts at
+    sqrt(m^2 + Q) and each field at |K(r)| = |V'(r) / 2r|, its stationary
+    value, with r its own term's balance radius (1 where it has no scale),
+    clamped into [e^-700, e^700].
 
     M is finite only inside the kinetic barrier s = nu + N nubar > 0: along a
     max-sense field of spring c, on one side of t* = -(s - c t) / c. Before
@@ -462,12 +464,13 @@ def numeric_afm_minimize(
     validate(spec, q)
     if not spec.terms:
         raise UnsupportedCombination("need at least one potential term")
-    k = _unit_scale(spec)
-    return _finite(_times_pow2(_extremize(rescale(spec, k), q, max_evals), k))
+    k, scales = _unit_scale(spec)
+    radii = [0.0 if scale is None else k - scale for scale in scales]
+    return _finite(_times_pow2(_extremize(rescale(spec, k), q, max_evals, radii), k))
 
 
-def _extremize(spec: SystemSpec, q: QuantumNumbers, max_evals: int) -> float:
-    """The extremal mass of numeric_afm_minimize, searched at the spec's own scale."""
+def _extremize(spec: SystemSpec, q: QuantumNumbers, max_evals: int, radii: list[float]) -> float:
+    """numeric_afm_minimize at the spec's own scale; radii: log2 of each term's balance radius."""
     n = spec.n
     m = spec.identical_mass
     qq = q.q
@@ -478,15 +481,12 @@ def _extremize(spec: SystemSpec, q: QuantumNumbers, max_evals: int) -> float:
     # the same floats as nu + N nubar
     s0 = 0.0
     field_terms: list[_FieldTerm] = []
-    for term in spec.terms:
+    for term, log2_r in zip(spec.terms, radii):
         form = term.form
         if isinstance(form, PowerLaw) and form.exponent == 2.0:
             s0 += form.coefficient * (n if term.scope is Scope.PAIRWISE else 1)
         else:
-            ft = _field_term(term, n)
-            if not 0.0 < ft.init < math.inf:
-                raise DomainError(f"field scale {ft.init} of {form!r} is not a positive float")
-            field_terms.append(ft)
+            field_terms.append(_field_term(term, n, log2_r))
 
     evals = [0]
 
@@ -506,10 +506,7 @@ def _extremize(spec: SystemSpec, q: QuantumNumbers, max_evals: int) -> float:
         return total + math.sqrt(2.0) * math.sqrt(s) / math.sqrt(mu) * qq
 
     # x[0] is mu, pinned to m for nonrelativistic kinematics; x[j + 1] is field j
-    x = [math.sqrt(m * m + qq) if semirel else m]
-    for ft in field_terms:
-        t = min(max(ft.init, _START_LO), _START_HI)
-        x.append(t if math.isfinite(ft.offset(t)) else ft.init)
+    x = [math.sqrt(m * m + qq) if semirel else m] + [ft.init for ft in field_terms]
 
     maxs = [j for j, ft in enumerate(field_terms, 1) if ft.sense < 0]
     mins = ([0] if semirel else []) + [j for j, ft in enumerate(field_terms, 1) if ft.sense > 0]
@@ -621,7 +618,7 @@ def gaussian_trial_bound(spec: SystemSpec) -> float:
         raise UnsupportedCombination("trial bound is nonrelativistic only")
     if spec.one_body or len(spec.pairwise) != 1:
         raise UnsupportedCombination("trial bound needs exactly one pairwise term")
-    k = _unit_scale(spec)
+    k, _ = _unit_scale(spec)
     spec = rescale(spec, k)
     n = spec.n
     m = spec.identical_mass

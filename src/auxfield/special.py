@@ -62,10 +62,10 @@ def lambert_w0(x: float) -> float:
     other x; Halley steps then run for as long as each is smaller than the
     one before. An x that rounds to the branch point gives -1. Returns W >= -1.
     """
-    if x <= -_INV_E:
+    if not x > -_INV_E:  # NaN too
         if x > -_INV_E - 1e-15 * _INV_E:  # rounding at the branch point
             return -1.0
-        raise DomainError(f"lambert_w0 argument {x} < -1/e")
+        raise DomainError(f"lambert_w0 argument {x} < -1/e" if x < 0.0 else "lambert_w0 of NaN")
     if x == 0.0:
         return 0.0
 

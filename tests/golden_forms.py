@@ -1,4 +1,4 @@
-"""Seeded draws of every closed form, afm_mass, the oracle and the exact oscillator, and the golden files that pin them.
+"""Seeded draws of every closed form, afm_mass, the oracle, the trial bound and the exact oscillator, and the golden files that pin them.
 
 Each form gets DRAWS argument tuples from its own `random.Random`, seeded by
 the form's name; only `Random.random` is used, whose sequence Python keeps
@@ -13,7 +13,9 @@ The forms fall into SLICES, one golden file each under GOLDEN_DIR, named
 after the slice: `closed_forms` holds every scalar closed form, `afm_mass`
 the generic solve on the six families of the verify_sweep benchmark, and
 `oracle` the field-extremization oracle on the same draws of those families,
-and `ho` the exact oscillator at the oscillator_exact benchmark's sizes.
+`trial_bound` the Gaussian trial bound on nonrelativistic pairwise power
+laws and gaussian wells, and `ho` the exact oscillator at the
+oscillator_exact benchmark's sizes.
 `tests/test_golden.py` compares a fresh run with each file, bitwise except
 where TOLERANCE grants a form a relative delta; `scripts/golden.py --write`
 regenerates them.
@@ -41,7 +43,7 @@ from auxfield.model import (
     Scope,
     SystemSpec,
 )
-from auxfield.oracles import numeric_afm_minimize
+from auxfield.oracles import gaussian_trial_bound, numeric_afm_minimize
 from auxfield.special import cubic_root, lambert_w0, quartic_root
 from auxfield.systems import (
     atomic_mass,
@@ -228,6 +230,24 @@ def _afm_gaussian(d: _Draw) -> tuple:
     return _system(n, m, Kinematics.NONRELATIVISTIC, None, GaussianWell(alpha, beta)), q
 
 
+# the Gaussian trial bound on one nonrelativistic pairwise term, with scales
+# anywhere one draw in five, so its unit scale is exercised too
+
+
+def _trial_power(d: _Draw) -> tuple:
+    """Attraction c sgn(lam) r^lam for lam in -1.9..3 (validate admits no lone repulsion)."""
+    n, m, c, lam = d.count(2, 6), d.scale(), d.scale(), d.uniform(-1.9, 3.0)
+    return (_system(n, m, Kinematics.NONRELATIVISTIC, None, PowerLaw(c, lam)),)
+
+
+def _trial_gaussian(d: _Draw) -> tuple:
+    """Ground-state depths from half to fifty times the critical one."""
+    n, m, beta = d.count(2, 6), d.scale(), d.scale()
+    g = d.log(-0.3, 1.7) * gaussian_critical_coupling(n, 1.5 * (n - 1))
+    well = GaussianWell(g * beta * beta / m, beta)
+    return (_system(n, m, Kinematics.NONRELATIVISTIC, None, well),)
+
+
 # the exact oscillator on oscillator_exact's draws: masses in 0.1..10, springs
 # in 0..5, one mode excited; one draw in four has identical masses (a
 # diagonal form, which takes no sweep)
@@ -301,6 +321,10 @@ ORACLE_FORMS = {
     name.replace("afm_", "oracle_", 1): (numeric_afm_minimize, draw)
     for name, (_, draw) in AFM_FORMS.items()
 }
+TRIAL_FORMS = {
+    "trial_bound_power": (gaussian_trial_bound, _trial_power),
+    "trial_bound_gaussian": (gaussian_trial_bound, _trial_gaussian),
+}
 HO_FORMS = {
     "ho_energies_general": (ho_energies_general, _ho_general),
     "ho_energy_3body_closed": (ho_energy_3body_closed, _ho_3body),
@@ -309,10 +333,12 @@ SLICES = {
     "closed_forms": list(FORMS),
     "afm_mass": list(AFM_FORMS),
     "oracle": list(ORACLE_FORMS),
+    "trial_bound": list(TRIAL_FORMS),
     "ho": list(HO_FORMS),
 }
 FORMS.update(AFM_FORMS)
 FORMS.update(ORACLE_FORMS)
+FORMS.update(TRIAL_FORMS)
 FORMS.update(HO_FORMS)
 
 

@@ -1,6 +1,6 @@
 """Every closed form, and afm_mass and the oracle on the verify_sweep families,
-reproduces its golden outputs bit for bit, and so does the closed three-body
-oscillator; the general oscillator reproduces its own within
+reproduces its golden outputs bit for bit, and so do the Gaussian trial bound
+and the closed three-body oscillator; the general oscillator reproduces its own within
 golden_forms.TOLERANCE, 64 eps relative on each field.
 
 A change that moves a number regenerates the files with
@@ -31,6 +31,10 @@ def test_afm_mass_matches_the_golden_file():
 
 def test_oracle_matches_the_golden_file():
     _assert_unmoved("oracle")
+
+
+def test_trial_bound_matches_the_golden_file():
+    _assert_unmoved("trial_bound")
 
 
 def test_oscillator_matches_the_golden_file():

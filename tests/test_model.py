@@ -355,7 +355,7 @@ def test_unit_scale_keeps_every_input_square_a_normal_float():
         if not spec.terms:
             continue
         checked += 1
-        k = _unit_scale(spec)
+        k, _ = _unit_scale(spec)
         scaled = rescale(spec, k)
         validate(scaled, q)
         logs = [math.log2(scaled.masses.m)] if scaled.masses.m else []
@@ -370,15 +370,31 @@ def test_unit_scale_keeps_every_input_square_a_normal_float():
 
 
 def test_unit_scale_is_covariant():
-    # k of the spec with every length times 2^j is k - j, wherever the clamp
-    # does not bind: both routes then solve the same spec
+    # k of the spec with every length times 2^j is k - j, and each term's
+    # scale moves by -j, wherever the clamp does not bind: both routes then
+    # solve the same spec, each field starting at the same balance radius
     for kinematics in (NR, SR):
         for lam in (-1.0, -0.5, 0.5, 1.0, 1.5, 3.0):
             spec = power_system(3, 1.3, kinematics, one=(0.4, lam), pair=(0.3, lam))
-            k = _unit_scale(spec)
+            k, scales = _unit_scale(spec)
             for j in range(-200, 201, 40):
-                assert _unit_scale(rescale(spec, j)) == k - j, (kinematics, lam, j)
-    assert _unit_scale(power_system(2, 0.0, SR, pair=(0.5, -1.0))) == 0  # no scale at all
+                k_j, scales_j = _unit_scale(rescale(spec, j))
+                assert k_j == k - j, (kinematics, lam, j)
+                assert scales_j == pytest.approx([s - j for s in scales], abs=1e-12)
+    assert _unit_scale(power_system(2, 0.0, SR, pair=(0.5, -1.0))) == (0, [None])  # no scale
+
+
+def test_unit_scale_gives_massive_sr_coulomb_its_bohr_scale():
+    # semirelativistically a massive Coulomb term balances the kinetic energy
+    # at the Bohr radius 1 / (m |c|), the nonrelativistic scale at lam = -1;
+    # massless, it has no scale. The atomic specs are solved at that scale
+    spec = power_system(3, 2.0**40, SR, one=(0.25, -1.0), pair=(-0.125, -1.0))
+    assert _unit_scale(spec) == (38, [38.0, 37.0])  # the median of 40, 38 and 37
+    for j in range(-200, 201, 40):
+        k_j, scales_j = _unit_scale(rescale(spec, j))
+        assert (k_j, scales_j) == (38 - j, [38.0 - j, 37.0 - j]), j
+    massless = power_system(3, 0.0, SR, one=(0.25, 1.0), pair=(0.25, -1.0))
+    assert _unit_scale(massless) == (-1, [-1.0, None])
 
 
 # One seeded covariance test per route: at k in _COVARIANCE_KS each value of

@@ -382,8 +382,10 @@ def test_newton_max_settles_at_the_barrier_when_asked():
 @pytest.mark.parametrize(
     "spec, side",
     [
-        # atomic: the repulsive pair field has c < 0 < base
-        (power_system(3, 1.0, SR, one=(0.3, -1.0), pair=(-0.1, -1.0)), -1.0),
+        # atomic: the repulsive pair field has c < 0 < base; each field
+        # starts at |K| = |c|/2 (m |c|)^3 at its Bohr radius, and since
+        # 3 * 0.25^4 > 0.3^4 the pair field starts past the barrier
+        (power_system(3, 1.0, SR, one=(0.3, -1.0), pair=(-0.25, -1.0)), -1.0),
         # pair-falls-one-body-lifts: the convex one-body field has base < 0 < c
         (power_system(5, 1.5549250190665247, NR, one=(0.23956158196246702, 3.0),
                       pair=(-0.1431486749983486, 3.0)), +1.0),
@@ -411,7 +413,7 @@ def test_hull_starts_every_max_search_inside_the_barrier(monkeypatch, spec, side
     monkeypatch.setattr(oracles, "_newton_max", watched_newton)
     monkeypatch.setattr(oracles, "_extremize_log_line", watched_search)
     if side < 0:
-        closed = atomic_mass(3, 1.0, 0.3, 0.1, 3.0)
+        closed = atomic_mass(3, 1.0, 0.3, 0.25, 3.0)
         assert numeric_afm_minimize(spec, ground(3)) == pytest.approx(closed, rel=1e-8)
     else:
         with pytest.raises(UnboundedBelow):
@@ -508,9 +510,10 @@ def test_oracle_warm_state_is_deterministic():
 
 
 def test_oracle_steep_power_with_tiny_coefficient():
-    # even at unit scale (k = -3) |K| at unit radius is ~1e-176, far below
-    # the field's stationary value of ~2^-8 (K grows as r^98); the search
-    # must start from a field clamped to e^-40, not from that flat region
+    # even at unit scale (k = -4) |K| at unit radius is ~3e-147, far below
+    # the field's stationary value of ~2e-2 (K grows as r^98), where the mass
+    # is flat to rounding along the field; the search starts at |K| ~2e-3,
+    # its value at the term's own balance radius 2^4.87
     spec = power_system(3, 4.98, SR, pair=(1.65e-270, 100.0))
     q = QuantumNumbers(((196, 1999), (209, 498)))
     closed = equal_power_mass(spec, q).mass
@@ -520,15 +523,17 @@ def test_oracle_steep_power_with_tiny_coefficient():
 @pytest.mark.parametrize(
     "spec",
     [
-        # |K| = 1.5e-300 as given; at unit scale it is ~2^995, clamped to e^40
+        # the clamp on k binds (k = -376, the median wants -498), so the
+        # balance radius at unit scale is 2^-43.8 and the field starts at
+        # |K| ~5.5e139 there, where its offset is finite
         power_system(3, 1e-200, NR, pair=(1e-300, 3.0)),
-        # a well starts at its cap depth range^2, here 6.3e-31 at unit scale
-        # and clamped to e^-40 past it, where its offset stays -depth; the
-        # other well's field at unit radius underflows to 0
+        # a well starts at cap / e, its |K| at the radius 1/range_: 2.3e-31
+        # at unit scale on the first; on the second |K| at unit radius
+        # underflows to 0, and cap / e is 7.2e6
         gaussian_system(3, 1.0, 1e-20, 1e-20),
         gaussian_system(3, 1.0, 1e6, 100.0),
     ],
-    ids=["power-offset-overflows-at-the-clamp", "gaussian-range-1e-20", "gaussian-range-100"],
+    ids=["power-clamped-unit-scale", "gaussian-range-1e-20", "gaussian-range-100"],
 )
 def test_oracle_starts_each_field_where_its_offset_is_finite(spec):
     closed = afm_mass(spec, ground(3)).mass  # 3e-200 on the first spec
@@ -817,7 +822,8 @@ def test_engine_and_oracle_agree_on_random_specs():
 # The draws of wide_draw(default_rng(5)) on which the oracle agrees with
 # afm_mass to 1e-8 relative. Solving every spec as given (k = 0) it agreed
 # on the 105 of _WIDE_AGREEMENTS; at unit scale it agrees on those and on
-# the 10 of _WIDE_GAINED. Pinned agreements may only grow.
+# the 12 of _WIDE_GAINED, 27 and 89 since each field starts at its own
+# term's balance radius. Pinned agreements may only grow.
 _WIDE_AGREEMENTS = frozenset({
     0, 6, 7, 8, 11, 12, 13, 16, 17, 18, 19, 21, 22, 23, 26, 30, 31, 32, 33, 37, 38, 39, 43,
     44, 45, 46, 49, 53, 54, 56, 58, 62, 64, 65, 66, 68, 69, 70, 71, 72, 73, 74, 76, 79, 80,
@@ -826,7 +832,7 @@ _WIDE_AGREEMENTS = frozenset({
     151, 152, 154, 157, 161, 167, 170, 171, 172, 173, 177, 179, 180, 182, 184, 185, 186,
     187, 188, 190, 198, 199
 })
-_WIDE_GAINED = frozenset({15, 81, 95, 117, 122, 133, 135, 144, 175, 178})
+_WIDE_GAINED = frozenset({15, 27, 81, 89, 95, 117, 122, 133, 135, 144, 175, 178})
 
 
 def test_oracle_agrees_with_afm_mass_on_wide_draws():

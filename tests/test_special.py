@@ -56,8 +56,10 @@ def test_lambert_unit_value():
 
 
 def test_lambert_domain_error():
-    with pytest.raises(DomainError):
-        lambert_w0(-0.5)
+    for x in (-0.5, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            lambert_w0(x)
+    assert lambert_w0(math.inf) == math.inf
 
 
 @given(st.floats(min_value=-0.3678, max_value=1e3))
