@@ -40,13 +40,12 @@ from auxfield.oracles import (
     _field_term,
     _newton_max,
     compare,
-    compare_ordering,
     gaussian_trial_bound,
+    log_pair_moment_power,
     numeric_afm_minimize,
-    pair_moment_gaussian,
-    pair_moment_power,
 )
 from auxfield.systems import atomic_mass, baryonic_ur, gaussian_spectrum
+import golden_forms
 from conftest import gaussian_system, ground, power_system, wide_draw
 
 NR = Kinematics.NONRELATIVISTIC
@@ -60,8 +59,6 @@ SR = Kinematics.SEMIRELATIVISTIC
 def test_compare_verdicts():
     assert compare(1.0, 1.0 + 1e-12, 1e-8).verdict is Verdict.MATCH
     assert compare(1.0, 1.1, 1e-8).verdict is Verdict.VIOLATION
-    assert compare_ordering(1.0, 0.5).verdict is Verdict.MATCH
-    assert compare_ordering(1.0, 1.5).verdict is Verdict.VIOLATION
 
 
 def test_report_is_a_slotted_frozen_value():
@@ -953,10 +950,7 @@ def test_pair_moments_match_quadrature():
 
     for eta in (-1.5, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0):
         oracle = density_moment(lambda r: r**eta)
-        assert pair_moment_power(gamma, eta) == pytest.approx(oracle, rel=1e-10)
-    beta = 0.9
-    oracle = density_moment(lambda r: math.exp(-beta * beta * r * r))
-    assert pair_moment_gaussian(gamma, beta) == pytest.approx(oracle, rel=1e-10)
+        assert math.exp(log_pair_moment_power(gamma, eta)) == pytest.approx(oracle, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -989,11 +983,16 @@ def test_trial_bound_below_linear_afm():
 
 
 def test_trial_bound_at_threshold_without_a_trial_bound_state():
-    # the trial family holds no bound state of this shallow well: the
-    # expectation still descends at the edge of the kappa range, so the
-    # bound is that edge value, at the threshold up to rounding
-    bound = gaussian_trial_bound(gaussian_system(3, 1.0, 0.1, 1.0))
-    assert 0.0 <= bound <= 1e-12
+    # the trial family holds no bound state of this shallow well: with
+    # w = beta^2 / (N kappa + beta^2), no w solves w^2 sqrt(1 - w) = 2A / (3D)
+    # = 20/3, so the energy falls toward 0 as kappa -> 0 and the bound is 0
+    assert gaussian_trial_bound(gaussian_system(3, 1.0, 0.1, 1.0)) == 0.0
+
+
+@pytest.mark.parametrize("lam", [-1.5, -1.0, 0.5, 1.0, 2.0, 3.0])
+def test_trial_bound_of_a_vanishing_power_law_is_zero(lam):
+    # c = 0 leaves the kinetic energy a kappa, whose infimum over kappa > 0 is 0
+    assert gaussian_trial_bound(power_system(3, 1.0, NR, pair=(0.0, lam))) == 0.0
 
 
 @pytest.mark.parametrize("lam, power", [(2.0, 4), (-1.0, 1)], ids=["oscillator", "coulomb"])
@@ -1011,14 +1010,108 @@ def test_trial_bound_is_scale_covariant(lam, power):
         assert bound == pytest.approx(s * s * base, rel=1e-12, abs=0.0), k
 
 
-def test_trial_bound_flags_runaway():
-    # absurdly strong attraction pushes the optimum beyond the supported
-    # kappa range; the bound cannot be trusted there. Unit scale does not
-    # reach it: k sits halfway between log2 m = 0 and the Bohr scale
-    # log2(m c) = 133, so the optimum still lies ~e^93 past kappa = 1
-    spec = power_system(3, 1.0, NR, pair=(1e40, -1.0))
-    with pytest.raises(UnboundedBelow):
-        gaussian_trial_bound(spec)
+def test_trial_bound_of_a_strong_coulomb_pair():
+    # E = a kappa - B sqrt(kappa), a = 3 N(N-1) / (2m) and
+    # B = N(N-1)/2 c (2/sqrt(pi)) sqrt(N), is least at -B^2 / (4a)
+    # = -N^2 (N-1) m c^2 / (6 pi). Unit scale does not centre the optimum:
+    # k sits halfway between log2 m = 0 and the Bohr scale log2(m c) = 133,
+    # so it lies ~e^93 past kappa = 1
+    bound = gaussian_trial_bound(power_system(3, 1.0, NR, pair=(1e40, -1.0)))
+    assert bound == pytest.approx(-3e80 / math.pi, rel=1e-14, abs=0.0)
+
+
+def _mp_trial_bound(mpmath, spec):
+    """The least trial energy of spec at the working precision of mpmath.
+
+    E(kappa) is the kinetic part 3 N (N-1) kappa / (2m) plus N(N-1)/2 times
+    the pair potential's mean over the density r^2 exp(-N kappa r^2); a
+    golden-section search in u = ln kappa takes its least value. A power law
+    is unimodal in u; so is a gaussian well where N kappa >= beta^2 / 4
+    (w = beta^2 / (N kappa + beta^2) <= 4/5), and below that its energy
+    only rises to a local maximum and falls toward 0, so the bound is the
+    least of 0 and the minimum there.
+    """
+    mpf = mpmath.mpf
+    n, m, form = spec.n, mpf(spec.identical_mass), spec.pairwise[0].form
+    pairs = mpf(n * (n - 1)) / 2
+    if isinstance(form, PowerLaw):
+        c, eta = mpf(form.coefficient), mpf(form.exponent)
+        if not c:
+            return mpf(0)
+        moment = mpmath.gamma((3 + eta) / 2) / mpmath.gamma(mpf(3) / 2)
+
+        def pair_mean(kappa):
+            return mpmath.sign(eta) * c * moment * (n * kappa) ** (-eta / 2)
+
+        lo, hi = mpf(-10) ** 5, mpf(10) ** 5
+    else:
+        depth, beta2 = mpf(form.depth), mpf(form.range_) ** 2
+
+        def pair_mean(kappa):
+            return -depth * (n * kappa / (n * kappa + beta2)) ** mpf(1.5)
+
+        lo = mpmath.log(beta2 / (4 * n))
+        hi = lo + 2000
+
+    def energy(u):
+        kappa = mpmath.exp(u)
+        return 3 * n * (n - 1) * kappa / (2 * m) + pairs * pair_mean(kappa)
+
+    shrink = (mpmath.sqrt(5) - 1) / 2
+    a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fa, fb = energy(a), energy(b)
+    while hi - lo > mpf(10) ** -12:
+        if fa <= fb:
+            hi, b, fb = b, a, fa
+            a = hi - shrink * (hi - lo)
+            fa = energy(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + shrink * (hi - lo)
+            fb = energy(b)
+    least = min(fa, fb)
+    return least if isinstance(form, PowerLaw) else min(mpf(0), least)
+
+
+def _reference_specs():
+    """The trial_bound golden draws that validate, and three power laws past their ranges."""
+    for name in golden_forms.SLICES["trial_bound"]:
+        for (spec,) in golden_forms.draws(name):
+            try:
+                validate(spec, ground(spec.n))
+            except ValidationError:
+                continue
+            yield name, spec
+    # N = 6 with m and the term's balance scale 2^105 apart: at unit scale the
+    # optimum lies ~2^101 past kappa = 1
+    yield "trial_bound_power", power_system(
+        6, 3.051210402096394e-176, NR, pair=(0.006987423812481279, -0.763471182676497)
+    )
+    yield "trial_bound_power", power_system(3, 1.0, NR, pair=(1e40, -1.0))
+    # Gamma(251.5) of the moment <r^500> is past the float range; its log is not
+    yield "trial_bound_power", power_system(6, 1.0, NR, pair=(1.0, 500.0))
+
+
+def test_trial_bound_within_1e13_of_50_digits():
+    # each bound lies within 1e-13 relative of the least trial energy at 50
+    # digits (a subnormal one within 4 units of the least subnormal), or
+    # raises NumericalError where that lies past the float range. Worst over
+    # the normal results: 291 ulps (4.0e-14) for power laws, where the log of
+    # kappa* carries about eps times its size, and 145 ulps (1.8e-14) for
+    # wells, the largest near the threshold w = 2/3, where E cancels
+    mpmath = pytest.importorskip("mpmath")
+    checked = 0
+    for name, spec in _reference_specs():
+        with mpmath.workdps(50):
+            exact = _mp_trial_bound(mpmath, spec)
+            if abs(exact) > sys.float_info.max:
+                with pytest.raises(NumericalError):
+                    gaussian_trial_bound(spec)
+                continue
+            bound = gaussian_trial_bound(spec)
+            assert abs(bound - exact) <= 1e-13 * abs(exact) + 4 * 5e-324, (name, spec, bound)
+        checked += 1
+    assert checked == 123  # 64 + 58 golden draws and 3 specs, less the 2 past the float range
 
 
 def test_trial_bound_requires_pairwise_only():
